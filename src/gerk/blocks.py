@@ -70,8 +70,18 @@ class BlockPartition:
 
     def sample(self, rng):
         """Draw one block index using one uniform."""
-        idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return min(idx, len(self.blocks) - 1)
+        return int(draw_blocks(self._cum, rng.random()))
+
+
+def draw_blocks(cum, u):
+    """Block index of each uniform u in [0, 1): the first k with cum[k] > u.
+
+    cum holds the cumulative block probabilities.  Rounding can leave cum[-1]
+    just below 1, so indices are clamped to the last block.  This is the one
+    implementation of index sampling; it maps a whole array of uniforms at
+    once, and a scalar u gives a numpy integer.
+    """
+    return np.minimum(cum.searchsorted(u, side="right"), len(cum) - 1)
 
 
 def _block_sq_norms(A, kind, blocks):

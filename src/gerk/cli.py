@@ -183,7 +183,6 @@ def cmd_experiment(args):
     params = _resolve(args, config, keys, profile)
     field = args.field or config.get("field") or "real"
     seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    threads = int(args.threads if args.threads is not None else config.get("threads") or 1)
     names = args.presets or config.get("presets") or ",".join(DEFAULT_PRESETS[which])
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
@@ -204,7 +203,6 @@ def cmd_experiment(args):
         iterations=iterations,
         base_seed=seed,
         checkpoint_interval=int(interval),
-        threads=threads,
     )
     paths = write_experiment_csvs(result, args.out, which)
     print(sparsity_table(result))
@@ -305,7 +303,9 @@ def build_parser():
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--checkpoint-interval", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="trial workers; output-neutral")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored, as is the 'threads' config key: "
+                        "trials run in lockstep in one thread")
     p.add_argument("--out", required=True, help="output directory")
     common(p)
     p.set_defaults(func=cmd_experiment)

@@ -12,13 +12,14 @@ Two instance families over a rank-deficient A = U diag(sv) V^H with
 
 Trial t of a run uses seed base_seed + t: stream 0 generates the instance,
 stream 1 drives the solver, so repeated invocations are bit-identical and
-trials never share draws.  Metrics are recorded every checkpoint_interval
-iterations and aggregated across trials into min/q25/median/q75/max bands.
+trials never share draws.  The trials of a preset run in lockstep (one
+batched solver loop), which changes no value: each trial is bit-identical to
+a run on its own.  Metrics are recorded every checkpoint_interval iterations
+and aggregated across trials into min/q25/median/q75/max bands.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,7 @@ from .linalg import draw_nullspace_noise, make_rank_deficient
 from .oracles import range_projection_quadratic
 from .potentials import QuadraticMisfit
 from .rng import RngStream
-from .solver import preset, run
+from .solver import _run_lockstep, preset
 
 METRIC_NAMES = (
     "rel_residual",
@@ -41,6 +42,9 @@ METRIC_NAMES = (
 )
 
 SPARSITY_TOL = 1e-5
+
+# cap on the stacked matrix copies one lockstep group of trials holds
+GROUP_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -90,9 +94,14 @@ class ExperimentResult:
     final_rel_error: dict  # label -> float array over trials
     trials: int
     iterations: int
+    traces: dict  # label -> MetricTrace per trial, in trial order
+    final_x: dict  # label -> final iterate per trial, in trial order
 
 
 def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
+    if sparsity < 1:
+        # x_hat = 0 would leave the relative metrics without a scale
+        raise ValueError(f"sparsity must be >= 1, got {sparsity}")
     A = make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)
     support = rng.choice_without_replacement(n, sparsity)
     x_hat = np.zeros(n, dtype=A.dtype)
@@ -185,33 +194,35 @@ class MetricRecorder:
         return MetricTrace(checkpoints=np.asarray(self.checkpoints), metrics=metrics)
 
 
-def _run_one_trial(generator, preset_specs, iterations, checkpoint_interval, seed):
-    inst_rng = RngStream(seed, stream=0)
-    instance = generator(inst_rng)
-    y_hat_quad = None
-    out = {}
+def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, traces,
+               final_x):
+    """Every preset over a group of trials, the group's systems in lockstep.
+
+    Appends each trial's trace and final iterate to traces[label] and
+    final_x[label], in trial order.
+    """
+    y_hat_quad = [None] * len(instances)
     for spec in preset_specs:
-        cfg = preset(
-            spec.name,
-            instance.A,
-            lam=spec.lam,
-            eps=spec.eps,
-            tau=spec.tau,
-            max_iterations=iterations,
-            seed=seed,
-            stream=1,
-            checkpoint_interval=checkpoint_interval,
-            z_stepsize_mode=spec.z_stepsize_mode,
+        cfgs = [
+            preset(spec.name, inst.A, lam=spec.lam, eps=spec.eps, tau=spec.tau,
+                   max_iterations=iterations, seed=seed, stream=1,
+                   checkpoint_interval=checkpoint_interval,
+                   z_stepsize_mode=spec.z_stepsize_mode)
+            for inst, seed in zip(instances, seeds)
+        ]
+        recorders = []
+        for t, (inst, cfg) in enumerate(zip(instances, cfgs)):
+            z_target = None
+            if cfg.z_update_enabled and isinstance(cfg.g, QuadraticMisfit):
+                if y_hat_quad[t] is None:
+                    y_hat_quad[t] = range_projection_quadratic(inst.A, inst.b).value
+                z_target = inst.b - y_hat_quad[t]
+            recorders.append(MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target))
+        states = _run_lockstep(
+            [inst.A for inst in instances], [inst.b for inst in instances], cfgs, recorders
         )
-        z_target = None
-        if cfg.z_update_enabled and isinstance(cfg.g, QuadraticMisfit):
-            if y_hat_quad is None:
-                y_hat_quad = range_projection_quadratic(instance.A, instance.b).value
-            z_target = instance.b - y_hat_quad
-        recorder = MetricRecorder(instance, cfg.g or QuadraticMisfit(), z_target=z_target)
-        report = run(instance.A, instance.b, cfg, hooks=(recorder,))
-        out[spec.label()] = (recorder.trace(), report.state.x.copy())
-    return out
+        traces[spec.label()] += [rec.trace() for rec in recorders]
+        final_x[spec.label()] += [state.x.copy() for state in states]
 
 
 def run_trials(
@@ -221,40 +232,44 @@ def run_trials(
     iterations,
     base_seed,
     checkpoint_interval=None,
-    threads=1,
 ):
     """Run every preset on `trials` fresh instances and aggregate the traces.
 
     generator: callable(rng) -> ProblemInstance.  Trial t uses seed
-    base_seed + t.  Aggregation is ordered by trial index, so the result does
-    not depend on `threads`.
+    base_seed + t.  The trials of a preset advance in lockstep, in groups
+    whose stacked matrix copies fit GROUP_BYTES; each trial's trace and
+    final iterate are bit-identical to running it alone, so the result does
+    not depend on the grouping.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     labels = [spec.label() for spec in preset_specs]
     if len(set(labels)) != len(labels):
         raise ValueError("preset labels must be unique")
     seeds = [base_seed + t for t in range(trials)]
-
-    def job(seed):
-        return _run_one_trial(generator, preset_specs, iterations, checkpoint_interval, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(job, seeds))
-    else:
-        per_trial = [job(seed) for seed in seeds]
+    traces = {label: [] for label in labels}
+    final_x = {label: [] for label in labels}
+    start = 0
+    while start < trials:
+        instances = [generator(RngStream(seeds[start], stream=0))]
+        # the solver stacks two copies of every trial's matrix
+        size = max(1, GROUP_BYTES // (2 * instances[0].A.nbytes))
+        group_seeds = seeds[start:start + size]
+        instances += [generator(RngStream(seed, stream=0)) for seed in group_seeds[1:]]
+        _run_group(instances, group_seeds, preset_specs, iterations, checkpoint_interval,
+                   traces, final_x)
+        start += len(group_seeds)
 
     bands = {}
     final_sparsity = {}
     final_rel_error = {}
     for label in labels:
-        traces = [res[label][0] for res in per_trial]
-        finals = [res[label][1] for res in per_trial]
-        checkpoints = traces[0].checkpoints
+        checkpoints = traces[label][0].checkpoints
         bands[label] = {}
         for name in METRIC_NAMES:
-            if name not in traces[0].metrics:
+            if name not in traces[label][0].metrics:
                 continue
-            stacked = np.vstack([tr.metrics[name] for tr in traces])
+            stacked = np.vstack([tr.metrics[name] for tr in traces[label]])
             qs = np.quantile(stacked, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
             bands[label][name] = AggregateBand(
                 checkpoints=checkpoints,
@@ -264,9 +279,9 @@ def run_trials(
                 q75=qs[3],
                 max=qs[4],
             )
-        final_sparsity[label] = np.asarray([sparsity_count(x) for x in finals])
+        final_sparsity[label] = np.asarray([sparsity_count(x) for x in final_x[label]])
         final_rel_error[label] = np.asarray(
-            [tr.metrics["rel_error"][-1] for tr in traces]
+            [tr.metrics["rel_error"][-1] for tr in traces[label]]
         )
     return ExperimentResult(
         preset_labels=labels,
@@ -275,6 +290,8 @@ def run_trials(
         final_rel_error=final_rel_error,
         trials=trials,
         iterations=iterations,
+        traces=traces,
+        final_x=final_x,
     )
 
 

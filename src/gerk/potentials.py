@@ -19,6 +19,13 @@ g*'s gradient and its Lipschitz constant grad_lipschitz.
 
 where r_eps(t) = t^2/(2 eps) for |t| <= eps and |t| - eps/2 beyond, applied
 to moduli so complex entries work unchanged.
+
+`updater(shape, is_complex)` returns the in-place kernel apply(dual, out)
+that the solver calls every iteration, or None when the gradient is the
+identity.  shape is the iterate's length, or a batch shape plus that length
+for systems advancing in lockstep.  The kernels are elementwise, so each
+row of a batch gets exactly the values it would get alone; the group
+regularizer's kernel couples entries and takes one system only.
 """
 
 import numpy as np
@@ -95,7 +102,7 @@ class Quadratic:
     def conjugate_gradient(self, xstar):
         return np.array(xstar, copy=True)
 
-    def updater(self, n, is_complex):
+    def updater(self, shape, is_complex):
         # grad f* is the identity: the solver may alias x and xstar
         return None
 
@@ -127,9 +134,9 @@ class ElasticNet:
     def conjugate_gradient(self, xstar):
         return soft_shrinkage(xstar, self.lam)
 
-    def updater(self, n, is_complex):
+    def updater(self, shape, is_complex):
         lam = self.lam
-        buf = np.empty(n)
+        buf = np.empty(shape)
 
         def apply(xstar, out):
             np.abs(xstar, out=buf)
@@ -177,8 +184,8 @@ class GroupElasticNet:
         self._check_len(xstar)
         return group_shrinkage(xstar, self.lam, self.groups)
 
-    def updater(self, n, is_complex):
-        self._check_len(np.empty(n))
+    def updater(self, shape, is_complex):
+        self._check_len(np.empty(shape))  # one system only: no batch shape
         lam = self.lam
         gid = self.gid
         k = len(self.groups)
@@ -223,10 +230,10 @@ class ComplexElasticNet:
     def conjugate_gradient(self, xstar):
         return complex_shrinkage(xstar, self.lam)
 
-    def updater(self, n, is_complex):
+    def updater(self, shape, is_complex):
         lam = self.lam
-        mag = np.empty(n)
-        scale = np.empty(n)
+        mag = np.empty(shape)
+        scale = np.empty(shape)
 
         def apply(xstar, out):
             np.abs(xstar, out=mag)
@@ -250,7 +257,7 @@ class QuadraticMisfit:
     def gradient(self, y):
         return np.array(y, copy=True)
 
-    def updater(self, m, is_complex):
+    def updater(self, shape, is_complex):
         # gradient is the identity: the solver may alias z and zstar
         return None
 
@@ -277,9 +284,9 @@ class HuberQuadMisfit:
         y = np.asarray(y)
         return (1.0 / np.maximum(np.abs(y), self.eps) + self.tau) * y
 
-    def updater(self, m, is_complex):
+    def updater(self, shape, is_complex):
         eps, tau = self.eps, self.tau
-        buf = np.empty(m)
+        buf = np.empty(shape)
 
         def apply(zstar, out):
             np.abs(zstar, out=buf)

@@ -20,6 +20,8 @@ platform.
 
 import numpy as np
 
+from .blocks import draw_blocks
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -127,6 +129,4 @@ def sample_index(probabilities, rng):
         raise ValueError("probabilities must be strictly positive")
     if abs(float(p.sum()) - 1.0) > 1e-12:
         raise ValueError("probabilities must sum to 1 within 1e-12")
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, p.size - 1)
+    return int(draw_blocks(np.cumsum(p), rng.random()))

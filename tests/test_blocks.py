@@ -5,6 +5,7 @@ from gerk.blocks import (
     BlockPartition,
     column_partition,
     contiguous_blocks,
+    draw_blocks,
     paired_blocks,
     row_partition,
 )
@@ -85,6 +86,20 @@ def test_sampling_follows_probabilities():
     for _ in range(draws):
         counts[part.sample(rng)] += 1
     assert np.all(np.abs(counts / draws - part.probabilities) < 0.02)
+
+
+def test_draw_blocks_vectorised_and_clamped():
+    # cum[-1] short of 1 by rounding: uniforms beyond it land in the last block
+    cum = np.array([0.25, 0.5, 1.0 - 1e-13])
+    u = np.array([0.0, 0.25, 0.3, 0.5, 0.9, 1.0 - 1e-14])
+    assert draw_blocks(cum, u).tolist() == [0, 1, 1, 2, 2, 2]
+    assert int(draw_blocks(cum, 0.3)) == 1
+    # the scalar samplers consume one uniform and agree with the array map
+    part = row_partition(np.eye(3), probabilities=[0.2, 0.3, 0.5])
+    a, b = RngStream(204), RngStream(204)
+    drawn = [part.sample(a) for _ in range(500)]
+    assert drawn == draw_blocks(part._cum, b.random_array(500)).tolist()
+    assert a.next_u64() == b.next_u64()
 
 
 def test_uniform_default_probabilities():

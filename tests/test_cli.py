@@ -135,6 +135,22 @@ def test_experiment_invalid_rank_exit_code(tmp_path):
     assert rc == 4
 
 
+def test_experiment_zero_trials_exit_code(tmp_path, capsys):
+    rc = main(["experiment", "--which", "i", "--m", "16", "--n", "8", "--rank", "4",
+               "--sparsity", "2", "--lambda", "2.0", "--trials", "0", "--epochs", "1",
+               "--presets", "srk", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "trials" in capsys.readouterr().err
+
+
+def test_experiment_zero_sparsity_exit_code(tmp_path, capsys):
+    rc = main(["experiment", "--which", "ii", "--m", "16", "--n", "8", "--rank", "4",
+               "--sparsity", "0", "--lambda", "2.0", "--trials", "1", "--epochs", "1",
+               "--presets", "srk", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sparsity" in capsys.readouterr().err
+
+
 def test_experiment_unknown_preset_exit_code(tmp_path):
     rc = main(["experiment", "--which", "i", "--presets", "srk,warp",
                "--out", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gerk import experiments
 from gerk.experiments import (
     MetricRecorder,
     PresetSpec,
@@ -115,11 +116,22 @@ def test_recorder_skips_z_without_target():
     assert "z_error" not in recorder.trace().metrics
 
 
-def run_small(threads=1, base_seed=900):
-    specs = (PresetSpec("srk", lam=2.0), PresetSpec("rek"),
-             PresetSpec("gerk_ad", lam=2.0))
-    return run_trials(small_generator(), specs, trials=4, iterations=200,
-                      base_seed=base_seed, checkpoint_interval=50, threads=threads)
+def run_small(trials=4, base_seed=900, specs=None, field="real"):
+    specs = specs or (PresetSpec("srk", lam=2.0), PresetSpec("rek"),
+                      PresetSpec("gerk_ad", lam=2.0))
+    return run_trials(small_generator(field=field), specs, trials=trials, iterations=200,
+                      base_seed=base_seed, checkpoint_interval=50)
+
+
+def assert_trials_equal(res_a, t_a, res_b, t_b=0):
+    """Trial t_a of res_a is bit-equal to trial t_b of res_b: trace and final x."""
+    for label in res_a.preset_labels:
+        a, b = res_a.traces[label][t_a], res_b.traces[label][t_b]
+        assert np.array_equal(a.checkpoints, b.checkpoints)
+        assert a.metrics.keys() == b.metrics.keys()
+        for name in a.metrics:
+            assert np.array_equal(a.metrics[name], b.metrics[name]), (label, name)
+        assert np.array_equal(res_a.final_x[label][t_a], res_b.final_x[label][t_b]), label
 
 
 def test_band_quantile_ordering():
@@ -137,17 +149,51 @@ def test_band_quantile_ordering():
     assert "z_error" in result.bands["gerk_ad"]
 
 
-def test_threaded_equals_serial():
-    serial = run_small(threads=1)
-    threaded = run_small(threads=3)
-    for label in serial.preset_labels:
-        for name in serial.bands[label]:
-            a = serial.bands[label][name]
-            b = threaded.bands[label][name]
-            assert np.array_equal(a.median, b.median)
-            assert np.array_equal(a.min, b.min)
-            assert np.array_equal(a.max, b.max)
-        assert np.array_equal(serial.final_sparsity[label], threaded.final_sparsity[label])
+def test_batched_equals_one_at_a_time():
+    batched = run_small(trials=4)
+    for t in range(4):
+        assert_trials_equal(batched, t, run_small(trials=1, base_seed=900 + t))
+
+
+def test_batch_size_does_not_change_a_trial():
+    # every preset, both fields: trial 1 of a run (seed 902) is bit-equal
+    # alone and in batches of 2, 3 and 10, and a one-trial band is its trace
+    specs = (PresetSpec("rk"), PresetSpec("srk", lam=2.0), PresetSpec("rek"),
+             PresetSpec("gerk_ad", lam=2.0),
+             PresetSpec("gerk_bd", lam=2.0, eps=0.01, tau=0.001))
+    for field in ("real", "complex"):
+        alone = run_small(trials=1, base_seed=902, specs=specs, field=field)
+        for label in alone.preset_labels:
+            for name, band in alone.bands[label].items():
+                assert np.array_equal(band.median, alone.traces[label][0].metrics[name])
+        for trials in (2, 3, 10):
+            batched = run_small(trials=trials, base_seed=901, specs=specs, field=field)
+            assert_trials_equal(batched, 1, alone)
+
+
+def test_adaptive_z_stepsize_batched_equals_one_at_a_time():
+    specs = (PresetSpec("rek", z_stepsize_mode="residual_adaptive"),
+             PresetSpec("gerk_bd", lam=2.0, eps=0.01, tau=0.001,
+                        z_stepsize_mode="residual_adaptive"))
+    for field in ("real", "complex"):
+        batched = run_small(trials=3, specs=specs, field=field)
+        for t in range(3):
+            alone = run_small(trials=1, base_seed=900 + t, specs=specs, field=field)
+            assert_trials_equal(batched, t, alone)
+
+
+def test_grouping_does_not_change_results(monkeypatch):
+    whole = run_small(trials=5)
+    # room for two trials per group: groups of 2, 2 and 1
+    monkeypatch.setattr(experiments, "GROUP_BYTES", 2 * 2 * 24 * 12 * 8)
+    grouped = run_small(trials=5)
+    for t in range(5):
+        assert_trials_equal(whole, t, grouped, t)
+
+
+def test_trials_must_be_positive():
+    with pytest.raises(ValueError, match="trials"):
+        run_small(trials=0)
 
 
 def test_duplicate_labels_rejected():

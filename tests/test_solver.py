@@ -11,7 +11,9 @@ from gerk.linalg import (
 from gerk.potentials import ElasticNet, Quadratic, QuadraticMisfit, real_inner
 from gerk.rng import RngStream
 from gerk.solver import (
+    DRAW_CHUNK,
     SolverConfig,
+    draw_indices,
     gerk_step,
     init_state,
     preset,
@@ -385,3 +387,61 @@ def test_run_reports_wall_time():
     report = run(A, b, preset("rk", A, max_iterations=10, seed=0))
     assert report.wall_time >= 0.0
     assert report.iterations == 10
+
+
+def test_draw_indices_interleave_z_then_x():
+    rng = RngStream(520)
+    A = rng.normal_array(6 * 4).reshape(6, 4)
+    cfg = preset("rek", A, max_iterations=1, seed=4, stream=2,
+                 row_probabilities=[0.1, 0.1, 0.2, 0.2, 0.3, 0.1],
+                 col_probabilities=[0.4, 0.3, 0.2, 0.1])
+    a, b = RngStream(4, 2), RngStream(4, 2)
+    cols, rows = draw_indices(cfg, a, 300)
+    for j, i in zip(cols, rows):
+        assert j == cfg.col_partition.sample(b)
+        assert i == cfg.row_partition.sample(b)
+    assert a.next_u64() == b.next_u64()
+    cfg_x = preset("srk", A, lam=1.0, max_iterations=1, seed=4)
+    cols, rows = draw_indices(cfg_x, RngStream(4), 50)
+    assert cols is None
+    mirror = RngStream(4)
+    assert rows.tolist() == [cfg_x.row_partition.sample(mirror) for _ in range(50)]
+
+
+def test_checkpoint_chunking_does_not_change_the_run():
+    # chunks of 1, 7 and m iterations, and one longer than the draw buffer;
+    # the iteration count is a multiple of none of them
+    rng = RngStream(521)
+    m = 9
+    A = rng.normal_array(m * 5).reshape(m, 5)
+    b = rng.normal_array(m)
+    Ac = rng.complex_normal_array(m * 5).reshape(m, 5)
+    bc = rng.complex_normal_array(m)
+    iters = 2 * DRAW_CHUNK + 13
+    cases = (
+        (A, b, "srk", dict(lam=0.5)),
+        (A, b, "gerk_bd", dict(lam=0.5, eps=0.1, tau=0.05)),
+        (Ac, bc, "gerk_ad", dict(lam=0.5)),
+    )
+    for M, v, name, kw in cases:
+        states = []
+        for interval in (1, 7, m, DRAW_CHUNK + 5):
+            cfg = preset(name, M, max_iterations=iters, seed=3, checkpoint_interval=interval,
+                         **kw)
+            states.append(run(M, v, cfg).state)
+        draws = iters * (2 if cfg.z_update_enabled else 1)
+        for state in states:
+            assert state.k == iters
+            assert state.rng._counter == draws
+            assert np.array_equal(state.x, states[0].x)
+            assert np.array_equal(state.xstar, states[0].xstar)
+            if cfg.z_update_enabled:
+                assert np.array_equal(state.zstar, states[0].zstar)
+        # single steps are chunks of one too
+        stepped = init_state(M, v, cfg)
+        for _ in range(40):
+            gerk_step(stepped, M, v, cfg)
+        cfg40 = preset(name, M, max_iterations=40, seed=3, **kw)
+        ran = run(M, v, cfg40).state
+        assert np.array_equal(stepped.x, ran.x)
+        assert stepped.rng._counter == ran.rng._counter
