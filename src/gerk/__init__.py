@@ -22,6 +22,7 @@ from .errors import (
     GerkError,
     InvalidRank,
     MissingParameter,
+    NonFiniteInput,
     NotASubgradient,
     NotConverged,
     OracleMismatch,

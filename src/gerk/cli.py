@@ -10,9 +10,10 @@ Three subcommands:
 
 Flag values override a JSON config file (--config), which overrides profile
 defaults.  Exit codes: 0 success, 2 I/O or parse failure (message names file
-and line), 3 dimension mismatch, 4 generator degeneracy, 5 enumeration cap
-exceeded.  All outputs are written atomically and contain no timestamps, so
-repeated identical invocations produce byte-identical files.
+and line), 3 dimension mismatch, 4 degenerate problem (generator degeneracy,
+zero matrix, zero right-hand side), 5 enumeration cap exceeded.  All outputs
+are written atomically and contain no timestamps, so repeated identical
+invocations produce byte-identical files.
 """
 
 import argparse
@@ -47,6 +48,7 @@ from .experiments import (
 from .fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
+    _fmt,
     atomic_write,
     read_matrix_market,
     read_vector_csv,
@@ -62,10 +64,6 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_DEGENERATE = 4
 EXIT_ENUMERATION = 5
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _load_config(path):
@@ -145,6 +143,8 @@ def cmd_solve(args):
         raise MissingParameter("solve needs --preset")
     A = read_matrix_market(args.matrix)
     b = read_vector_csv(args.rhs)
+    if np.linalg.norm(b) == 0.0:  # every solve metric is relative to ||b||
+        raise ZeroMatrix(f"{args.rhs}: right-hand side b is zero")
     iterations = opts["iterations"] if opts["iterations"] is not None else 200 * A.shape[0]
     cfg = preset(
         opts["preset"],

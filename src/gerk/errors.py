@@ -17,8 +17,12 @@ class FieldMismatch(GerkError):
     """Real/complex dtype does not match what the operation supports."""
 
 
+class NonFiniteInput(GerkError):
+    """A matrix or vector passed in holds NaN or an infinity."""
+
+
 class ZeroMatrix(GerkError):
-    """A matrix (or block) that must be nonzero is numerically zero."""
+    """A matrix, block or vector that must be nonzero is numerically zero."""
 
 
 class InvalidRank(GerkError):

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, atomic_write
+from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, _fmt, atomic_write
 from .linalg import draw_nullspace_noise, make_rank_deficient
 from .oracles import range_projection_quadratic
 from .potentials import QuadraticMisfit
@@ -313,10 +313,6 @@ def sparsity_table(result):
         med_txt = f"{med:g}"
         lines.append(f"{label:<10} {f'{lo}/{med_txt}/{hi}':>28}")
     return "\n".join(lines)
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def write_experiment_csvs(result, out_dir, experiment_name):

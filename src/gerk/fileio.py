@@ -4,13 +4,33 @@ Parse failures raise ParseError whose message names the file and the 1-based
 line number.  All writers go through atomic_write (temp file in the target
 directory, then rename), and every CSV starts with a version comment line.
 
-Matrix files use the MatrixMarket array or coordinate format, real or
-complex, symmetry qualifier `general` only.  Vector CSVs have one header row:
-`value` for real data or `re,im` for complex data.
+Matrix files use the MatrixMarket array or coordinate format, real, integer
+or complex, symmetry qualifier `general` only.  Vector CSVs have one header
+row: `value` for real data or `re,im` for complex data.
+
+Both readers parse the body (the lines after the header) in one C-level pass
+of np.loadtxt and form the array with whole-array numpy operations.  Only
+when that pass or a whole-array check fails do they rescan the lines, to
+name the first offending one.  The body rules:
+
+- A number is what float() reads, written in ASCII without `_` separators.
+  A coordinate index is an ASCII integer with an optional sign.
+- NaN and infinite entries are rejected, and so are overflowing ones (1e999).
+- Blank lines are skipped.  A comment (`%` in MatrixMarket files, `#` in
+  CSVs) takes a whole line; data before it on the line is an error.  In a
+  complex (`re,im`) CSV, whose body is split on commas, a blank or comment
+  line may not start with whitespace.
+- Duplicate coordinate entries are summed in file order, which is the dense
+  form of what scipy.io.mmread returns.  A single entry is stored as written
+  (a -0.0 stays -0.0), and a sum that overflows is an error.
 """
 
+import itertools
+import math
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -45,6 +65,72 @@ def _fmt(x):
     return repr(float(x))
 
 
+# ------------------------------------------------------------------ body parse
+
+
+_INDEX = re.compile(r"[+-]?[0-9]+")
+
+
+def _number(token):
+    """float(token), limited to the syntax np.loadtxt accepts."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
+def _index(token):
+    """int(token), limited to the syntax np.loadtxt accepts (any size)."""
+    if not _INDEX.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def _comment_after_data(fh, comment):
+    """True if a line left in fh holds data before a `comment` character.
+
+    Only whole-line comments are allowed; np.loadtxt would drop a trailing one.
+    """
+    c = re.escape(comment)
+    trailing = re.compile(rf"^[^\S\n]*[^\s{c}][^\n{c}]*{c}", re.MULTILINE)
+    while chunk := fh.read(1 << 20):
+        chunk += fh.readline()  # end each chunk at a line break
+        if comment in chunk and trailing.search(chunk):
+            return True
+    return False
+
+
+def _read_body(fh, path, skip, comment, delimiter, dtype):
+    """Parse every line of path after the first `skip` in one C-level pass.
+
+    fh is the open file, positioned after those lines.  Returns one record
+    per data line (blank and `comment` lines are skipped), or None when a
+    line does not parse as `dtype`; the caller then rescans the lines to
+    name the first bad one.  No Python object is made per line.
+    """
+    if _comment_after_data(fh, comment):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(
+                path, dtype=dtype, comments=comment, delimiter=delimiter, skiprows=skip, ndmin=1
+            )
+    except ValueError:
+        return None
+
+
+def _entry_line(path, skip, comment, k):
+    """Error path only: line number of data line k (0-based) after the first `skip`."""
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, skip, None), skip + 1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith(comment):
+                if k == 0:
+                    return lineno
+                k -= 1
+    raise IndexError(k)
+
+
 # ---------------------------------------------------------------- MatrixMarket
 
 
@@ -70,77 +156,125 @@ def read_matrix_market(path):
     """Read a MatrixMarket file (array or coordinate, real/integer/complex)."""
     path = os.fspath(path)
     try:
-        with open(path, "r") as fh:
-            raw = fh.readlines()
+        fh = open(path, "r")
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
-    if not raw:
-        raise ParseError(path, 1, "empty file, expected a MatrixMarket header")
+    with fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(path, 1, "empty file, expected a MatrixMarket header")
+        header = first.strip().split()
+        if len(header) != 5 or header[0] != "%%MatrixMarket":
+            raise ParseError(path, 1, "malformed MatrixMarket header")
+        _, obj, layout, field, symmetry = (t.lower() for t in header)
+        if obj != "matrix":
+            raise ParseError(path, 1, f"unsupported object {obj!r}")
+        if layout not in ("array", "coordinate"):
+            raise ParseError(path, 1, f"unsupported format {layout!r}")
+        if field not in ("real", "integer", "complex"):
+            raise ParseError(path, 1, f"unsupported field {field!r}")
+        if symmetry != "general":
+            raise ParseError(path, 1, f"unsupported symmetry {symmetry!r} (only 'general')")
+        complex_field = field == "complex"
 
-    header = raw[0].strip().split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
-        raise ParseError(path, 1, "malformed MatrixMarket header")
-    _, obj, layout, field, symmetry = (t.lower() for t in header)
-    if obj != "matrix":
-        raise ParseError(path, 1, f"unsupported object {obj!r}")
-    if layout not in ("array", "coordinate"):
-        raise ParseError(path, 1, f"unsupported format {layout!r}")
-    if field not in ("real", "integer", "complex"):
-        raise ParseError(path, 1, f"unsupported field {field!r}")
-    if symmetry != "general":
-        raise ParseError(path, 1, f"unsupported symmetry {symmetry!r} (only 'general')")
-    complex_field = field == "complex"
+        # skip comments and blank lines before the size line
+        size_line = 1
+        line = fh.readline()
+        while line and (line.lstrip().startswith("%") or not line.strip()):
+            size_line += 1
+            line = fh.readline()
+        if not line:
+            raise ParseError(path, size_line, "missing size line")
+        size_line += 1
 
-    # skip comments and blank lines before the size line
-    pos = 1
-    while pos < len(raw) and (raw[pos].lstrip().startswith("%") or not raw[pos].strip()):
-        pos += 1
-    if pos >= len(raw):
-        raise ParseError(path, len(raw), "missing size line")
+        parts = line.split()
+        want = 3 if layout == "coordinate" else 2
+        if len(parts) != want or not all(p.isdigit() for p in parts):
+            raise ParseError(path, size_line, f"size line must hold {want} integers")
+        if layout == "coordinate":
+            m, n, nnz = (int(p) for p in parts)
+        else:
+            m, n = (int(p) for p in parts)
+            nnz = m * n
+        if m <= 0 or n <= 0:
+            raise ParseError(path, size_line, "dimensions must be positive")
 
-    size_line = pos
-    parts = raw[size_line].split()
-    want = 3 if layout == "coordinate" else 2
-    if len(parts) != want or not all(p.isdigit() for p in parts):
-        raise ParseError(path, size_line + 1, f"size line must hold {want} integers")
-    if layout == "coordinate":
-        m, n, nnz = (int(p) for p in parts)
-    else:
-        m, n = (int(p) for p in parts)
-        nnz = m * n
-    if m <= 0 or n <= 0:
-        raise ParseError(path, size_line + 1, "dimensions must be positive")
+        per_entry = 2 if complex_field else 1
+        columns = [("v", np.float64, (per_entry,))]
+        if layout == "coordinate":
+            columns = [("i", np.int64), ("j", np.int64)] + columns
+        data = _read_body(fh, path, size_line, "%", None, np.dtype(columns))
 
-    M = np.zeros((m, n), dtype=np.complex128 if complex_field else np.float64)
+    if data is not None and len(data) == nnz and np.isfinite(data["v"]).all():
+        v = data["v"]
+        vals = v[:, 0] + 1j * v[:, 1] if complex_field else v[:, 0]
+        if layout == "array":  # column-major body
+            return np.array(vals.reshape(n, m).T, order="C")
+        i, j = data["i"], data["j"]
+        if np.all((i >= 1) & (i <= m) & (j >= 1) & (j <= n)):
+            M = np.zeros((m, n), dtype=vals.dtype)
+            flat = (i - 1) * n + (j - 1)
+            later = _sum_into(M.reshape(-1), flat, vals)
+            overflow = later[~np.isfinite(M.reshape(-1)[flat[later]])]
+            if overflow.size:
+                k = overflow[0]
+                raise ParseError(
+                    path,
+                    _entry_line(path, size_line, "%", k),
+                    f"duplicate entries at ({i[k]}, {j[k]}) sum to a non-finite value",
+                )
+            return M
+    _rescan_matrix_market(path, size_line, layout, per_entry, m, n, nnz)
+    # not reached: the rescan applies np.loadtxt's number syntax
+    raise ParseError(path, size_line + 1, "body rejected by the number parser")
+
+
+def _sum_into(out, flat, vals):
+    """out[flat] = vals, where entries that share a position sum in file order.
+
+    Returns the indices of the entries added to an earlier one.
+    """
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    out[flat[first]] = vals[first]
+    later = np.flatnonzero(~first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(out, flat[later], vals[later])
+    return later
+
+
+def _rescan_matrix_market(path, size_line, layout, per_entry, m, n, nnz):
+    """Error path only: raise the ParseError of the first offending body line."""
     count = 0
-    per_entry = 2 if complex_field else 1
-    for lineno in range(size_line + 1, len(raw)):
-        stripped = raw[lineno].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if count >= nnz:
-            raise ParseError(path, lineno + 1, f"more than {nnz} entries")
-        parts = stripped.split()
-        try:
-            if layout == "coordinate":
-                if len(parts) != 2 + per_entry:
-                    raise ValueError
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                vals = [float(p) for p in parts[2:]]
-            else:
-                if len(parts) != per_entry:
-                    raise ValueError
-                i, j = count % m, count // m  # array format is column-major
-                vals = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(path, lineno + 1, f"malformed {layout} entry") from None
-        if not (0 <= i < m and 0 <= j < n):
-            raise ParseError(path, lineno + 1, f"index ({i + 1}, {j + 1}) out of range")
-        M[i, j] = vals[0] + 1j * vals[1] if complex_field else vals[0]
-        count += 1
+    lineno = size_line
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, size_line, None), size_line + 1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            if count >= nnz:
+                raise ParseError(path, lineno, f"more than {nnz} entries")
+            parts = stripped.split()
+            try:
+                if layout == "coordinate":
+                    if len(parts) != 2 + per_entry:
+                        raise ValueError
+                    i, j = _index(parts[0]) - 1, _index(parts[1]) - 1
+                    vals = [_number(p) for p in parts[2:]]
+                else:
+                    if len(parts) != per_entry:
+                        raise ValueError
+                    i, j = count % m, count // m  # array format is column-major
+                    vals = [_number(p) for p in parts]
+            except ValueError:
+                raise ParseError(path, lineno, f"malformed {layout} entry") from None
+            if not (0 <= i < m and 0 <= j < n):
+                raise ParseError(path, lineno, f"index ({i + 1}, {j + 1}) out of range")
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(path, lineno, "non-finite entry")
+            count += 1
     if count != nnz:
-        raise ParseError(path, len(raw), f"expected {nnz} entries, found {count}")
-    return M
+        raise ParseError(path, lineno, f"expected {nnz} entries, found {count}")
 
 
 # ------------------------------------------------------------------ vector CSV
@@ -160,42 +294,59 @@ def write_vector_csv(path, v):
 
 
 def read_vector_csv(path):
+    """Read a vector CSV written by write_vector_csv (header `value` or `re,im`)."""
     path = os.fspath(path)
     try:
-        with open(path, "r") as fh:
-            raw = fh.readlines()
+        fh = open(path, "r")
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
-    rows = [
-        (i + 1, line.strip())
-        for i, line in enumerate(raw)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not rows:
-        raise ParseError(path, 1, "no header row, expected 'value' or 're,im'")
-    header_no, header = rows[0]
-    header = header.replace(" ", "").lower()
-    if header == "value":
-        complex_field = False
-    elif header == "re,im":
-        complex_field = True
-    else:
-        raise ParseError(path, header_no, f"unknown vector header {header!r}")
-    out = []
-    for lineno, line in rows[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            if complex_field:
-                if len(parts) != 2:
+    with fh:
+        # the header is the first line that is neither blank nor a comment
+        for header_no, line in enumerate(iter(fh.readline, ""), 1):
+            header = line.strip()
+            if header and not header.startswith("#"):
+                break
+        else:
+            raise ParseError(path, 1, "no header row, expected 'value' or 're,im'")
+        header = header.replace(" ", "").lower()
+        if header == "value":
+            complex_field = False
+        elif header == "re,im":
+            complex_field = True
+        else:
+            raise ParseError(path, header_no, f"unknown vector header {header!r}")
+        per_entry = 2 if complex_field else 1
+        # one-column bodies split on whitespace, which also skips indented comments
+        delimiter = "," if complex_field else None
+        dtype = np.dtype([("v", np.float64, (per_entry,))])
+        data = _read_body(fh, path, header_no, "#", delimiter, dtype)
+
+    if data is not None and np.isfinite(data["v"]).all():
+        v = data["v"]
+        if not len(v):
+            raise ParseError(path, header_no, "vector has no entries")
+        return v[:, 0] + 1j * v[:, 1] if complex_field else v[:, 0].copy()
+    _rescan_vector_csv(path, header_no, per_entry)
+    # not reached: the rescan applies np.loadtxt's number syntax
+    raise ParseError(path, header_no + 1, "body rejected by the number parser")
+
+
+def _rescan_vector_csv(path, header_no, per_entry):
+    """Error path only: raise the ParseError of the first offending body line."""
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, header_no, None), header_no + 1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                # split on commas, np.loadtxt reads leading whitespace as a field
+                if per_entry == 2 and line.rstrip("\n")[:1].isspace():
+                    raise ParseError(path, lineno, "whitespace before a comment or on a blank line")
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            try:
+                if len(parts) != per_entry:
                     raise ValueError
-                out.append(float(parts[0]) + 1j * float(parts[1]))
-            else:
-                if len(parts) != 1:
-                    raise ValueError
-                out.append(float(parts[0]))
-        except ValueError:
-            raise ParseError(path, lineno, "malformed vector entry") from None
-    if not out:
-        raise ParseError(path, header_no, "vector has no entries")
-    dtype = np.complex128 if complex_field else np.float64
-    return np.asarray(out, dtype=dtype)
+                vals = [_number(p) for p in parts]
+            except ValueError:
+                raise ParseError(path, lineno, "malformed vector entry") from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(path, lineno, "non-finite entry")

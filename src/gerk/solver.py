@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockPartition, column_partition, draw_blocks, row_partition
-from .errors import DimensionMismatch, FieldMismatch, MissingParameter
+from .errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
 from .linalg import as_matrix, as_vector
 from .potentials import (
     ComplexElasticNet,
@@ -100,6 +100,8 @@ def validate_config(A, b, cfg):
         raise DimensionMismatch(f"A has {m} rows but b has length {b.size}")
     if np.iscomplexobj(A) != np.iscomplexobj(b):
         raise FieldMismatch("A and b must both be real or both be complex")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise NonFiniteInput("A and b must hold finite values only")
     cfg.f.check_field(np.iscomplexobj(A))
     if cfg.row_partition.kind != "row" or cfg.row_partition.axis_len != m:
         raise DimensionMismatch(f"row partition must cover {m} rows")

@@ -75,6 +75,28 @@ def test_malformed_matrix_exit_code(tmp_path, capsys):
     assert f"{bad}:4:" in err
 
 
+def test_non_finite_matrix_entry_exit_code(tmp_path, capsys):
+    bad = tmp_path / "A.mtx"
+    bad.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\nnan\n")
+    write_vector_csv(tmp_path / "b.csv", np.ones(2))
+    rc = main(["solve", "--matrix", str(bad), "--rhs", str(tmp_path / "b.csv"),
+               "--preset", "rk", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{bad}:4: non-finite entry" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_zero_rhs_exit_code(tmp_path, capsys):
+    write_system(tmp_path, m=6, n=3)
+    write_vector_csv(tmp_path / "b.csv", np.zeros(6))
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+               "--rhs", str(tmp_path / "b.csv"), "--preset", "rek",
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "right-hand side b is zero" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_missing_matrix_exit_code(tmp_path):
     write_vector_csv(tmp_path / "b.csv", np.ones(2))
     rc = main(["solve", "--matrix", str(tmp_path / "nope.mtx"),

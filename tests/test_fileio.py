@@ -188,3 +188,103 @@ def test_rewrite_is_byte_identical(tmp_path):
     write_vector_csv(c, v)
     write_vector_csv(d, v)
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_duplicate_coordinate_entries_sum(tmp_path):
+    path = tmp_path / "d.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 3\n"
+        "1 1 1\n"
+        "2 2 -0.0\n"
+        "1 1 5\n"
+    )
+    M = read_matrix_market(path)
+    assert M[0, 0] == 6.0
+    assert np.signbit(M[1, 1])  # a lone entry is stored as written
+    assert np.count_nonzero(M) == 1
+
+
+def test_duplicate_sum_overflow_rejected(tmp_path):
+    path = tmp_path / "o.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate complex general\n"
+        "2 2 3\n"
+        "2 1 1e308 0\n"
+        "% the next entry adds to (2, 1)\n"
+        "2 1 1e308 0\n"
+        "1 1 1 1\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert f"{path}:5: duplicate entries at (2, 1) sum to a non-finite value" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+def test_matrix_non_finite_entry_rejected(tmp_path, token, layout):
+    path = tmp_path / "f.mtx"
+    if layout == "coordinate":
+        size, entries = "2 1 2", ["1 1 0.5 1", f"2 1 2.0 {token}"]
+    else:
+        size, entries = "2 1", ["0.5 1", f"2.0 {token}"]
+    path.write_text(
+        f"%%MatrixMarket matrix {layout} complex general\n{size}\n"
+        + "\n".join(entries[:1] + ["% comment", ""] + entries[1:]) + "\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert f"{path}:6: non-finite entry" in str(exc.value)
+
+
+def test_vector_non_finite_entry_rejected(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("value\n1.0\n# comment\nnan\n")
+    with pytest.raises(ParseError) as exc:
+        read_vector_csv(path)
+    assert f"{path}:4: non-finite entry" in str(exc.value)
+    path.write_text("re,im\n1.0,2.0\n3.0,-inf\n")
+    with pytest.raises(ParseError) as exc:
+        read_vector_csv(path)
+    assert f"{path}:3: non-finite entry" in str(exc.value)
+
+
+def test_comment_after_data_rejected(tmp_path):
+    path = tmp_path / "t.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0 % note\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert f"{path}:4: malformed array entry" in str(exc.value)
+    path = tmp_path / "t.csv"
+    path.write_text("value\n1.0 # note\n2.0\n")
+    with pytest.raises(ParseError) as exc:
+        read_vector_csv(path)
+    assert f"{path}:2: malformed vector entry" in str(exc.value)
+
+
+def test_number_syntax_is_ascii_without_separators(tmp_path):
+    # float() and int() accept these; the one-pass parser does not
+    for body, line in (("1_0\n2\n", 3), ("1\n\u0662\n", 4)):
+        path = tmp_path / "s.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 1\n" + body)
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(path)
+        assert f"{path}:{line}: malformed array entry" in str(exc.value)
+    path = tmp_path / "s.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1_0 3.0\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert f"{path}:3: malformed coordinate entry" in str(exc.value)
+
+
+def test_vector_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("value\n1.0\n   \n  # indented\n\t2.0\n")
+    assert np.array_equal(read_vector_csv(path), [1.0, 2.0])
+    # a comma-split body reads leading whitespace as a field
+    path.write_text("re,im\n1.0,2.0\n   \n3.0,4.0\n")
+    with pytest.raises(ParseError) as exc:
+        read_vector_csv(path)
+    assert f"{path}:3: whitespace before a comment or on a blank line" in str(exc.value)
+    path.write_text("re,im\n\n# note\n 1.0 , 2.0\n")
+    assert np.array_equal(read_vector_csv(path), [1.0 + 2.0j])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gerk.blocks import column_partition, contiguous_blocks, row_partition
-from gerk.errors import DimensionMismatch, FieldMismatch, MissingParameter
+from gerk.errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
 from gerk.linalg import (
     make_rank_deficient,
     range_projector_apply,
@@ -307,6 +307,24 @@ def test_validate_config_errors():
     complex_f = preset("srk", A, lam=1.0, max_iterations=1, seed=0)
     with pytest.raises(FieldMismatch):
         validate_config(A.astype(np.complex128), b.astype(np.complex128), complex_f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_non_finite_input_rejected(bad, field):
+    rng = RngStream(516)
+    A = rng.gaussian_array(12, field).reshape(4, 3)
+    b = rng.gaussian_array(4, field)
+    cfg = preset("rek", A, max_iterations=5, seed=0)
+    validate_config(A, b, cfg)
+    A_bad, b_bad = A.copy(), b.copy()
+    A_bad[2, 1] = bad
+    b_bad[3] = bad * 1j if field == "complex" else bad
+    for A_in, b_in in ((A_bad, b), (A, b_bad)):
+        with pytest.raises(NonFiniteInput):
+            validate_config(A_in, b_in, cfg)
+        with pytest.raises(NonFiniteInput):
+            run(A_in, b_in, cfg)
 
 
 def test_adaptive_stepsize_orthonormal_block():
