@@ -27,19 +27,7 @@ class BlockPartition:
         self.kind = kind
         self.axis_len = int(axis_len)
         self.blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
-        if not self.blocks:
-            raise ValueError("partition needs at least one block")
-        seen = np.zeros(self.axis_len, dtype=bool)
-        for blk in self.blocks:
-            if blk.size == 0:
-                raise ValueError("empty block")
-            if blk.min() < 0 or blk.max() >= self.axis_len:
-                raise DimensionMismatch(f"block index out of range 0..{self.axis_len - 1}")
-            if seen[blk].any():
-                raise ValueError("blocks overlap")
-            seen[blk] = True
-        if not seen.all():
-            raise ValueError("blocks do not cover every index")
+        owner = owners(self.blocks, self.axis_len)
 
         self.block_sq_norms = np.asarray(block_sq_norms, dtype=np.float64)
         if self.block_sq_norms.size != len(self.blocks):
@@ -61,9 +49,7 @@ class BlockPartition:
         self.probabilities = p
         self._cum = np.cumsum(p)
         # True when block i is exactly [i]; lets the solver skip indexed gathers
-        self.trivial = k == self.axis_len and all(
-            blk.size == 1 and blk[0] == i for i, blk in enumerate(self.blocks)
-        )
+        self.trivial = bool(np.array_equal(owner, np.arange(k)))
 
     def __len__(self):
         return len(self.blocks)
@@ -84,41 +70,58 @@ def draw_blocks(cum, u):
     return np.minimum(cum.searchsorted(u, side="right"), len(cum) - 1)
 
 
-def _block_sq_norms(A, kind, blocks):
+def owners(blocks, n, noun="block"):
+    """Index of the block holding each of 0..n-1; blocks are int index arrays.
+
+    This is the one check of a partition: raises ValueError unless there is
+    at least one block and the blocks are nonempty, disjoint and cover
+    range(n), and DimensionMismatch for an index outside it.  noun names
+    the blocks in the messages.
+    """
+    if not blocks:
+        raise ValueError(f"need at least one {noun}")
+    sizes = np.array([blk.size for blk in blocks])
+    if not sizes.all():
+        raise ValueError(f"empty {noun}")
+    flat = np.concatenate([blk.ravel() for blk in blocks])
+    if flat.min() < 0 or flat.max() >= n:
+        raise DimensionMismatch(f"{noun} index out of range 0..{n - 1}")
+    owner = np.full(n, -1, dtype=np.intp)
+    owner[flat] = np.repeat(np.arange(len(blocks)), sizes)
+    covered = np.count_nonzero(owner >= 0)
+    if covered < flat.size:
+        raise ValueError(f"{noun}s overlap")
+    if covered < n:
+        raise ValueError(f"{noun}s do not cover every index")
+    return owner
+
+
+def _partition(kind, A, blocks, probabilities):
     A = as_matrix(A)
     axis_len = A.shape[0] if kind == "row" else A.shape[1]
-    out = np.empty(len(blocks))
+    if blocks is None:
+        blocks = [np.array([i], dtype=np.intp) for i in range(axis_len)]
+    blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
+    owners(blocks, axis_len)  # before indexing A with the blocks
+    sq_norms = np.empty(len(blocks))
     for i, blk in enumerate(blocks):
-        blk = np.asarray(blk, dtype=np.intp)
-        if blk.size == 0:
-            raise ValueError("empty block")
-        if blk.min() < 0 or blk.max() >= axis_len:
-            raise DimensionMismatch(f"block index out of range 0..{axis_len - 1}")
         sub = A[blk, :] if kind == "row" else A[:, blk]
         if blk.size == 1:
             # spectral norm of a single row/column is its euclidean norm
-            out[i] = float(np.linalg.norm(sub)) ** 2
+            sq_norms[i] = float(np.linalg.norm(sub)) ** 2
         else:
-            out[i] = spectral_norm(sub) ** 2
-    return out
+            sq_norms[i] = spectral_norm(sub) ** 2
+    return BlockPartition(kind, axis_len, blocks, sq_norms, probabilities)
 
 
 def row_partition(A, blocks=None, probabilities=None):
     """Row partition of A; defaults to one block per row."""
-    A = as_matrix(A)
-    m = A.shape[0]
-    if blocks is None:
-        blocks = [np.array([i], dtype=np.intp) for i in range(m)]
-    return BlockPartition("row", m, blocks, _block_sq_norms(A, "row", blocks), probabilities)
+    return _partition("row", A, blocks, probabilities)
 
 
 def column_partition(A, blocks=None, probabilities=None):
     """Column partition of A; defaults to one block per column."""
-    A = as_matrix(A)
-    n = A.shape[1]
-    if blocks is None:
-        blocks = [np.array([j], dtype=np.intp) for j in range(n)]
-    return BlockPartition("column", n, blocks, _block_sq_norms(A, "column", blocks), probabilities)
+    return _partition("column", A, blocks, probabilities)
 
 
 def contiguous_blocks(length, count):

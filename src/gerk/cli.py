@@ -38,10 +38,11 @@ from .errors import (
 from .experiments import (
     DEFAULT_PRESETS,
     PROFILES,
+    MetricRecorder,
     PresetSpec,
+    ProblemInstance,
     make_generator,
     run_trials,
-    sparsity_count,
     sparsity_table,
     write_experiment_csvs,
 )
@@ -97,32 +98,6 @@ def _resolve(args, config, keys, profile=None):
     return out
 
 
-class _SolveRecorder:
-    """Metrics for user systems, where no ground truth is available."""
-
-    def __init__(self, A, b, g):
-        self.A = A
-        self.Ah = A.conj().T
-        self.b = b
-        self.g = g
-        self.b_norm = float(np.linalg.norm(b))
-        self.rows = []
-
-    def __call__(self, state):
-        x = state.x
-        anti_residual = self.b - self.A @ x
-        self.rows.append(
-            (
-                state.k,
-                float(np.linalg.norm(anti_residual)) / self.b_norm,
-                float(np.linalg.norm(self.Ah @ anti_residual)) / self.b_norm,
-                float(np.linalg.norm(self.Ah @ self.g.gradient(anti_residual))) / self.b_norm,
-                sparsity_count(x),
-            )
-        )
-        return False
-
-
 def cmd_solve(args):
     config = _load_config(args.config)
     opts = _resolve(
@@ -157,15 +132,23 @@ def cmd_solve(args):
         checkpoint_interval=opts["checkpoint_interval"],
         z_stepsize_mode=opts["z_stepsize"] or "constant",
     )
-    recorder = _SolveRecorder(A, b, cfg.g or QuadraticMisfit())
+    # no ground truth: residuals are relative to b itself, and there is no rel_error
+    field = "complex" if np.iscomplexobj(A) else "real"
+    system = ProblemInstance(A, b, b_hat=b, x_hat=None, field=field, noise_kind="none",
+                             noise_level=0.0)
+    recorder = MetricRecorder(system, cfg.g or QuadraticMisfit())
     report = run(A, b, cfg, hooks=(recorder,))
     write_vector_csv(os.path.join(args.out, "solution.csv"), report.state.x)
+    rows = recorder.rows
     lines = [METRICS_CSV_VERSION, "iteration,rel_residual,rel_grad_quadratic,rel_grad_misfit,sparsity"]
-    for k, res, gq, gm, sp in recorder.rows:
-        lines.append(f"{k},{_fmt(res)},{_fmt(gq)},{_fmt(gm)},{sp}")
+    for k, res, gq, gm, sp in zip(recorder.checkpoints, rows["rel_residual"],
+                                  rows["rel_grad_quadratic"], rows["rel_grad_misfit"],
+                                  rows["sparsity"]):
+        lines.append(f"{k},{_fmt(res)},{_fmt(gq)},{_fmt(gm)},{int(sp)}")
     atomic_write(os.path.join(args.out, "metrics.csv"), "\n".join(lines) + "\n")
     print(f"{opts['preset']}: {report.iterations} iterations, stop reason {report.stop_reason}")
-    print(f"final rel residual {recorder.rows[-1][1]:.3e}, sparsity {recorder.rows[-1][4]}")
+    print(f"final rel residual {rows['rel_residual'][-1]:.3e}, "
+          f"sparsity {int(rows['sparsity'][-1])}")
     return EXIT_OK
 
 
@@ -323,30 +306,25 @@ def build_parser():
     return parser
 
 
+# exit code of each error type, first match wins; a ValueError is a value a
+# config file smuggled past argparse's choices
+EXIT_CODES = (
+    ((ParseError, MissingParameter, OSError, ValueError), EXIT_PARSE),
+    ((DimensionMismatch, FieldMismatch), EXIT_DIMENSION),
+    ((InvalidRank, DegenerateNullspace, ZeroMatrix), EXIT_DEGENERATE),
+    (TooManyColumns, EXIT_ENUMERATION),
+    (GerkError, 1),
+)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, MissingParameter, OSError) as exc:
+    except (GerkError, OSError, ValueError) as exc:
         print(f"gerk: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        # config files can smuggle values argparse choices would have caught
-        print(f"gerk: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DimensionMismatch, FieldMismatch) as exc:
-        print(f"gerk: error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (InvalidRank, DegenerateNullspace, ZeroMatrix) as exc:
-        print(f"gerk: error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except TooManyColumns as exc:
-        print(f"gerk: error: {exc}", file=sys.stderr)
-        return EXIT_ENUMERATION
-    except GerkError as exc:
-        print(f"gerk: error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 def entry():

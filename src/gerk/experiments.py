@@ -52,7 +52,7 @@ class ProblemInstance:
     A: np.ndarray
     b: np.ndarray
     b_hat: np.ndarray
-    x_hat: np.ndarray
+    x_hat: Optional[np.ndarray]  # None for a user system without ground truth
     field: str
     noise_kind: str
     noise_level: float
@@ -147,7 +147,8 @@ class MetricRecorder:
 
     z_error (distance of z* to b - y_hat) is recorded when a z-target is
     supplied; the harness does that for quadratic-misfit presets, where the
-    target b - A pinv(A) b is cheap and exact.
+    target b - A pinv(A) b is cheap and exact.  rel_error is recorded when
+    the instance has a ground truth x_hat.
     """
 
     def __init__(self, instance, g, z_target=None, sparsity_tol=SPARSITY_TOL):
@@ -161,7 +162,7 @@ class MetricRecorder:
         self.sparsity_tol = sparsity_tol
         self.b_hat_norm = float(np.linalg.norm(instance.b_hat))
         self.b_norm = float(np.linalg.norm(instance.b))
-        self.x_hat_norm = float(np.linalg.norm(instance.x_hat))
+        self.x_hat_norm = None if self.x_hat is None else float(np.linalg.norm(self.x_hat))
         self.checkpoints = []
         self.rows = {name: [] for name in METRIC_NAMES}
 
@@ -179,9 +180,10 @@ class MetricRecorder:
         self.rows["rel_grad_misfit"].append(
             float(np.linalg.norm(self.Ah @ self.g.gradient(anti_residual))) / self.b_norm
         )
-        self.rows["rel_error"].append(
-            float(np.linalg.norm(x - self.x_hat)) / self.x_hat_norm
-        )
+        if self.x_hat is not None:
+            self.rows["rel_error"].append(
+                float(np.linalg.norm(x - self.x_hat)) / self.x_hat_norm
+            )
         if self.z_target is not None and state.zstar is not None:
             self.rows["z_error"].append(float(np.linalg.norm(state.zstar - self.z_target)))
         self.rows["sparsity"].append(float(sparsity_count(x, self.sparsity_tol)))
@@ -218,9 +220,8 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
                     y_hat_quad[t] = range_projection_quadratic(inst.A, inst.b).value
                 z_target = inst.b - y_hat_quad[t]
             recorders.append(MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target))
-        states = _run_lockstep(
-            [inst.A for inst in instances], [inst.b for inst in instances], cfgs, recorders
-        )
+        states, _ = _run_lockstep([inst.A for inst in instances], [inst.b for inst in instances],
+                                  cfgs, [(rec,) for rec in recorders])
         traces[spec.label()] += [rec.trace() for rec in recorders]
         final_x[spec.label()] += [state.x.copy() for state in states]
 

@@ -1,6 +1,7 @@
 """File formats: MatrixMarket matrices, CSV vectors, atomic writes.
 
-Parse failures raise ParseError whose message names the file and the 1-based
+Files are read as UTF-8.  Parse failures, a byte that is not UTF-8
+included, raise ParseError whose message names the file and the 1-based
 line number.  All writers go through atomic_write (temp file in the target
 directory, then rename), and every CSV starts with a version comment line.
 
@@ -14,7 +15,8 @@ when that pass or a whole-array check fails do they rescan the lines, to
 name the first offending one.  The body rules:
 
 - A number is what float() reads, written in ASCII without `_` separators.
-  A coordinate index is an ASCII integer with an optional sign.
+  A coordinate index is an ASCII integer with an optional sign, and a size
+  line holds ASCII digits only.
 - NaN and infinite entries are rejected, and so are overflowing ones (1e999).
 - Blank lines are skipped.  A comment (`%` in MatrixMarket files, `#` in
   CSVs) takes a whole line; data before it on the line is an error.  In a
@@ -25,6 +27,7 @@ name the first offending one.  The body rules:
   (a -0.0 stays -0.0), and a sum that overflows is an error.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -113,7 +116,8 @@ def _read_body(fh, path, skip, comment, delimiter, dtype):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(
-                path, dtype=dtype, comments=comment, delimiter=delimiter, skiprows=skip, ndmin=1
+                path, dtype=dtype, comments=comment, delimiter=delimiter, skiprows=skip, ndmin=1,
+                encoding="utf-8",
             )
     except ValueError:
         return None
@@ -121,7 +125,7 @@ def _read_body(fh, path, skip, comment, delimiter, dtype):
 
 def _entry_line(path, skip, comment, k):
     """Error path only: line number of data line k (0-based) after the first `skip`."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(itertools.islice(fh, skip, None), skip + 1):
             stripped = line.strip()
             if stripped and not stripped.startswith(comment):
@@ -129,6 +133,27 @@ def _entry_line(path, skip, comment, k):
                     return lineno
                 k -= 1
     raise IndexError(k)
+
+
+def _names_undecodable_line(read):
+    """Make read(path) raise ParseError naming the line of a byte that is not UTF-8."""
+
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except UnicodeDecodeError:
+            # no UTF-8 sequence holds a line break byte, so lines decode alone
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        byte = line[exc.start]
+                        raise ParseError(path, lineno, f"byte 0x{byte:02x} is not UTF-8") from None
+            raise
+
+    return reader
 
 
 # ---------------------------------------------------------------- MatrixMarket
@@ -152,11 +177,12 @@ def write_matrix_market(path, M, comment="written by gerk"):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+@_names_undecodable_line
 def read_matrix_market(path):
     """Read a MatrixMarket file (array or coordinate, real/integer/complex)."""
     path = os.fspath(path)
     try:
-        fh = open(path, "r")
+        fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
     with fh:
@@ -189,7 +215,7 @@ def read_matrix_market(path):
 
         parts = line.split()
         want = 3 if layout == "coordinate" else 2
-        if len(parts) != want or not all(p.isdigit() for p in parts):
+        if len(parts) != want or not all(p.isascii() and p.isdigit() for p in parts):
             raise ParseError(path, size_line, f"size line must hold {want} integers")
         if layout == "coordinate":
             m, n, nnz = (int(p) for p in parts)
@@ -247,7 +273,7 @@ def _rescan_matrix_market(path, size_line, layout, per_entry, m, n, nnz):
     """Error path only: raise the ParseError of the first offending body line."""
     count = 0
     lineno = size_line
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(itertools.islice(fh, size_line, None), size_line + 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("%"):
@@ -293,11 +319,12 @@ def write_vector_csv(path, v):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+@_names_undecodable_line
 def read_vector_csv(path):
     """Read a vector CSV written by write_vector_csv (header `value` or `re,im`)."""
     path = os.fspath(path)
     try:
-        fh = open(path, "r")
+        fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
     with fh:
@@ -333,7 +360,7 @@ def read_vector_csv(path):
 
 def _rescan_vector_csv(path, header_no, per_entry):
     """Error path only: raise the ParseError of the first offending body line."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(itertools.islice(fh, header_no, None), header_no + 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

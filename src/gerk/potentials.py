@@ -20,16 +20,22 @@ g*'s gradient and its Lipschitz constant grad_lipschitz.
 where r_eps(t) = t^2/(2 eps) for |t| <= eps and |t| - eps/2 beyond, applied
 to moduli so complex entries work unchanged.
 
-`updater(shape, is_complex)` returns the in-place kernel apply(dual, out)
-that the solver calls every iteration, or None when the gradient is the
-identity.  shape is the iterate's length, or a batch shape plus that length
-for systems advancing in lockstep.  The kernels are elementwise, so each
-row of a batch gets exactly the values it would get alone; the group
-regularizer's kernel couples entries and takes one system only.
+Each gradient is written once, as the in-place kernel apply(dual, out) that
+`updater(shape, is_complex)` returns (None when the gradient is the
+identity).  The solver calls that kernel every iteration.  shape is the
+iterate's length, or a batch shape plus that length for systems advancing
+in lockstep.  The kernels are elementwise, so each row of a batch gets
+exactly the values it would get alone; the group regularizer's kernel
+couples entries and takes one system only.
+
+The allocating forms, conjugate_gradient (regularizers) and gradient
+(misfits), are derived from the kernel in one place (_allocating), and the
+shrinkage functions are aliases of them.
 """
 
 import numpy as np
 
+from .blocks import owners
 from .errors import DimensionMismatch, FieldMismatch, NotASubgradient
 
 
@@ -38,56 +44,45 @@ def real_inner(a, b):
     return float(np.real(np.vdot(a, b)))
 
 
-def soft_shrinkage(x, lam):
-    """Componentwise max(|x_j| - lam, 0) * sign(x_j), with sign(0) = 0."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+def _allocating(potential, v):
+    """potential's gradient at v in a new array, computed by its kernel.
 
-
-def complex_shrinkage(x, lam):
-    """Componentwise max(|x_j| - lam, 0) * x_j/|x_j|, with 0 at x_j = 0."""
-    x = np.asarray(x, dtype=np.complex128)
-    mag = np.abs(x)
-    scale = np.maximum(mag - lam, 0.0)
-    np.divide(scale, mag, out=scale, where=mag > 0.0)
-    return x * scale
-
-
-def group_shrinkage(x, lam, groups):
-    """Scale each group x_g by max(0, 1 - lam/||x_g||); zero groups stay zero."""
-    x = np.asarray(x)
-    out = np.zeros_like(x)
-    for blk in groups:
-        blk = np.asarray(blk, dtype=np.intp)
-        norm = float(np.linalg.norm(x[blk]))
-        if norm > lam:
-            out[blk] = x[blk] * (1.0 - lam / norm)
+    v is coerced to potential.dtype, or to complex128 or float64 by its field
+    when that is None.
+    """
+    dtype = potential.dtype or (np.complex128 if np.iscomplexobj(v) else np.float64)
+    v = np.asarray(v, dtype=dtype)
+    apply = potential.updater(v.shape, np.iscomplexobj(v))
+    if apply is None:
+        return v.copy()
+    out = np.empty_like(v)
+    apply(v, out)
     return out
 
 
-def _check_groups(groups, n):
-    seen = np.zeros(n, dtype=bool)
-    gid = np.empty(n, dtype=np.intp)
-    for g, blk in enumerate(groups):
-        blk = np.asarray(blk, dtype=np.intp)
-        if blk.size == 0:
-            raise ValueError("empty group")
-        if blk.min() < 0 or blk.max() >= n:
-            raise DimensionMismatch(f"group index out of range 0..{n - 1}")
-        if seen[blk].any():
-            raise ValueError("groups overlap")
-        seen[blk] = True
-        gid[blk] = g
-    if not seen.all():
-        raise ValueError("groups do not cover every coordinate")
-    return gid
-
-
-class Quadratic:
-    """f(x) = 0.5*||x||^2; the minimum-norm regularizer."""
-
+class _Regularizer:
     alpha = 1.0
     conj_lipschitz = 1.0
+    dtype = None
+
+    def conjugate_gradient(self, xstar):
+        return _allocating(self, xstar)
+
+    def conjugate_value(self, xstar):
+        s = self.conjugate_gradient(xstar)
+        return 0.5 * real_inner(s, s)
+
+
+class _Misfit:
+    dtype = None
+
+    def gradient(self, y):
+        return _allocating(self, y)
+
+
+class Quadratic(_Regularizer):
+    """f(x) = 0.5*||x||^2; the minimum-norm regularizer."""
+
     name = "quadratic"
 
     def check_field(self, is_complex):
@@ -96,23 +91,16 @@ class Quadratic:
     def value(self, x):
         return 0.5 * real_inner(x, x)
 
-    def conjugate_value(self, xstar):
-        return 0.5 * real_inner(xstar, xstar)
-
-    def conjugate_gradient(self, xstar):
-        return np.array(xstar, copy=True)
-
     def updater(self, shape, is_complex):
         # grad f* is the identity: the solver may alias x and xstar
         return None
 
 
-class ElasticNet:
+class ElasticNet(_Regularizer):
     """f(x) = lam*||x||_1 + 0.5*||x||^2 on real vectors."""
 
-    alpha = 1.0
-    conj_lipschitz = 1.0
     name = "elastic_net"
+    dtype = np.float64
 
     def __init__(self, lam):
         if lam < 0:
@@ -127,14 +115,8 @@ class ElasticNet:
         x = np.asarray(x, dtype=np.float64)
         return self.lam * float(np.sum(np.abs(x))) + 0.5 * float(np.dot(x, x))
 
-    def conjugate_value(self, xstar):
-        s = soft_shrinkage(xstar, self.lam)
-        return 0.5 * float(np.dot(s, s))
-
-    def conjugate_gradient(self, xstar):
-        return soft_shrinkage(xstar, self.lam)
-
     def updater(self, shape, is_complex):
+        # max(|x_j| - lam, 0) * sign(x_j), with sign(0) = 0
         lam = self.lam
         buf = np.empty(shape)
 
@@ -148,11 +130,9 @@ class ElasticNet:
         return apply
 
 
-class GroupElasticNet:
+class GroupElasticNet(_Regularizer):
     """f(x) = lam*sum_g ||x_g||_2 + 0.5*||x||^2 for a fixed group partition."""
 
-    alpha = 1.0
-    conj_lipschitz = 1.0
     name = "group_elastic_net"
 
     def __init__(self, lam, groups):
@@ -161,7 +141,7 @@ class GroupElasticNet:
         self.lam = float(lam)
         self.groups = [np.asarray(blk, dtype=np.intp) for blk in groups]
         self.n = int(sum(blk.size for blk in self.groups))
-        self.gid = _check_groups(self.groups, self.n)
+        self.gid = owners(self.groups, self.n, "group")
 
     def check_field(self, is_complex):
         pass
@@ -176,15 +156,8 @@ class GroupElasticNet:
         total = sum(float(np.linalg.norm(x[blk])) for blk in self.groups)
         return self.lam * total + 0.5 * real_inner(x, x)
 
-    def conjugate_value(self, xstar):
-        s = self.conjugate_gradient(xstar)
-        return 0.5 * real_inner(s, s)
-
-    def conjugate_gradient(self, xstar):
-        self._check_len(xstar)
-        return group_shrinkage(xstar, self.lam, self.groups)
-
     def updater(self, shape, is_complex):
+        # scale each group x_g by max(0, 1 - lam/||x_g||); zero groups stay zero
         self._check_len(np.empty(shape))  # one system only: no batch shape
         lam = self.lam
         gid = self.gid
@@ -203,12 +176,11 @@ class GroupElasticNet:
         return apply
 
 
-class ComplexElasticNet:
+class ComplexElasticNet(_Regularizer):
     """f(x) = lam*sum_j |x_j| + 0.5*||x||^2 on complex vectors."""
 
-    alpha = 1.0
-    conj_lipschitz = 1.0
     name = "complex_elastic_net"
+    dtype = np.complex128
 
     def __init__(self, lam):
         if lam < 0:
@@ -223,14 +195,8 @@ class ComplexElasticNet:
         x = np.asarray(x, dtype=np.complex128)
         return self.lam * float(np.sum(np.abs(x))) + 0.5 * real_inner(x, x)
 
-    def conjugate_value(self, xstar):
-        s = complex_shrinkage(xstar, self.lam)
-        return 0.5 * real_inner(s, s)
-
-    def conjugate_gradient(self, xstar):
-        return complex_shrinkage(xstar, self.lam)
-
     def updater(self, shape, is_complex):
+        # max(|x_j| - lam, 0) * x_j/|x_j|, with 0 at x_j = 0
         lam = self.lam
         mag = np.empty(shape)
         scale = np.empty(shape)
@@ -245,7 +211,22 @@ class ComplexElasticNet:
         return apply
 
 
-class QuadraticMisfit:
+def soft_shrinkage(x, lam):
+    """Componentwise max(|x_j| - lam, 0) * sign(x_j), with sign(0) = 0."""
+    return ElasticNet(lam).conjugate_gradient(x)
+
+
+def complex_shrinkage(x, lam):
+    """Componentwise max(|x_j| - lam, 0) * x_j/|x_j|, with 0 at x_j = 0."""
+    return ComplexElasticNet(lam).conjugate_gradient(x)
+
+
+def group_shrinkage(x, lam, groups):
+    """Scale each group x_g by max(0, 1 - lam/||x_g||); the groups must cover x."""
+    return GroupElasticNet(lam, groups).conjugate_gradient(x)
+
+
+class QuadraticMisfit(_Misfit):
     """g*(y) = 0.5*||y||^2; least-squares misfit."""
 
     grad_lipschitz = 1.0
@@ -254,15 +235,12 @@ class QuadraticMisfit:
     def value(self, y):
         return 0.5 * real_inner(y, y)
 
-    def gradient(self, y):
-        return np.array(y, copy=True)
-
     def updater(self, shape, is_complex):
         # gradient is the identity: the solver may alias z and zstar
         return None
 
 
-class HuberQuadMisfit:
+class HuberQuadMisfit(_Misfit):
     """g*(y) = sum_j r_eps(|y_j|) + tau/2*||y||^2; robust misfit with moduli."""
 
     name = "huber_quad"
@@ -280,11 +258,8 @@ class HuberQuadMisfit:
         huber = np.where(mag > self.eps, mag - self.eps / 2.0, mag * mag / (2.0 * self.eps))
         return float(np.sum(huber)) + 0.5 * self.tau * real_inner(y, y)
 
-    def gradient(self, y):
-        y = np.asarray(y)
-        return (1.0 / np.maximum(np.abs(y), self.eps) + self.tau) * y
-
     def updater(self, shape, is_complex):
+        # (1/max(eps, |y_j|) + tau) * y_j
         eps, tau = self.eps, self.tau
         buf = np.empty(shape)
 

@@ -23,16 +23,17 @@ The draws are taken up to DRAW_CHUNK iterations at a time (draw_indices): one
 random_array call consumes the same counters in the same order as the scalar
 draws would, and blocks.draw_blocks maps each uniform to its block.
 
-_advance is the single implementation of the update.  Its state arrays carry
-a leading batch shape: () for one system (run, gerk_step) and (T,) for T
-systems of one shape and method advancing in lockstep (_run_lockstep, the
-experiment harness's path).  A batch stacks its matrices into a row-major
-(T*m, n) array and a (T*n, m) array of columns, gathers one row and one
-column per system by flat index each iteration, and forms the products with
-np.vecdot, which reduces each batch row exactly as np.vdot reduces a single
-vector.  A system's iterates are therefore bit-identical alone or in any
-batch, while numpy's per-call overhead, the dominant cost of an iteration,
-is shared among the T systems.
+_advance is the single implementation of the update, and _run_lockstep the
+single one of whole runs.  The state arrays carry a leading batch shape:
+() for one system (run, which is _run_lockstep on one system, and
+gerk_step) and (T,) for T systems of one shape and method advancing in
+lockstep (the experiment harness's path).  A batch stacks its matrices into
+a row-major (T*m, n) array and a (T*n, m) array of columns, gathers one row
+and one column per system by flat index each iteration, and forms the
+products with np.vecdot, which reduces each batch row exactly as np.vdot
+reduces a single vector.  A system's iterates are therefore bit-identical
+alone or in any batch, while numpy's per-call overhead, the dominant cost of
+an iteration, is shared among the T systems.
 """
 
 import itertools
@@ -44,7 +45,7 @@ import numpy as np
 
 from .blocks import BlockPartition, column_partition, draw_blocks, row_partition
 from .errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, spectral_norm
 from .potentials import (
     ComplexElasticNet,
     ElasticNet,
@@ -149,24 +150,32 @@ def _initial_state(b, n, cfg, rng):
     return SolverState(k=0, x=x, xstar=xstar, z=z, zstar=zstar, rng=rng)
 
 
+def _z_step(num, den, lip, t_const):
+    """The residual-adaptive z-step num / (lip * den), elementwise over a batch.
+
+    num = ||A_j^H z||^2 and den = ||A_j A_j^H z||^2.  Where den <= 1e-300 the
+    step falls back to the constant step t_const = 1/(lip * ||A_j||^2).
+    """
+    ok = den > 1e-300
+    return np.where(ok, num / (lip * np.where(ok, den, 1.0)), t_const)
+
+
 def residual_adaptive_z_stepsize(z, A_block, grad_lipschitz, block_sq_norm=None):
     """Stepsize (1/L) * ||A_j^H z||^2 / ||A_j A_j^H z||^2 with underflow fallback.
 
     Falls back to the constant 1/(L * ||A_j||^2) when the denominator is
-    <= 1e-300.  On one-column blocks this equals the constant stepsize up to
+    <= 1e-300; ||A_j||^2 is computed only then when block_sq_norm is not
+    given.  On one-column blocks this equals the constant stepsize up to
     roundoff (rank-one identity).
     """
     A_block = np.atleast_2d(np.asarray(A_block))
     s = A_block.conj().T @ z
     v = A_block @ s
     den = real_inner(v, v)
-    if den <= 1e-300:
-        if block_sq_norm is None:
-            from .linalg import spectral_norm
-
-            block_sq_norm = spectral_norm(A_block) ** 2
-        return 1.0 / (grad_lipschitz * block_sq_norm)
-    return real_inner(s, s) / (grad_lipschitz * den)
+    if block_sq_norm is None:
+        block_sq_norm = spectral_norm(A_block) ** 2 if den <= 1e-300 else np.inf
+    t_const = 1.0 / (grad_lipschitz * block_sq_norm)
+    return float(_z_step(real_inner(s, s), den, grad_lipschitz, t_const))
 
 
 def draw_indices(cfg, rng, count):
@@ -282,8 +291,7 @@ def _advance(state, cfg, caches, steps):
                     s = Aj.conj().T @ z
                     v = Aj @ s
                     if adaptive:
-                        den = real_inner(v, v)
-                        tz = real_inner(s, s) / (g_lip * den) if den > 1e-300 else tc
+                        tz = _z_step(real_inner(s, s), real_inner(v, v), g_lip, tc)
                     else:
                         tz = tc
                     zstar -= tz * v
@@ -294,10 +302,7 @@ def _advance(state, cfg, caches, steps):
                     # round unlike a matrix product; these forms give the
                     # values of residual_adaptive_z_stepsize alone and batched
                     v = np.matmul(col[..., None], np.reshape(s, batch + (1, 1)))[..., 0]
-                    den = dot(v, v).real
-                    num = s.real * s.real + s.imag * s.imag
-                    ok = den > 1e-300
-                    tz = np.where(ok, num / (g_lip * np.where(ok, den, 1.0)), tc)
+                    tz = _z_step(s.real * s.real + s.imag * s.imag, dot(v, v).real, g_lip, tc)
                     zstar -= (tz[:, None] if batch else tz) * v
                 else:
                     col = A_cm[j]
@@ -357,13 +362,7 @@ def run(A, b, cfg, hooks=()):
     the state as read-only; arrays are live views, not copies.
     """
     t0 = time.perf_counter()
-    A, b = validate_config(A, b, cfg)
-    state = init_state(A, b, cfg)
-    stop_reason = "max_iterations"
-    for _ in _checkpoints(state, cfg, _Caches([A], [b], [cfg]), A.shape[0]):
-        if any(hook(state) for hook in hooks):
-            stop_reason = "tolerance_met"
-            break
+    (state,), stop_reason = _run_lockstep([A], [b], [cfg], [hooks])
     return SolverReport(
         state=state,
         iterations=state.k,
@@ -373,18 +372,16 @@ def run(A, b, cfg, hooks=()):
 
 
 def _run_lockstep(As, bs, cfgs, hooks):
-    """Run the systems (As[t], bs[t], cfgs[t]) in lockstep; return their final states.
+    """Run the systems (As[t], bs[t], cfgs[t]) in lockstep: (final states, stop reason).
 
-    System t draws and computes exactly what run(As[t], bs[t], cfgs[t])
-    would, bit for bit.  The configs may differ only in seed, stream and
-    partition norms and probabilities, and with more than one system the
-    partitions must be single-index.  hooks[t] is called with system t's
-    state at every checkpoint; its return value is ignored, so no system
-    stops early.
+    System t draws and computes exactly what it would alone, bit for bit.
+    The configs may differ only in seed, stream and partition norms and
+    probabilities, and with more than one system the partitions must be
+    single-index.  hooks[t] is the sequence of hooks called with system t's
+    state at every checkpoint, as in run; a truthy return stops every
+    system, with stop reason "tolerance_met".
     """
-    checked = [validate_config(A, b, c) for A, b, c in zip(As, bs, cfgs)]
-    As = [A for A, _ in checked]
-    bs = [b for _, b in checked]
+    As, bs = zip(*(validate_config(A, b, c) for A, b, c in zip(As, bs, cfgs)))
     cfg = cfgs[0]
     m, n = As[0].shape
     rngs = tuple(RngStream(c.seed, c.stream) for c in cfgs)
@@ -402,9 +399,9 @@ def _run_lockstep(As, bs, cfgs, hooks):
                             None if state.zstar is None else state.zstar[t], rng)
                 for t, rng in enumerate(rngs)
             ]
-        for hook, trial_state in zip(hooks, states):
-            hook(trial_state)
-    return states
+        if any(hook(s) for s, system_hooks in zip(states, hooks) for hook in system_hooks):
+            return states, "tolerance_met"
+    return states, "max_iterations"
 
 
 def _sparse_regularizer(lam, is_complex, name):

@@ -3,7 +3,20 @@ import json
 import numpy as np
 import pytest
 
+import gerk.cli
 from gerk.cli import main
+from gerk.errors import (
+    DegenerateNullspace,
+    DimensionMismatch,
+    FieldMismatch,
+    InvalidRank,
+    MissingParameter,
+    NonFiniteInput,
+    OracleMismatch,
+    ParseError,
+    TooManyColumns,
+    ZeroMatrix,
+)
 from gerk.fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
@@ -284,3 +297,37 @@ def test_config_preset_bypassing_choices_still_fails_cleanly(tmp_path):
     rc = main(["solve", "--config", str(cfg), "--matrix", str(tmp_path / "A.mtx"),
                "--rhs", str(tmp_path / "b.csv"), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ParseError("A.mtx", 3, "bad entry"), 2),
+    (MissingParameter("needs lam"), 2),
+    (OSError("disk full"), 2),
+    (ValueError("unknown preset"), 2),
+    (DimensionMismatch("3 rows, 4 entries"), 3),
+    (FieldMismatch("real and complex"), 3),
+    (InvalidRank("rank 0"), 4),
+    (DegenerateNullspace("trivial nullspace"), 4),
+    (ZeroMatrix("zero row"), 4),
+    (TooManyColumns("16 > 15 columns"), 5),
+    (NonFiniteInput("nan in A"), 1),
+    (OracleMismatch("x_hat off"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_error_exit_codes(monkeypatch, capsys, exc, code):
+    def failing_command(args):
+        raise exc
+
+    monkeypatch.setattr(gerk.cli, "cmd_certify", failing_command)
+    assert main(["certify", "--matrix", "A.mtx"]) == code
+    assert capsys.readouterr().err == f"gerk: error: {exc}\n"
+
+
+def test_unreadable_size_line_and_bytes_name_the_line(tmp_path, capsys):
+    write_vector_csv(tmp_path / "b.csv", np.ones(2))
+    bad = tmp_path / "A.mtx"
+    for body, line in ((b"2\xc2\xb2 1\n1\n2\n", 2), (b"% note\n2 1\n1\n\xff2\n", 5)):
+        bad.write_bytes(b"%%MatrixMarket matrix array real general\n" + body)
+        rc = main(["solve", "--matrix", str(bad), "--rhs", str(tmp_path / "b.csv"),
+                   "--preset", "rk", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"gerk: error: {bad}:{line}: " in capsys.readouterr().err

@@ -92,6 +92,31 @@ def test_matrix_bad_size_line(tmp_path):
     assert f"{path}:3:" in str(exc.value)
 
 
+def test_matrix_size_line_needs_ascii_digits(tmp_path):
+    # str.isdigit() and int() accept the superscript two
+    path = tmp_path / "z.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2\u00b2 1\n1\n2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert f"{path}:2: size line must hold 2 integers" in str(exc.value)
+
+
+def test_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "u.mtx"
+    for text, line in ((b"%%MatrixMarket matrix array real general\n% caf\xe9\n2 1\n1\n2\n", 2),
+                       (b"%%MatrixMarket matrix array real general\r\n2 1\r\n1\r\n2\xff\r\n", 4)):
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(path)
+        assert f"{path}:{line}: byte 0x" in str(exc.value)
+        assert "is not UTF-8" in str(exc.value)
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"value\n1.0\n\n2.0\xfe\n")
+    with pytest.raises(ParseError) as exc:
+        read_vector_csv(path)
+    assert f"{path}:4: byte 0xfe is not UTF-8" in str(exc.value)
+
+
 def test_matrix_malformed_entry_line_number(tmp_path):
     path = tmp_path / "e.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\nbroken\n")

@@ -147,6 +147,119 @@ def test_updater_matches_conjugate_gradient():
             assert np.linalg.norm(out - f.conjugate_gradient(xstar)) <= 1e-14
 
 
+# The allocating formulas each kernel replaced, kept as the independent
+# reference the kernels and the forms derived from them are checked against.
+
+
+def reference_soft_shrinkage(x, lam):
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+
+
+def reference_complex_shrinkage(x, lam):
+    x = np.asarray(x, dtype=np.complex128)
+    mag = np.abs(x)
+    scale = np.maximum(mag - lam, 0.0)
+    np.divide(scale, mag, out=scale, where=mag > 0.0)
+    return x * scale
+
+
+def reference_group_shrinkage(x, lam, groups):
+    x = np.asarray(x)
+    out = np.zeros_like(x)
+    for blk in groups:
+        norm = float(np.linalg.norm(x[blk]))
+        if norm > lam:
+            out[blk] = x[blk] * (1.0 - lam / norm)
+    return out
+
+
+def reference_huber_gradient(y, eps, tau):
+    y = np.asarray(y)
+    return (1.0 / np.maximum(np.abs(y), eps) + tau) * y
+
+
+def planted_inputs(rng, shape, is_complex, level):
+    """Gaussian draws with zeros, +-0.0, subnormals and |x| = level planted."""
+    size = int(np.prod(shape))
+    x = 2.0 * rng.gaussian_array(size, "complex" if is_complex else "real").reshape(shape)
+    specials = [0.0, -0.0, level, -level, 5e-324, -2.5e-310,
+                level * (1.0 + 2.0**-52), level * (1.0 - 2.0**-53)]
+    if is_complex:
+        specials += [complex(0.0, -0.0), complex(-0.0, 0.0), 1j * level, -1j * level,
+                     complex(1e-310, -1e-310)]
+    flat = x.reshape(-1)
+    flat[rng.choice_without_replacement(size, len(specials))] = specials
+    return x
+
+
+def same_bits(a, b):
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+def kernel_and_derived(potential, v):
+    """(updater kernel output, allocating form output) at v."""
+    out = np.empty_like(v)
+    potential.updater(v.shape, np.iscomplexobj(v))(v, out)
+    derived = (potential.gradient(v) if hasattr(potential, "gradient")
+               else potential.conjugate_gradient(v))
+    return out, derived
+
+
+def test_kernels_match_reference_formulas():
+    rng = RngStream(415)
+    n = 16
+    for case in range(60):
+        lam = (0.0, 0.7, 5e-324, 3.0 * rng.random())[case % 4]
+        eps = (0.3, 1e-2, 2.5, 0.5 + rng.random())[case % 4]
+        huber = HuberQuadMisfit(eps=eps, tau=0.05)
+        for shape in ((n,), (3, n)):
+            x = planted_inputs(rng, shape, False, lam)
+            z = planted_inputs(rng, shape, True, lam)
+            for got in kernel_and_derived(ElasticNet(lam), x):
+                assert same_bits(got, reference_soft_shrinkage(x, lam))
+            for got in kernel_and_derived(ComplexElasticNet(lam), z):
+                assert same_bits(got, reference_complex_shrinkage(z, lam))
+            assert same_bits(soft_shrinkage(x, lam), reference_soft_shrinkage(x, lam))
+            assert same_bits(complex_shrinkage(z, lam), reference_complex_shrinkage(z, lam))
+            for y in (planted_inputs(rng, shape, False, eps), planted_inputs(rng, shape, True, eps)):
+                for got in kernel_and_derived(huber, y):
+                    assert same_bits(got, reference_huber_gradient(y, eps, 0.05))
+        # the group kernel reduces with bincount, the reference per group with
+        # np.linalg.norm: equal up to rounding
+        groups = [np.arange(0, 5), np.arange(5, 6), np.arange(6, 13), np.arange(13, n)]
+        for is_complex in (False, True):
+            x = planted_inputs(rng, (n,), is_complex, lam)
+            x[groups[1]] = lam  # a group whose norm is exactly lam
+            want = reference_group_shrinkage(x, lam, groups)
+            for got in kernel_and_derived(GroupElasticNet(lam, groups), x) + (
+                    group_shrinkage(x, lam, groups),):
+                assert got.dtype == want.dtype
+                assert np.linalg.norm(got - want) <= 1e-14 * (1.0 + np.linalg.norm(x))
+
+
+def test_derived_forms_coerce_their_input():
+    # lists are accepted; elastic net computes in float64, complex elastic net
+    # in complex128, the others in the field of their input
+    assert soft_shrinkage([3, -1], 2).dtype == np.float64
+    assert complex_shrinkage([3.0, -1.0], 2.0).dtype == np.complex128
+    assert np.array_equal(complex_shrinkage([3.0, -1.0], 2.0), [1.0, 0.0])
+    assert HuberQuadMisfit(1.0, 0.1).gradient([2]).dtype == np.float64
+    assert Quadratic().conjugate_gradient([1j, 2]).dtype == np.complex128
+    xstar = np.array([1.0, 2.0])
+    assert Quadratic().conjugate_gradient(xstar) is not xstar
+
+
+def test_group_shrinkage_groups_must_cover_the_vector():
+    with pytest.raises(DimensionMismatch):
+        group_shrinkage(np.ones(3), 1.0, [np.array([0, 1])])
+    with pytest.raises(ValueError):
+        group_shrinkage(np.ones(3), 1.0, [np.array([0, 1]), np.array([1])])
+
+
 def test_conjugate_gradient_nonexpansive():
     # 1-strong convexity of f makes grad f* 1-Lipschitz
     rng = RngStream(405)
