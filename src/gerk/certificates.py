@@ -117,6 +117,8 @@ def verify_error_bound(
     else OracleMismatch.  Pass gamma to override the certificate constant
     (negative controls).  Real field only.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     A = as_matrix(A)
     x_hat = as_vector(x_hat, A.shape[1])
     y_hat = as_vector(y_hat, A.shape[0])

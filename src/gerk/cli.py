@@ -8,8 +8,10 @@ Three subcommands:
                      a sparsity summary, print the sparsity table
     gerk certify     compute and sample-check an error-bound certificate
 
-Flag values override a JSON config file (--config), which overrides profile
-defaults.  Exit codes: 0 success, 2 I/O or parse failure (message names file
+Every option is declared once, in build_parser.  main resolves each value
+once: the flag, then the JSON config file (--config), whose values are parsed
+like flag text, then the profile (experiment only), then the built-in
+default.  Exit codes: 0 success, 2 I/O or parse failure (message names file
 and line), 3 dimension mismatch, 4 degenerate problem (generator degeneracy,
 zero matrix, zero right-hand side), 5 enumeration cap exceeded.  All outputs
 are written atomically and contain no timestamps, so repeated identical
@@ -50,6 +52,7 @@ from .fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
     _fmt,
+    _names_undecodable_line,
     atomic_write,
     read_matrix_market,
     read_vector_csv,
@@ -67,12 +70,12 @@ EXIT_DEGENERATE = 4
 EXIT_ENUMERATION = 5
 
 
+@_names_undecodable_line
 def _load_config(path):
-    if path is None:
-        return {}
+    """Read the JSON config object: keys spelled as flags, numbers kept as their text."""
     try:
-        with open(path, "r") as fh:
-            data = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read config: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
@@ -85,52 +88,64 @@ def _load_config(path):
     return out
 
 
-def _resolve(args, config, keys, profile=None):
-    """Per key: command-line flag, then config file, then profile default."""
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is None:
-            val = config.get(key)
-        if val is None and profile is not None:
-            val = profile.get(key)
-        out[key] = val
-    return out
+def _config_value(path, action, value):
+    """Parse a config value as the text of its flag, with the flag's type and choices."""
+    names = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if action.dest == "presets" and names:  # the one option that takes a list
+        value = ",".join(value)
+    key = action.option_strings[0][2:]
+    if not isinstance(value, str):
+        raise ParseError(path, 0, f"{key}: expected a string or a number")
+    try:
+        parsed = value if action.type is None else action.type(value)
+    except ValueError:
+        message = f"{key}: invalid {action.type.__name__} value {value!r}"
+        raise ParseError(path, 0, message) from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ParseError(path, 0, f"{key}: invalid choice {value!r} "
+                                  f"(choose from {', '.join(action.choices)})")
+    return parsed
+
+
+def _resolve_options(parser, args, argv):
+    """Re-parse argv so each option takes the flag, then the config file, then
+    the profile (experiment only), then the built-in default."""
+    options = parser.options[args.command]
+    config = {}
+    if args.config is not None:
+        for key, value in _load_config(args.config).items():
+            if key in options and value is not None:
+                config[key] = options[key].default = _config_value(args.config, options[key], value)
+        args = parser.parse_args(argv)
+    if args.command == "experiment":
+        for key, value in PROFILES[(args.profile, args.which)].items():
+            options[key].default = config.get(key, value)
+        args = parser.parse_args(argv)
+    return args
+
+
+def _preset_names(text):
+    """--presets: comma-separated preset names."""
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
 def cmd_solve(args):
-    config = _load_config(args.config)
-    opts = _resolve(
-        args,
-        config,
-        (
-            "preset",
-            "lam",
-            "eps",
-            "tau",
-            "iterations",
-            "checkpoint_interval",
-            "seed",
-            "z_stepsize",
-        ),
-    )
-    if opts["preset"] is None:
+    if args.preset is None:
         raise MissingParameter("solve needs --preset")
     A = read_matrix_market(args.matrix)
     b = read_vector_csv(args.rhs)
     if np.linalg.norm(b) == 0.0:  # every solve metric is relative to ||b||
         raise ZeroMatrix(f"{args.rhs}: right-hand side b is zero")
-    iterations = opts["iterations"] if opts["iterations"] is not None else 200 * A.shape[0]
     cfg = preset(
-        opts["preset"],
+        args.preset,
         A,
-        lam=opts["lam"],
-        eps=opts["eps"],
-        tau=opts["tau"],
-        max_iterations=int(iterations),
-        seed=int(opts["seed"] or 0),
-        checkpoint_interval=opts["checkpoint_interval"],
-        z_stepsize_mode=opts["z_stepsize"] or "constant",
+        lam=args.lam,
+        eps=args.eps,
+        tau=args.tau,
+        max_iterations=200 * A.shape[0] if args.iterations is None else args.iterations,
+        seed=args.seed,
+        checkpoint_interval=args.checkpoint_interval,
+        z_stepsize_mode=args.z_stepsize,
     )
     # no ground truth: residuals are relative to b itself, and there is no rel_error
     field = "complex" if np.iscomplexobj(A) else "real"
@@ -146,81 +161,47 @@ def cmd_solve(args):
                                   rows["sparsity"]):
         lines.append(f"{k},{_fmt(res)},{_fmt(gq)},{_fmt(gm)},{int(sp)}")
     atomic_write(os.path.join(args.out, "metrics.csv"), "\n".join(lines) + "\n")
-    print(f"{opts['preset']}: {report.iterations} iterations, stop reason {report.stop_reason}")
+    print(f"{args.preset}: {report.iterations} iterations, stop reason {report.stop_reason}")
     print(f"final rel residual {rows['rel_residual'][-1]:.3e}, "
           f"sparsity {int(rows['sparsity'][-1])}")
     return EXIT_OK
 
 
 def cmd_experiment(args):
-    config = _load_config(args.config)
-    which = args.which
-    profile_name = args.profile or config.get("profile") or "desk"
-    if (profile_name, which) not in PROFILES:
-        raise MissingParameter(f"unknown profile {profile_name!r}")
-    profile = PROFILES[(profile_name, which)]
-    keys = (
-        "m", "n", "rank", "sparsity", "noise_level", "sv_lo", "sv_hi",
-        "lam", "eps", "tau", "trials", "epochs",
-    )
-    params = _resolve(args, config, keys, profile)
-    field = args.field or config.get("field") or "real"
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    names = args.presets or config.get("presets") or ",".join(DEFAULT_PRESETS[which])
-    if isinstance(names, str):
-        names = [p.strip() for p in names.split(",") if p.strip()]
-    for name in names:
-        if name not in PRESET_NAMES:
-            raise MissingParameter(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    specs = [
-        PresetSpec(name=name, lam=params["lam"], eps=params["eps"], tau=params["tau"])
-        for name in names
-    ]
-    iterations = int(params["epochs"]) * int(params["m"])
-    interval = args.checkpoint_interval or config.get("checkpoint_interval") or int(params["m"])
-    generator = make_generator(which, {k: params[k] for k in keys}, field)
+    names = DEFAULT_PRESETS[args.which] if args.presets is None else args.presets
+    specs = [PresetSpec(name=name, lam=args.lam, eps=args.eps, tau=args.tau) for name in names]
+    interval = args.m if args.checkpoint_interval is None else args.checkpoint_interval
     result = run_trials(
-        generator,
+        make_generator(args.which, vars(args), args.field),
         specs,
-        trials=int(params["trials"]),
-        iterations=iterations,
-        base_seed=seed,
-        checkpoint_interval=int(interval),
+        trials=args.trials,
+        iterations=args.epochs * args.m,
+        base_seed=args.seed,
+        checkpoint_interval=interval,
     )
-    paths = write_experiment_csvs(result, args.out, which)
+    paths = write_experiment_csvs(result, args.out, args.which)
     print(sparsity_table(result))
-    print(f"wrote {len(paths)} files under {os.path.join(args.out, which)}")
+    print(f"wrote {len(paths)} files under {os.path.join(args.out, args.which)}")
     return EXIT_OK
 
 
 def cmd_certify(args):
-    config = _load_config(args.config)
-    opts = _resolve(args, config, ("lam", "samples", "seed", "max_cols"))
-    if opts["lam"] is None:
+    if args.lam is None:
         raise MissingParameter("certify needs --lambda")
-    lam = float(opts["lam"])
-    samples = int(opts["samples"] if opts["samples"] is not None else 1000)
-    seed = int(opts["seed"] or 0)
-    max_cols = int(opts["max_cols"] if opts["max_cols"] is not None else 15)
     A = read_matrix_market(args.matrix)
-    embedded = False
     if args.xhat is None and args.rhs is None:
         raise MissingParameter("certify needs --xhat or --rhs")
+    v = read_vector_csv(args.rhs if args.xhat is None else args.xhat)
+    embedded = np.iscomplexobj(A) or np.iscomplexobj(v)
+    if embedded:
+        A, v = embed_complex_as_real(A.astype(complex)), embed_vec(v.astype(complex))
     if args.xhat is not None:
-        x_hat = read_vector_csv(args.xhat)
-        if np.iscomplexobj(A) or np.iscomplexobj(x_hat):
-            A, x_hat = embed_complex_as_real(A.astype(complex)), embed_vec(x_hat.astype(complex))
-            embedded = True
-        y_hat = A @ x_hat
+        x_hat, y_hat = v, A @ v
     else:
-        b = read_vector_csv(args.rhs)
-        if np.iscomplexobj(A) or np.iscomplexobj(b):
-            A, b = embed_complex_as_real(A.astype(complex)), embed_vec(b.astype(complex))
-            embedded = True
-        y_hat = range_projection_quadratic(A, b).value
-        x_hat = constrained_regularizer_min(A, y_hat, ElasticNet(lam)).value
+        y_hat = range_projection_quadratic(A, v).value
+        x_hat = constrained_regularizer_min(A, y_hat, ElasticNet(args.lam)).value
     report = verify_error_bound(
-        A, x_hat, y_hat, lam, n_samples=samples, seed=seed, max_cols=max_cols
+        A, x_hat, y_hat, args.lam, n_samples=args.samples, seed=args.seed, max_cols=args.max_cols
     )
     cert = report.certificate
     lines = [
@@ -244,70 +225,80 @@ def cmd_certify(args):
 
 
 def build_parser():
+    """Declare every option once: its flag, type, choices and built-in default.
+
+    parser.options[command] maps the dest of each option a config file may
+    also set to its argparse action.  --matrix, --rhs, --xhat, --out, --which
+    and --config are flag-only, and --threads is accepted and ignored.
+    """
     parser = argparse.ArgumentParser(
         prog="gerk",
         description="Randomized block Kaczmarz solvers with sparse regularization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.options = {}
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
+        options = parser.options[name] = {}
 
-    p = sub.add_parser("solve", help="run one preset on a MatrixMarket system")
+        def option(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            options[action.dest] = action
+
+        option("--seed", type=int, default=0)
+        return p, option
+
+    p, option = command("solve", cmd_solve, "run one preset on a MatrixMarket system")
     p.add_argument("--matrix", required=True, help="MatrixMarket matrix file")
     p.add_argument("--rhs", required=True, help="right-hand side vector CSV")
-    p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--checkpoint-interval", type=int, default=None)
-    p.add_argument("--z-stepsize", choices=("constant", "residual_adaptive"), default=None)
     p.add_argument("--out", required=True, help="output directory")
-    common(p)
-    p.set_defaults(func=cmd_solve)
+    option("--preset", choices=PRESET_NAMES)
+    option("--lambda", dest="lam", type=float)
+    option("--eps", type=float)
+    option("--tau", type=float)
+    option("--iterations", type=int, help="default: 200 per row of the matrix")
+    option("--checkpoint-interval", type=int)
+    option("--z-stepsize", choices=("constant", "residual_adaptive"), default="constant")
 
-    p = sub.add_parser("experiment", help="run the reproducible trial harness")
+    p, option = command("experiment", cmd_experiment, "run the reproducible trial harness")
     p.add_argument("--which", choices=("i", "ii"), required=True)
-    p.add_argument("--profile", choices=("desk", "paper"), default=None)
-    p.add_argument("--field", choices=("real", "complex"), default=None)
-    p.add_argument("--presets", help="comma-separated preset names")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--sparsity", type=int, default=None)
-    p.add_argument("--noise-level", dest="noise_level", type=float, default=None)
-    p.add_argument("--sv-lo", dest="sv_lo", type=float, default=None)
-    p.add_argument("--sv-hi", dest="sv_hi", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--checkpoint-interval", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--threads", type=int,
                    help="accepted and ignored, as is the 'threads' config key: "
                         "trials run in lockstep in one thread")
-    p.add_argument("--out", required=True, help="output directory")
-    common(p)
-    p.set_defaults(func=cmd_experiment)
+    option("--profile", choices=("desk", "paper"), default="desk")
+    option("--field", choices=("real", "complex"), default="real")
+    option("--presets", type=_preset_names, help="comma-separated preset names")
+    option("--m", type=int)
+    option("--n", type=int)
+    option("--rank", type=int)
+    option("--sparsity", type=int)
+    option("--noise-level", type=float)
+    option("--sv-lo", type=float)
+    option("--sv-hi", type=float)
+    option("--lambda", dest="lam", type=float)
+    option("--eps", type=float)
+    option("--tau", type=float)
+    option("--trials", type=int)
+    option("--epochs", type=int)
+    option("--checkpoint-interval", type=int, help="default: one epoch")
 
-    p = sub.add_parser("certify", help="error-bound certificate for a system")
+    p, option = command("certify", cmd_certify, "error-bound certificate for a system")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--xhat", default=None, help="planted solution vector CSV")
-    p.add_argument("--rhs", default=None, help="derive x_hat from this rhs instead")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--max-cols", dest="max_cols", type=int, default=None)
-    p.add_argument("--out", default=None, help="certificate record file")
-    common(p)
-    p.set_defaults(func=cmd_certify)
+    p.add_argument("--xhat", help="planted solution vector CSV")
+    p.add_argument("--rhs", help="derive x_hat from this rhs instead")
+    p.add_argument("--out", help="certificate record file")
+    option("--lambda", dest="lam", type=float)
+    option("--samples", type=int, default=1000)
+    option("--max-cols", type=int, default=15)
     return parser
 
 
-# exit code of each error type, first match wins; a ValueError is a value a
-# config file smuggled past argparse's choices
+# exit code of each error type, first match wins; a ValueError is an option
+# value the library rejects, such as --trials 0
 EXIT_CODES = (
     ((ParseError, MissingParameter, OSError, ValueError), EXIT_PARSE),
     ((DimensionMismatch, FieldMismatch), EXIT_DIMENSION),
@@ -321,6 +312,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args = _resolve_options(parser, args, argv)
         return args.func(args)
     except (GerkError, OSError, ValueError) as exc:
         print(f"gerk: error: {exc}", file=sys.stderr)

@@ -244,6 +244,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not preset_specs:
+        raise ValueError("preset_specs is empty: name at least one preset")
     labels = [spec.label() for spec in preset_specs]
     if len(set(labels)) != len(labels):
         raise ValueError("preset labels must be unique")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +335,208 @@ def test_unreadable_size_line_and_bytes_name_the_line(tmp_path, capsys):
                    "--preset", "rk", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"gerk: error: {bad}:{line}: " in capsys.readouterr().err
+
+
+BASE_ARGV = {
+    "solve": ["solve", "--matrix", "A.mtx", "--rhs", "b.csv", "--out", "out"],
+    "experiment": ["experiment", "--which", "ii", "--out", "out"],
+    "certify": ["certify", "--matrix", "A.mtx"],
+}
+
+# every option a config file may set: (command, dest, flag, flag text, config
+# key, JSON value); each value differs from the built-in and profile defaults
+CONFIG_OPTIONS = [
+    ("solve", "seed", "--seed", "17", "seed", 17),
+    ("solve", "preset", "--preset", "gerk_bd", "preset", "gerk_bd"),
+    ("solve", "lam", "--lambda", "0.25", "lambda", 0.25),
+    ("solve", "eps", "--eps", "1e-3", "eps", 1e-3),
+    ("solve", "tau", "--tau", "2.5", "tau", "2.5"),
+    ("solve", "iterations", "--iterations", "123", "iterations", 123),
+    ("solve", "checkpoint_interval", "--checkpoint-interval", "9", "checkpoint-interval", 9),
+    ("solve", "z_stepsize", "--z-stepsize", "residual_adaptive", "z_stepsize",
+     "residual_adaptive"),
+    ("experiment", "seed", "--seed", "5", "seed", "5"),
+    ("experiment", "profile", "--profile", "paper", "profile", "paper"),
+    ("experiment", "field", "--field", "complex", "field", "complex"),
+    ("experiment", "presets", "--presets", "rek,gerk_bd", "presets", ["rek", "gerk_bd"]),
+    ("experiment", "m", "--m", "37", "m", 37),
+    ("experiment", "n", "--n", "19", "n", 19),
+    ("experiment", "rank", "--rank", "7", "rank", 7),
+    ("experiment", "sparsity", "--sparsity", "3", "sparsity", 3),
+    ("experiment", "noise_level", "--noise-level", "0.5", "noise_level", 0.5),
+    ("experiment", "sv_lo", "--sv-lo", "0.2", "sv-lo", 0.2),
+    ("experiment", "sv_hi", "--sv-hi", "3", "sv_hi", 3),
+    ("experiment", "lam", "--lambda", "2", "lam", 2),
+    ("experiment", "eps", "--eps", "0.05", "eps", 0.05),
+    ("experiment", "tau", "--tau", "1e-4", "tau", 1e-4),
+    ("experiment", "trials", "--trials", "4", "trials", 4),
+    ("experiment", "epochs", "--epochs", "6", "epochs", "6"),
+    ("experiment", "checkpoint_interval", "--checkpoint-interval", "11",
+     "checkpoint_interval", 11),
+    ("certify", "seed", "--seed", "3", "seed", 3),
+    ("certify", "lam", "--lambda", "0.75", "lambda", 0.75),
+    ("certify", "samples", "--samples", "0", "samples", 0),
+    ("certify", "max_cols", "--max-cols", "12", "max-cols", 12),
+]
+
+
+def resolved_args(monkeypatch, argv, config=None, tmp_path=None):
+    """The args a command receives from main, with the command stubbed out."""
+    seen = []
+    for name in ("cmd_solve", "cmd_experiment", "cmd_certify"):
+        monkeypatch.setattr(gerk.cli, name, lambda args: seen.append(args) or 0)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_config_options_cover_every_option():
+    options = gerk.cli.build_parser().options
+    declared = {(command, dest) for command in options for dest in options[command]}
+    assert declared == {(command, dest) for command, dest, *_ in CONFIG_OPTIONS}
+
+
+@pytest.mark.parametrize("command, dest, flag, text, key, value", CONFIG_OPTIONS,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_config_value_equals_flag_value(monkeypatch, tmp_path, command, dest, flag, text,
+                                        key, value):
+    base = BASE_ARGV[command]
+    from_flag = getattr(resolved_args(monkeypatch, base + [flag, text]), dest)
+    from_config = getattr(resolved_args(monkeypatch, base, {key: value}, tmp_path), dest)
+    default = getattr(resolved_args(monkeypatch, base), dest)
+    assert from_config == from_flag
+    assert type(from_config) is type(from_flag)
+    assert from_flag != default
+    # a config value the flag overrides gives way to it
+    assert getattr(resolved_args(monkeypatch, base + [flag, text], {key: default}, tmp_path),
+                   dest) == from_flag
+
+
+def test_option_precedence(monkeypatch, tmp_path):
+    solve, experiment = BASE_ARGV["solve"], BASE_ARGV["experiment"]
+    # flag over config over built-in default; null is unset
+    args = resolved_args(monkeypatch, solve + ["--iterations", "9"],
+                         {"iterations": 7, "seed": 4, "tau": None}, tmp_path)
+    assert (args.iterations, args.seed, args.tau, args.z_stepsize) == (9, 4, None, "constant")
+    # config over profile over built-in default
+    args = resolved_args(monkeypatch, experiment, {"m": 37}, tmp_path)
+    assert (args.profile, args.m, args.n, args.lam, args.seed) == ("desk", 37, 100, 10.0, 0)
+    args = resolved_args(monkeypatch, experiment + ["--profile", "paper"])
+    assert (args.m, args.n, args.trials, args.field) == (1000, 500, 50, "real")
+    # --profile by flag beats "profile" in the config; the profile comes from the config
+    args = resolved_args(monkeypatch, experiment + ["--profile", "desk"],
+                         {"profile": "paper"}, tmp_path)
+    assert (args.profile, args.m) == ("desk", 200)
+    args = resolved_args(monkeypatch, experiment, {"profile": "paper", "n": 60}, tmp_path)
+    assert (args.profile, args.m, args.n) == ("paper", 1000, 60)
+    # flag-only options and keys that are not options are ignored; lam beats lambda
+    args = resolved_args(monkeypatch, experiment,
+                         {"threads": "x", "out": 5, "which": "i", "matrix": [1],
+                          "lambda": 1, "lam": 3}, tmp_path)
+    assert (args.out, args.which, args.lam, args.threads) == ("out", "ii", 3.0, None)
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("solve", {"iterations": [1]}, "iterations: expected a string or a number"),
+    ("solve", {"iterations": 2.5}, "iterations: invalid int value '2.5'"),
+    ("solve", {"checkpoint_interval": True}, "checkpoint-interval: expected a string"),
+    ("solve", {"lambda": "five"}, "lambda: invalid float value 'five'"),
+    ("solve", {"z-stepsize": "adaptive"}, "z-stepsize: invalid choice 'adaptive'"),
+    ("experiment", {"epochs": 1.9}, "epochs: invalid int value '1.9'"),
+    ("experiment", {"presets": {"srk": 1}}, "presets: expected a string or a number"),
+    ("experiment", {"profile": "huge"}, "profile: invalid choice 'huge'"),
+    ("experiment", {"field": 1}, "field: invalid choice '1'"),
+    ("certify", {"max_cols": 2.5}, "max-cols: invalid int value '2.5'"),
+    ("certify", {"samples": "1e3"}, "samples: invalid int value '1e3'"),
+])
+def test_bad_config_value_exit_code(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(BASE_ARGV[command] + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"gerk: error: {cfg}:0: {message}")
+
+
+def test_config_strings_run_like_flags(tmp_path):
+    write_system(tmp_path, m=8, n=4)
+    solve = ["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+             "--preset", "srk"]
+    experiment = ["experiment", "--which", "ii", "--m", "12", "--n", "6", "--rank", "3",
+                  "--sparsity", "2", "--sv-hi", "2", "--lambda", "1", "--trials", "2",
+                  "--epochs", "3"]
+    cfg = tmp_path / "cfg.json"
+    for argv, flags, config, name in (
+        (solve, ["--lambda", "5", "--checkpoint-interval", "2"],
+         {"lambda": "5", "checkpoint_interval": "2"}, "metrics.csv"),
+        (experiment + ["--presets", "srk"], ["--noise-level", "5", "--sv-lo", "0.1"],
+         {"noise_level": "5", "sv_lo": "0.1"}, "ii/srk/rel_error.csv"),
+    ):
+        cfg.write_text(json.dumps(config))
+        assert main(argv + flags + ["--out", str(tmp_path / "flag")]) == 0
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+    cfg.write_text(json.dumps({"presets": 5}))
+    assert main(experiment + ["--config", str(cfg), "--out", str(tmp_path / "five")]) == 2
+
+
+def test_experiment_checkpoint_interval_zero_exit_code(tmp_path, capsys):
+    argv = ["experiment", "--which", "i", "--m", "12", "--n", "6", "--rank", "3",
+            "--sparsity", "2", "--lambda", "1", "--trials", "1", "--epochs", "1",
+            "--presets", "srk", "--out", str(tmp_path / "out")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checkpoint_interval": 0}))
+    for extra in (["--checkpoint-interval", "0"], ["--config", str(cfg)]):
+        assert main(argv + extra) == 2
+        assert "checkpoint_interval must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    write_system(tmp_path, m=6, n=3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{\n  "lambda": "caf\xe9"\n}\n')
+    rc = main(["solve", "--config", str(cfg), "--matrix", str(tmp_path / "A.mtx"),
+               "--rhs", str(tmp_path / "b.csv"), "--preset", "srk",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gerk: error: {cfg}:2: byte 0xe9 is not UTF-8\n"
+
+
+def test_certify_negative_samples_exit_code(tmp_path, capsys):
+    write_matrix_market(tmp_path / "I.mtx", np.eye(2))
+    write_vector_csv(tmp_path / "x.csv", np.array([1.0, 0.0]))
+    rc = main(["certify", "--matrix", str(tmp_path / "I.mtx"), "--xhat", str(tmp_path / "x.csv"),
+               "--lambda", "1.0", "--samples", "-3", "--out", str(tmp_path / "cert.txt")])
+    assert rc == 2
+    assert "n_samples must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "cert.txt").exists()
+
+
+def test_experiment_empty_preset_list_exit_code(tmp_path, capsys):
+    for presets in (",", " , "):
+        rc = main(["experiment", "--which", "i", "--m", "12", "--n", "6", "--rank", "3",
+                   "--sparsity", "2", "--trials", "1", "--epochs", "1",
+                   "--presets", presets, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "name at least one preset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_entry_point_exit_codes(tmp_path):
+    A, _, _ = write_system(tmp_path, m=6, n=3)
+    write_vector_csv(tmp_path / "short.csv", np.ones(5))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    solve = [sys.executable, "-m", "gerk.cli", "solve", "--matrix", str(tmp_path / "A.mtx"),
+             "--preset", "rk", "--iterations", "50", "--out", str(tmp_path / "out")]
+    for argv, code, err in (
+        (solve + ["--rhs", str(tmp_path / "b.csv")], 0, ""),
+        ([sys.executable, "-m", "gerk.cli", "experiment", "--which", "i", "--trials", "x",
+          "--out", str(tmp_path / "e")], 2, "argument --trials: invalid int value: 'x'"),
+        (solve + ["--rhs", str(tmp_path / "short.csv")], 3, "gerk: error: "),
+    ):
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert err in proc.stderr
