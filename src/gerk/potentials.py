@@ -44,6 +44,13 @@ def real_inner(a, b):
     return float(np.real(np.vdot(a, b)))
 
 
+def checked_lam(lam):
+    """lam as a float; ValueError unless it is finite and >= 0."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    return float(lam)
+
+
 def _allocating(potential, v):
     """potential's gradient at v in a new array, computed by its kernel.
 
@@ -103,9 +110,7 @@ class ElasticNet(_Regularizer):
     dtype = np.float64
 
     def __init__(self, lam):
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
-        self.lam = float(lam)
+        self.lam = checked_lam(lam)
 
     def check_field(self, is_complex):
         if is_complex:
@@ -136,9 +141,7 @@ class GroupElasticNet(_Regularizer):
     name = "group_elastic_net"
 
     def __init__(self, lam, groups):
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
-        self.lam = float(lam)
+        self.lam = checked_lam(lam)
         self.groups = [np.asarray(blk, dtype=np.intp) for blk in groups]
         self.n = int(sum(blk.size for blk in self.groups))
         self.gid = owners(self.groups, self.n, "group")
@@ -183,9 +186,7 @@ class ComplexElasticNet(_Regularizer):
     dtype = np.complex128
 
     def __init__(self, lam):
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
-        self.lam = float(lam)
+        self.lam = checked_lam(lam)
 
     def check_field(self, is_complex):
         if not is_complex:

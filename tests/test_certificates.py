@@ -1,11 +1,20 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import gerk.certificates
 from gerk.certificates import gamma_hat, sigma_tilde_min, verify_error_bound
 from gerk.errors import OracleMismatch, TooManyColumns, ZeroMatrix
-from gerk.linalg import make_rank_deficient, range_projector_apply
+from gerk.linalg import (
+    embed_complex_as_real,
+    make_rank_deficient,
+    min_positive_singular,
+    numeric_rank,
+    range_projector_apply,
+)
 from gerk.oracles import constrained_regularizer_min
-from gerk.potentials import ElasticNet
+from gerk.potentials import ElasticNet, bregman_distance
 from gerk.rng import RngStream
 
 
@@ -24,6 +33,53 @@ def brute_sigma_tilde(A):
         if pos.size:
             best = min(best, float(pos[-1]))
     return best
+
+
+def loop_sigma_tilde(A):
+    """sigma_tilde_min as one SVD per column subset, in a Python loop (the reference)."""
+    n = A.shape[1]
+    best = np.inf
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            try:
+                smin = min_positive_singular(A[:, list(subset)])
+            except ZeroMatrix:
+                continue
+            if smin < best:
+                best = smin
+    return float(best)
+
+
+def loop_verify(A, x_hat, y_hat, lam, n_samples, seed, gamma, scales=(0.1, 1.0, 10.0), slack=1e-10):
+    """(violations, max_ratio) of verify_error_bound, one sample per Python iteration."""
+    f = ElasticNet(lam)
+    rng = RngStream(seed)
+    violations = 0
+    max_ratio = 0.0
+    for idx in range(n_samples):
+        u = scales[idx % len(scales)] * rng.normal_array(A.shape[0])
+        xstar = A.T @ u
+        x = f.conjugate_gradient(xstar)
+        dist = bregman_distance(f, x, xstar, x_hat)
+        resid_sq = float(np.linalg.norm(A @ x - y_hat)) ** 2
+        if dist > gamma * resid_sq + slack * (1.0 + dist):
+            violations += 1
+        if resid_sq > 1e-300:
+            max_ratio = max(max_ratio, dist / resid_sq)
+    return violations, max_ratio
+
+
+def count_svds(monkeypatch):
+    """Count np.linalg.svd calls from here on; the returned list holds the count."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
 
 
 def test_sigma_tilde_hand_example():
@@ -59,6 +115,102 @@ def test_sigma_tilde_column_cap():
         sigma_tilde_min(A)
     # the cap is adjustable
     assert sigma_tilde_min(np.eye(4), max_cols=4) == pytest.approx(1.0)
+
+
+def test_sigma_tilde_cap_is_checked_before_any_svd(monkeypatch):
+    calls = count_svds(monkeypatch)
+    with pytest.raises(TooManyColumns, match="4 columns exceeds the enumeration cap of 3"):
+        sigma_tilde_min(np.ones((5, 4)), max_cols=3)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=f"max_cols must be >= 1, got {cap}"):
+            sigma_tilde_min(np.ones((5, 4)), max_cols=cap)
+    assert calls[0] == 0
+
+
+def full_rank_cases():
+    """Tall or square matrices with full numeric column rank, four kinds in turn."""
+    rng = RngStream(705)
+    for case in range(240):
+        n = 1 + case % 6
+        m = n + case % 5
+        kind = case % 4
+        if kind == 0:  # Gaussian
+            A = rng.normal_array(m * n).reshape(m, n)
+        elif kind == 1:  # ill-conditioned, condition number 10^1 .. 10^10
+            u, _ = np.linalg.qr(rng.normal_array(m * n).reshape(m, n))
+            v, _ = np.linalg.qr(rng.normal_array(n * n).reshape(n, n))
+            A = (u * np.logspace(0, -(1 + case % 10), n)) @ v.T
+        elif kind == 2:  # small integers
+            A = np.floor(rng.uniform_array(-4.0, 5.0, m * n)).reshape(m, n)
+        else:  # real embedding of a complex matrix: 2m x 2n
+            k = 1 + case % 3
+            A = embed_complex_as_real(rng.complex_normal_array(m * k).reshape(m, k))
+        if numeric_rank(A) == A.shape[1]:
+            yield A
+
+
+def test_sigma_tilde_full_rank_is_one_svd_within_tolerance_of_enumeration(monkeypatch):
+    # sigma_min(A) is the n-subset's own value, so it is never below the
+    # enumeration and exceeds it only by the rounding of the smaller subsets
+    cases = 0
+    for A in full_rank_cases():
+        m, n = A.shape
+        brute = brute_sigma_tilde(A)
+        calls = count_svds(monkeypatch)
+        fast = sigma_tilde_min(A)
+        assert calls[0] == 1
+        monkeypatch.undo()
+        s1 = np.linalg.svd(A, compute_uv=False)[0]
+        assert 0.0 <= fast - brute <= np.finfo(float).eps * s1 * max(m, n)
+        cases += 1
+    assert cases >= 200
+
+
+def test_sigma_tilde_wide_matrix_enumerates():
+    # a wide matrix never has full column rank: sigma_min(A) would be wrong
+    rng = RngStream(706)
+    for case in range(40):
+        m = 1 + case % 4
+        n = m + 1 + case % 3
+        A = rng.normal_array(m * n).reshape(m, n)
+        assert sigma_tilde_min(A) == loop_sigma_tilde(A) == brute_sigma_tilde(A)
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    # columns {0, 2} give (sqrt(5) - 1) / 2, below the sigma_2(A) = 1 of all three
+    assert sigma_tilde_min(A) == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, rel=1e-14)
+
+
+def test_sigma_tilde_graded_rank_deficient_counterexample():
+    # numerically rank 1 under the scale-relative cutoff, so the independent
+    # column sets of A are single columns (min 1e-13); but the last two columns
+    # alone have a cutoff 10^12 times smaller and keep their sigma_2 ~ 7.07e-21
+    A = np.array([[1.0, 1e-13, 1e-13], [0.0, 0.0, 1e-20]])
+    assert numeric_rank(A) == 1
+    assert sigma_tilde_min(A) == brute_sigma_tilde(A)
+    assert sigma_tilde_min(A) == pytest.approx(7.0710678118654755e-21, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1000])
+def test_sigma_tilde_rank_deficient_matches_subset_loop_bit_for_bit(monkeypatch, chunk_bytes):
+    if chunk_bytes is not None:  # a few subsets per SVD call, so chunks split every size
+        monkeypatch.setattr(gerk.certificates, "CHUNK_BYTES", chunk_bytes)
+    rng = RngStream(707)
+    for case in range(40):
+        m = 3 + case % 6
+        n = 3 + case % 7
+        kind = case % 4
+        if kind == 0:
+            A = make_rank_deficient(m, n, 1 + case % (min(m, n) - 1), 0.5, 2.0, "real", rng)
+        elif kind == 1:  # duplicated and zero columns
+            A = rng.normal_array(m * n).reshape(m, n)
+            A[:, 0] = A[:, n - 1]
+            A[:, 1] = 0.0
+        elif kind == 2:  # integer columns with repeats
+            A = np.floor(rng.uniform_array(-2.0, 3.0, m * n)).reshape(m, n)
+            A[:, 2] = A[:, 0] + A[:, 1]
+        else:  # complex embedding of a rank-deficient matrix
+            A = embed_complex_as_real(make_rank_deficient(4, 3, 2, 0.5, 2.0, "complex", rng))
+        assert numeric_rank(A) < A.shape[1]
+        assert sigma_tilde_min(A) == loop_sigma_tilde(A)
 
 
 def test_sigma_tilde_zero_matrix():
@@ -105,6 +257,12 @@ def test_gamma_monotonicity():
         gamma_hat(A, np.zeros(3), lam=-1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_gamma_rejects_non_finite_lam(lam):
+    with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+        gamma_hat(np.eye(3), np.array([1.0, 0.0, 0.0]), lam=lam)
+
+
 def test_verify_error_bound_no_violations():
     rng = RngStream(702)
     lam = 2.0
@@ -132,6 +290,47 @@ def test_verify_error_bound_negative_control():
         A, x_hat, y_hat, lam, n_samples=200, seed=23, gamma=honest.max_ratio / 2
     )
     assert rigged.violations >= 1
+
+
+@pytest.fixture(scope="module")
+def verify_systems():
+    """(A, x_hat, y_hat, lam): rank-deficient, full column rank, zero solution."""
+    rng = RngStream(708)
+    systems = []
+    for m, n, rank, lam in ((8, 6, 4, 2.0), (48, 12, 9, 0.5), (30, 15, None, 1.0)):
+        if rank is None:
+            A = rng.normal_array(m * n).reshape(m, n)
+        else:
+            A = make_rank_deficient(m, n, rank, 0.8, 2.0, "real", rng)
+        y_hat = range_projector_apply(A, rng.normal_array(m))
+        x_hat = constrained_regularizer_min(A, y_hat, ElasticNet(lam), tol=1e-11).value
+        systems.append((A, x_hat, y_hat, lam))
+    A = make_rank_deficient(7, 5, 3, 0.8, 2.0, "real", rng)
+    return systems + [(A, np.zeros(5), np.zeros(7), 1.0)]
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "chunk + 1", "1000"])
+def test_verify_matches_per_sample_loop_bit_for_bit(monkeypatch, verify_systems, samples):
+    for small in (False, True):
+        for A, x_hat, y_hat, lam in verify_systems:
+            m, n = A.shape
+            if small:  # three samples per chunk
+                monkeypatch.setattr(gerk.certificates, "CHUNK_BYTES", 3 * 8 * (m + n))
+            chunk = gerk.certificates.CHUNK_BYTES // (8 * (m + n))
+            count = chunk + 1 if samples == "chunk + 1" else int(samples)
+            report = verify_error_bound(A, x_hat, y_hat, lam, n_samples=count, seed=31)
+            gamma = report.certificate.gamma
+            assert report.samples == count
+            assert (report.violations, report.max_ratio) == loop_verify(
+                A, x_hat, y_hat, lam, count, 31, gamma
+            )
+            # a rigged constant below the sampled ratio: both count the same violations
+            rigged = verify_error_bound(A, x_hat, y_hat, lam, count, 31, gamma=report.max_ratio / 2)
+            assert (rigged.violations, rigged.max_ratio) == loop_verify(
+                A, x_hat, y_hat, lam, count, 31, report.max_ratio / 2
+            )
+            assert rigged.violations >= (1 if report.max_ratio > 0 else 0)
+            monkeypatch.undo()
 
 
 def test_verify_zero_solution_instance():

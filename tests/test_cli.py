@@ -249,6 +249,37 @@ def test_certify_too_many_columns_exit_code(tmp_path):
     assert rc == 5
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_certify_max_cols_below_one_exit_code(tmp_path, capsys, cap):
+    write_matrix_market(tmp_path / "I.mtx", np.eye(2))
+    write_vector_csv(tmp_path / "x.csv", np.array([1.0, 0.0]))
+    rc = main(["certify", "--matrix", str(tmp_path / "I.mtx"), "--xhat", str(tmp_path / "x.csv"),
+               "--lambda", "1.0", "--samples", "5", "--max-cols", cap])
+    assert rc == 2
+    assert f"max_cols must be >= 1, got {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--preset", "srk", "--lambda", "nan"]),
+    ("solve", ["--preset", "gerk_bd", "--lambda", "inf", "--eps", "0.1", "--tau", "1"]),
+    ("solve", ["--preset", "srk", "--config", "nan.json"]),
+    ("certify", ["--lambda", "inf"]),
+    ("certify", ["--lambda", "nan"]),
+    ("certify", ["--lambda", "nan", "--xhat", "x.csv"]),
+])
+def test_non_finite_lambda_exit_code(tmp_path, capsys, command, flags):
+    write_system(tmp_path, m=8, n=4)
+    write_vector_csv(tmp_path / "x.csv", np.ones(4))
+    (tmp_path / "nan.json").write_text('{"lambda": "NaN"}')
+    flags = [str(tmp_path / f) if f.endswith((".csv", ".json")) else f for f in flags]
+    rhs = [] if "--xhat" in flags else ["--rhs", str(tmp_path / "b.csv")]
+    rc = main([command, "--matrix", str(tmp_path / "A.mtx"), *rhs, *flags,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "lam must be finite and >= 0, got " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_certify_missing_lambda_exit_code(tmp_path):
     write_matrix_market(tmp_path / "I.mtx", np.eye(2))
     write_vector_csv(tmp_path / "x.csv", np.ones(2))

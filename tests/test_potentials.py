@@ -293,6 +293,13 @@ def test_group_validation():
         GroupElasticNet(1.0, [np.array([0, 1])]).value(np.zeros(3))
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+def test_regularizers_reject_lam_that_is_not_finite_and_nonnegative(lam):
+    for make in (ElasticNet, ComplexElasticNet, lambda v: GroupElasticNet(v, [np.array([0])])):
+        with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+            make(lam)
+
+
 # --------------------------------------------------------------------- misfits
 
 
