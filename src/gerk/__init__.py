@@ -80,6 +80,7 @@ from .potentials import (
 )
 from .rng import RngStream, sample_index
 from .solver import (
+    Session,
     SolverConfig,
     SolverReport,
     SolverState,

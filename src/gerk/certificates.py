@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OracleMismatch, TooManyColumns, ZeroMatrix
 from .linalg import as_matrix, as_vector, min_positive_singular, rank_cutoff
-from .potentials import ElasticNet, checked_lam
+from .potentials import ElasticNet, checked_nonneg
 from .rng import RngStream
 
 CHUNK_BYTES = 2**17  # stacked subset matrices per SVD call, stacked samples per pass
@@ -87,7 +87,7 @@ def gamma_hat(A, x_hat, lam, max_cols=15):
     """
     A = as_matrix(A)
     x_hat = as_vector(x_hat, A.shape[1])
-    lam = checked_lam(lam)
+    lam = checked_nonneg(lam, "lam")
     n = A.shape[1]
     stm = sigma_tilde_min(A, max_cols=max_cols)
     smp = min_positive_singular(A)

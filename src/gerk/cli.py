@@ -192,6 +192,9 @@ def cmd_certify(args):
     if args.xhat is None and args.rhs is None:
         raise MissingParameter("certify needs --xhat or --rhs")
     v = read_vector_csv(args.rhs if args.xhat is None else args.xhat)
+    if args.xhat is not None and v.size != A.shape[1]:
+        raise DimensionMismatch(f"{args.xhat}: x_hat has length {v.size}, "
+                                f"but the matrix has {A.shape[1]} columns")
     embedded = np.iscomplexobj(A) or np.iscomplexobj(v)
     if embedded:
         A, v = embed_complex_as_real(A.astype(complex)), embed_vec(v.astype(complex))
@@ -229,7 +232,7 @@ def build_parser():
 
     parser.options[command] maps the dest of each option a config file may
     also set to its argparse action.  --matrix, --rhs, --xhat, --out, --which
-    and --config are flag-only, and --threads is accepted and ignored.
+    and --config are flag-only.
     """
     parser = argparse.ArgumentParser(
         prog="gerk",
@@ -266,9 +269,6 @@ def build_parser():
     p, option = command("experiment", cmd_experiment, "run the reproducible trial harness")
     p.add_argument("--which", choices=("i", "ii"), required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int,
-                   help="accepted and ignored, as is the 'threads' config key: "
-                        "trials run in lockstep in one thread")
     option("--profile", choices=("desk", "paper"), default="desk")
     option("--field", choices=("real", "complex"), default="real")
     option("--presets", type=_preset_names, help="comma-separated preset names")

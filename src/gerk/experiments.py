@@ -28,9 +28,9 @@ import numpy as np
 from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, _fmt, atomic_write
 from .linalg import draw_nullspace_noise, make_rank_deficient
 from .oracles import range_projection_quadratic
-from .potentials import QuadraticMisfit
+from .potentials import QuadraticMisfit, checked_nonneg
 from .rng import RngStream
-from .solver import _run_lockstep, preset
+from .solver import Session, preset
 
 METRIC_NAMES = (
     "rel_residual",
@@ -111,17 +111,19 @@ def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
 
 def gen_experiment_i(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
     """Sparse ground truth plus nullspace noise of norm noise_level*||b_hat||."""
+    noise_level = checked_nonneg(noise_level, "noise_level")
     A, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
     if noise_level > 0.0:
         radius = noise_level * float(np.linalg.norm(b_hat))
         b = b_hat + draw_nullspace_noise(A, radius, field, rng)
     else:
         b = b_hat.copy()
-    return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", float(noise_level))
+    return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", noise_level)
 
 
 def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
     """Sparse ground truth plus impulsive noise on ceil(n/20) of the m rows."""
+    noise_level = checked_nonneg(noise_level, "noise_level")
     A, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
     count = math.ceil(n / 20)
     if count > m:
@@ -134,7 +136,7 @@ def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rn
     else:
         spikes = rng.signs(count)
     b[idx] += amp * spikes
-    return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", float(noise_level))
+    return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level)
 
 
 def sparsity_count(x, tol=SPARSITY_TOL):
@@ -220,10 +222,11 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
                     y_hat_quad[t] = range_projection_quadratic(inst.A, inst.b).value
                 z_target = inst.b - y_hat_quad[t]
             recorders.append(MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target))
-        states, _ = _run_lockstep([inst.A for inst in instances], [inst.b for inst in instances],
-                                  cfgs, [(rec,) for rec in recorders])
+        session = Session([inst.A for inst in instances], [inst.b for inst in instances], cfgs)
+        session.finish([(rec,) for rec in recorders])
         traces[spec.label()] += [rec.trace() for rec in recorders]
-        final_x[spec.label()] += [state.x.copy() for state in states]
+        final_x[spec.label()] += [state.x.copy() for state in session.states()]
+        del session  # its matrix copies go before the next preset's are built
 
 
 def run_trials(

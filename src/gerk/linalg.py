@@ -111,8 +111,8 @@ def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
     """
     if not 1 <= rank < min(m, n):
         raise InvalidRank(f"rank must satisfy 1 <= rank < min(m, n)={min(m, n)}, got {rank}")
-    if not 0 < sv_lo <= sv_hi:
-        raise ValueError(f"need 0 < sv_lo <= sv_hi, got [{sv_lo}, {sv_hi}]")
+    if not 0 < sv_lo <= sv_hi < np.inf:
+        raise ValueError(f"need 0 < sv_lo <= sv_hi < inf, got [{sv_lo}, {sv_hi}]")
     gu = rng.gaussian_array(m * rank, field).reshape(m, rank)
     gv = rng.gaussian_array(n * rank, field).reshape(n, rank)
     u, _ = np.linalg.qr(gu)

@@ -44,11 +44,11 @@ def real_inner(a, b):
     return float(np.real(np.vdot(a, b)))
 
 
-def checked_lam(lam):
-    """lam as a float; ValueError unless it is finite and >= 0."""
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    return float(lam)
+def checked_nonneg(value, name):
+    """value as a float; ValueError naming the parameter unless it is finite and >= 0."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
 
 
 def _allocating(potential, v):
@@ -110,7 +110,7 @@ class ElasticNet(_Regularizer):
     dtype = np.float64
 
     def __init__(self, lam):
-        self.lam = checked_lam(lam)
+        self.lam = checked_nonneg(lam, "lam")
 
     def check_field(self, is_complex):
         if is_complex:
@@ -141,7 +141,7 @@ class GroupElasticNet(_Regularizer):
     name = "group_elastic_net"
 
     def __init__(self, lam, groups):
-        self.lam = checked_lam(lam)
+        self.lam = checked_nonneg(lam, "lam")
         self.groups = [np.asarray(blk, dtype=np.intp) for blk in groups]
         self.n = int(sum(blk.size for blk in self.groups))
         self.gid = owners(self.groups, self.n, "group")
@@ -186,7 +186,7 @@ class ComplexElasticNet(_Regularizer):
     dtype = np.complex128
 
     def __init__(self, lam):
-        self.lam = checked_lam(lam)
+        self.lam = checked_nonneg(lam, "lam")
 
     def check_field(self, is_complex):
         if not is_complex:

@@ -54,6 +54,10 @@ class RngStream:
         self._counter += 1
         return _mix64((self._key + _GAMMA * self._counter) & _MASK)
 
+    def skip(self, count):
+        """Move past `count` draws as if they had been taken; a negative count moves back."""
+        self._counter += int(count)
+
     def random(self):
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53

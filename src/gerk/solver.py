@@ -19,21 +19,21 @@ randomized Kaczmarz method converging to the pseudoinverse solution.
 
 Exactly one z-draw then one x-draw is consumed per iteration, in that order,
 from RngStream(seed, stream), so runs with equal configs are bit-identical.
-The draws are taken up to DRAW_CHUNK iterations at a time (draw_indices): one
+The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices): one
 random_array call consumes the same counters in the same order as the scalar
 draws would, and blocks.draw_blocks maps each uniform to its block.
 
-_advance is the single implementation of the update, and _run_lockstep the
-single one of whole runs.  The state arrays carry a leading batch shape:
-() for one system (run, which is _run_lockstep on one system, and
-gerk_step) and (T,) for T systems of one shape and method advancing in
-lockstep (the experiment harness's path).  A batch stacks its matrices into
-a row-major (T*m, n) array and a (T*n, m) array of columns, gathers one row
-and one column per system by flat index each iteration, and forms the
-products with np.vecdot, which reduces each batch row exactly as np.vdot
-reduces a single vector.  A system's iterates are therefore bit-identical
-alone or in any batch, while numpy's per-call overhead, the dominant cost of
-an iteration, is shared among the T systems.
+Session.advance is the single implementation of the update, and Session
+the single one of whole runs; run, init_state and gerk_step wrap it.  The
+state arrays carry a leading batch shape: () for one system and (T,) for T
+systems of one shape and method advancing in lockstep (the experiment
+harness's path).  A batch stacks its matrices into a row-major (T*m, n)
+array and a (T*n, m) array of columns, gathers one row and one column per
+system by flat index each iteration, and forms the products with np.vecdot,
+which reduces each batch row exactly as np.vdot reduces a single vector.  A
+system's iterates are therefore bit-identical alone or in any batch, while
+numpy's per-call overhead, the dominant cost of an iteration, is shared
+among the T systems.
 """
 
 import itertools
@@ -122,34 +122,6 @@ def validate_config(A, b, cfg):
     return A, b
 
 
-def init_state(A, b, cfg):
-    """Initial state: x*_0 = 0 (so x_0 = 0) and z*_0 = b when z is enabled."""
-    A, b = validate_config(A, b, cfg)
-    return _initial_state(b, A.shape[1], cfg, RngStream(cfg.seed, cfg.stream))
-
-
-def _initial_state(b, n, cfg, rng):
-    # b carries the batch shape: (m,) for one system, (T, m) for T systems
-    is_complex = np.iscomplexobj(b)
-    dtype = np.complex128 if is_complex else np.float64
-    shape = b.shape[:-1] + (n,)
-    xstar = np.zeros(shape, dtype=dtype)
-    f_upd = cfg.f.updater(shape, is_complex)
-    x = xstar if f_upd is None else np.zeros(shape, dtype=dtype)
-    if f_upd is not None:
-        f_upd(xstar, x)
-    if cfg.z_update_enabled:
-        zstar = b.astype(dtype, copy=True)
-        g_upd = cfg.g.updater(b.shape, is_complex)
-        z = zstar if g_upd is None else np.empty_like(zstar)
-        if g_upd is not None:
-            g_upd(zstar, z)
-    else:
-        zstar = None
-        z = None
-    return SolverState(k=0, x=x, xstar=xstar, z=z, zstar=zstar, rng=rng)
-
-
 def _z_step(num, den, lip, t_const):
     """The residual-adaptive z-step num / (lip * den), elementwise over a batch.
 
@@ -200,156 +172,200 @@ def _stacked(mats, conj):
     return np.conjugate(out, out=out) if conj else out
 
 
-class _Caches:
-    """Per-run working structures; everything the hot loop touches.
+class Session:
+    """One solver run: its systems validated, cached and stepped in place.
 
-    Built for the systems (As[t], bs[t], cfgs[t]).  One system has batch
-    shape (); T > 1 systems have batch shape (T,) and are addressed by flat
-    indices t*m + i (rows, b, t_row) and t*n + j (columns, t_col).
+    Session(A, b, cfg) holds one system.  Session(As, bs, cfgs), given
+    sequences, holds systems of one shape and method in lockstep, addressed
+    by flat indices t*m + i (rows, b, t_row) and t*n + j (columns, t_col).
+    The configs may differ only in seed, stream and partition norms and
+    probabilities, and with more than one system the partitions must be
+    single-index.  Validation, matrix copies, step sizes and updaters are
+    built once.  The session owns `state`: the initial state (x*_0 = 0, so
+    x_0 = 0, and z*_0 = b), or the given `state` of one system to continue.
     """
 
-    def __init__(self, As, bs, cfgs):
-        T = len(As)
-        m, n = As[0].shape
-        cfg = cfgs[0]
+    def __init__(self, A, b, cfg, state=None):
+        if isinstance(cfg, SolverConfig):
+            A, b, cfg = [A], [b], [cfg]
+        As, bs = zip(*map(validate_config, A, b, cfg))
+        self.cfgs = cfgs = tuple(cfg)
+        self.cfg = cfg = cfgs[0]
+        m, n = self.shape = As[0].shape
         is_complex = np.iscomplexobj(As[0])
-        self.batch = () if T == 1 else (T,)
-        self.cfgs = cfgs
+        self.batch = batch = (len(As),) if len(As) > 1 else ()
         # rows of conj(A): vdot(conj(A_i), x) = A_i x, and the x-step adds conj(A_i)
         self.A_rm_conj = _stacked(As, is_complex)
-        self.b = np.concatenate(bs)
-        self.row_off = np.arange(T) * m
-        rp = cfg.row_partition
-        self.row_blocks = rp.blocks
-        self.row_trivial = rp.trivial
-        self.t_row = np.concatenate(
+        join = np.concatenate if batch else (lambda arrays: arrays[0])  # one system: as is
+        self.b = join(bs)
+        self.t_row = join(
             [1.0 / (c.f.conj_lipschitz * c.row_partition.block_sq_norms) for c in cfgs]
         )
-        self.f_upd = cfg.f.updater(self.batch + (n,), is_complex)
-        trivial = rp.trivial
+        self.f_upd = cfg.f.updater(batch + (n,), is_complex)
+        trivial = cfg.row_partition.trivial
         if cfg.z_update_enabled:
             # row j of A_cm is column j of A, contiguous
             self.A_cm = _stacked([A.T for A in As], False)
-            self.col_off = np.arange(T) * n
-            cp = cfg.col_partition
-            self.col_blocks = cp.blocks
-            self.col_trivial = cp.trivial
-            self.t_col = np.concatenate(
+            self.t_col = join(
                 [1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms) for c in cfgs]
             )
-            self.g_upd = cfg.g.updater(self.batch + (m,), is_complex)
-            self.g_lip = cfg.g.grad_lipschitz
-            trivial = trivial and cp.trivial
-        if T > 1 and not trivial:
+            self.g_upd = cfg.g.updater(batch + (m,), is_complex)
+            trivial = trivial and cfg.col_partition.trivial
+        if batch and not trivial:
             raise ValueError("systems run in lockstep need single-index partitions")
 
+        if state is None:
+            xstar = np.zeros(batch + (n,), dtype=self.A_rm_conj.dtype)
+            x = xstar if self.f_upd is None else np.zeros_like(xstar)
+            if self.f_upd is not None:
+                self.f_upd(xstar, x)
+            zstar = z = None
+            if cfg.z_update_enabled:
+                zstar = self.b.reshape(batch + (m,)).copy()
+                z = zstar if self.g_upd is None else np.empty_like(zstar)
+                if self.g_upd is not None:
+                    self.g_upd(zstar, z)
+            rngs = tuple(RngStream(c.seed, c.stream) for c in cfgs)
+            state = SolverState(0, x, xstar, z, zstar, rngs if batch else rngs[0])
+        self.state = state
+        self._rngs = state.rng if batch else (state.rng,)
+        self._draws = 2 if cfg.z_update_enabled else 1  # per iteration
+        self._left = 0  # drawn iterations not yet run
+        self._end = cfg.max_iterations  # indices are drawn past it only when asked for
 
-def _advance(state, cfg, caches, steps):
-    """Run `steps` iterations in place; the single implementation of the update."""
-    x, xstar = state.x, state.xstar
-    z, zstar = state.z, state.zstar
-    batch = caches.batch
-    rngs = state.rng if batch else (state.rng,)
-    # both dot products conjugate their first argument; vecdot reduces each
-    # batch row exactly as vdot reduces one vector
-    dot = np.vecdot if batch else np.vdot
-    per_iter = (lambda a: a) if batch else np.ndarray.tolist
-    A_rm_conj, b = caches.A_rm_conj, caches.b
-    row_blocks, row_trivial = caches.row_blocks, caches.row_trivial
-    f_upd = caches.f_upd
-    z_on = cfg.z_update_enabled
-    if z_on:
-        zstar_flat = zstar.reshape(-1)
-        A_cm = caches.A_cm
-        col_blocks, col_trivial = caches.col_blocks, caches.col_trivial
-        g_upd, g_lip = caches.g_upd, caches.g_lip
-        adaptive = cfg.z_stepsize_mode == "residual_adaptive"
+    def _refill(self, wanted):
+        """Draw the indices of up to DRAW_CHUNK iterations, and of `wanted` at least."""
+        count = min(DRAW_CHUNK, max(wanted, self._end - self.state.k))
+        drawn = [draw_indices(c, rng, count) for c, rng in zip(self.cfgs, self._rngs)]
+        for rng in self._rngs:  # the streams count the draws of iterations run only
+            rng.skip(-count * self._draws)
+        batch = self.batch
+        per_iter = (lambda a: a) if batch else np.ndarray.tolist
 
-    done = 0
-    while done < steps:
-        count = min(DRAW_CHUNK, steps - done)
-        done += count
-        drawn = [draw_indices(c, rng, count) for c, rng in zip(caches.cfgs, rngs)]
-
-        def flat(k, offsets):
+        def flat(k, axis_len):
             # (count,) + batch indices into the stacked arrays
             if not batch:
                 return drawn[0][k]
-            return np.stack([d[k] for d in drawn], axis=1) + offsets
+            return np.stack([d[k] for d in drawn], axis=1) + np.arange(len(drawn)) * axis_len
 
-        fi = flat(1, caches.row_off)
-        t_rows, b_rows = per_iter(caches.t_row[fi]), per_iter(b[fi])
-        if z_on:
-            fj = flat(0, caches.col_off)
-            cols, t_cols = per_iter(fj), per_iter(caches.t_col[fj])
+        fi = flat(1, self.shape[0])
+        if self.cfg.z_update_enabled:
+            fj = flat(0, self.shape[1])
+            cols = (per_iter(fj), per_iter(self.t_col[fj]))
         else:
-            cols, t_cols = itertools.repeat(None, count), itertools.repeat(None, count)
-        for j, tc, i, tr, bi in zip(cols, t_cols, per_iter(fi), t_rows, b_rows):
-            if z_on:
-                if not col_trivial:  # one system only
-                    Aj = A_cm[col_blocks[j]].T
-                    s = Aj.conj().T @ z
-                    v = Aj @ s
-                    if adaptive:
-                        tz = _z_step(real_inner(s, s), real_inner(v, v), g_lip, tc)
+            cols = (itertools.repeat(None),) * 2
+        self._drawn = zip(*cols, per_iter(fi), per_iter(self.t_row[fi]), per_iter(self.b[fi]))
+        self._left = count
+
+    def advance(self, steps):
+        """Run `steps` iterations in place and return the state; the single
+        implementation of the update."""
+        state = self.state
+        x, xstar = state.x, state.xstar
+        z, zstar = state.z, state.zstar
+        batch = self.batch
+        # both dot products conjugate their first argument; vecdot reduces each
+        # batch row exactly as vdot reduces one vector
+        dot = np.vecdot if batch else np.vdot
+        A_rm_conj, b, f_upd = self.A_rm_conj, self.b, self.f_upd
+        cfg = self.cfg
+        row_blocks, row_trivial = cfg.row_partition.blocks, cfg.row_partition.trivial
+        z_on = cfg.z_update_enabled
+        if z_on:
+            zstar_flat = zstar.reshape(-1)
+            A_cm, g_upd, g_lip = self.A_cm, self.g_upd, cfg.g.grad_lipschitz
+            col_blocks, col_trivial = cfg.col_partition.blocks, cfg.col_partition.trivial
+            adaptive = cfg.z_stepsize_mode == "residual_adaptive"
+
+        done = 0
+        while done < steps:
+            if not self._left:
+                self._refill(steps - done)
+            count = min(steps - done, self._left)
+            self._left -= count
+            done += count
+            for j, tc, i, tr, bi in itertools.islice(self._drawn, count):
+                if z_on:
+                    if not col_trivial:  # one system only
+                        Aj = A_cm[col_blocks[j]].T
+                        s = Aj.conj().T @ z
+                        v = Aj @ s
+                        if adaptive:
+                            tz = _z_step(real_inner(s, s), real_inner(v, v), g_lip, tc)
+                        else:
+                            tz = tc
+                        zstar -= tz * v
+                    elif adaptive:
+                        col = A_cm[j]
+                        s = dot(col, z)
+                        # complex s * col, and complex products of numpy scalars,
+                        # round unlike a matrix product; these forms give the
+                        # values of residual_adaptive_z_stepsize alone and batched
+                        v = np.matmul(col[..., None], np.reshape(s, batch + (1, 1)))[..., 0]
+                        tz = _z_step(s.real * s.real + s.imag * s.imag, dot(v, v).real, g_lip, tc)
+                        zstar -= (tz[:, None] if batch else tz) * v
                     else:
-                        tz = tc
-                    zstar -= tz * v
-                elif adaptive:
-                    col = A_cm[j]
-                    s = dot(col, z)
-                    # complex s * col, and complex products of numpy scalars,
-                    # round unlike a matrix product; these forms give the
-                    # values of residual_adaptive_z_stepsize alone and batched
-                    v = np.matmul(col[..., None], np.reshape(s, batch + (1, 1)))[..., 0]
-                    tz = _z_step(s.real * s.real + s.imag * s.imag, dot(v, v).real, g_lip, tc)
-                    zstar -= (tz[:, None] if batch else tz) * v
-                else:
-                    col = A_cm[j]
-                    c = tc * dot(col, z)
-                    zstar -= (c[:, None] if batch else c) * col
-                if g_upd is not None:
-                    g_upd(zstar, z)
-            if row_trivial:
-                row = A_rm_conj[i]
-                w = dot(row, x) - bi
-                if z_on:
-                    w += zstar_flat[i]
-                c = tr * w
-                xstar -= (c[:, None] if batch else c) * row
-            else:  # one system only
-                blk = row_blocks[i]
-                Aic = A_rm_conj[blk]
-                w = Aic.conj() @ x - b[blk]
-                if z_on:
-                    w += zstar[blk]
-                xstar -= tr * (Aic.T @ w)
-            if f_upd is not None:
-                f_upd(xstar, x)
-    state.k += steps
-    return state
+                        col = A_cm[j]
+                        c = tc * dot(col, z)
+                        zstar -= (c[:, None] if batch else c) * col
+                    if g_upd is not None:
+                        g_upd(zstar, z)
+                if row_trivial:
+                    row = A_rm_conj[i]
+                    w = dot(row, x) - bi
+                    if z_on:
+                        w += zstar_flat[i]
+                    c = tr * w
+                    xstar -= (c[:, None] if batch else c) * row
+                else:  # one system only
+                    blk = row_blocks[i]
+                    Aic = A_rm_conj[blk]
+                    w = Aic.conj() @ x - b[blk]
+                    if z_on:
+                        w += zstar[blk]
+                    xstar -= tr * (Aic.T @ w)
+                if f_upd is not None:
+                    f_upd(xstar, x)
+            state.k += count
+            for rng in self._rngs:
+                rng.skip(count * self._draws)
+        return state
 
+    def states(self):
+        """Per-system states: the state itself for one system, else views of its rows."""
+        state = self.state
+        if not self.batch:
+            return [state]
+        return [
+            SolverState(state.k, state.x[t], state.xstar[t],
+                        None if state.z is None else state.z[t],
+                        None if state.zstar is None else state.zstar[t], rng)
+            for t, rng in enumerate(state.rng)
+        ]
 
-def gerk_step(state, A, b, cfg):
-    """Advance the state by exactly one iteration (two index draws when z is on)."""
-    A, b = validate_config(A, b, cfg)
-    return _advance(state, cfg, _Caches([A], [b], [cfg]), 1)
+    def checkpoints(self):
+        """Advance to cfg.max_iterations, yielding states() now and after every checkpoint.
 
+        Checkpoints come every checkpoint_interval iterations (default: one
+        epoch, m iterations) and at the final iterate.
+        """
+        interval = self.cfg.checkpoint_interval or self.shape[0]
+        yield self.states()
+        while self.state.k < self.cfg.max_iterations:
+            self.advance(min(interval, self.cfg.max_iterations - self.state.k))
+            yield self.states()
 
-def _checkpoints(state, cfg, caches, m):
-    """Advance to cfg.max_iterations, pausing at 0 and after every checkpoint.
+    def finish(self, hooks):
+        """Run every checkpoint and return the stop reason.
 
-    Checkpoints come every checkpoint_interval iterations (default: one
-    epoch, m iterations) and at the final iterate.
-    """
-    interval = cfg.checkpoint_interval or m
-    yield
-    remaining = cfg.max_iterations
-    while remaining > 0:
-        chunk = min(interval, remaining)
-        _advance(state, cfg, caches, chunk)
-        remaining -= chunk
-        yield
+        hooks[t] is the sequence of hooks called with system t's state at
+        every checkpoint; a truthy return stops every system, with stop
+        reason "tolerance_met".  Otherwise the reason is "max_iterations".
+        """
+        for states in self.checkpoints():
+            if any(hook(s) for s, system_hooks in zip(states, hooks) for hook in system_hooks):
+                return "tolerance_met"
+        return "max_iterations"
 
 
 def run(A, b, cfg, hooks=()):
@@ -362,46 +378,21 @@ def run(A, b, cfg, hooks=()):
     the state as read-only; arrays are live views, not copies.
     """
     t0 = time.perf_counter()
-    (state,), stop_reason = _run_lockstep([A], [b], [cfg], [hooks])
-    return SolverReport(
-        state=state,
-        iterations=state.k,
-        wall_time=time.perf_counter() - t0,
-        stop_reason=stop_reason,
-    )
+    session = Session(A, b, cfg)
+    stop_reason = session.finish([hooks])
+    return SolverReport(session.state, session.state.k, time.perf_counter() - t0, stop_reason)
 
 
-def _run_lockstep(As, bs, cfgs, hooks):
-    """Run the systems (As[t], bs[t], cfgs[t]) in lockstep: (final states, stop reason).
+def init_state(A, b, cfg):
+    """Initial state: x*_0 = 0 (so x_0 = 0) and z*_0 = b when z is enabled."""
+    return Session(A, b, cfg).state
 
-    System t draws and computes exactly what it would alone, bit for bit.
-    The configs may differ only in seed, stream and partition norms and
-    probabilities, and with more than one system the partitions must be
-    single-index.  hooks[t] is the sequence of hooks called with system t's
-    state at every checkpoint, as in run; a truthy return stops every
-    system, with stop reason "tolerance_met".
-    """
-    As, bs = zip(*(validate_config(A, b, c) for A, b, c in zip(As, bs, cfgs)))
-    cfg = cfgs[0]
-    m, n = As[0].shape
-    rngs = tuple(RngStream(c.seed, c.stream) for c in cfgs)
-    if len(As) == 1:
-        state = _initial_state(bs[0], n, cfg, rngs[0])
-    else:
-        state = _initial_state(np.stack(bs), n, cfg, rngs)
-    for _ in _checkpoints(state, cfg, _Caches(As, bs, cfgs), m):
-        if len(As) == 1:
-            states = [state]
-        else:  # views of the batch rows
-            states = [
-                SolverState(state.k, state.x[t], state.xstar[t],
-                            None if state.z is None else state.z[t],
-                            None if state.zstar is None else state.zstar[t], rng)
-                for t, rng in enumerate(rngs)
-            ]
-        if any(hook(s) for s, system_hooks in zip(states, hooks) for hook in system_hooks):
-            return states, "tolerance_met"
-    return states, "max_iterations"
+
+def gerk_step(state, A, b, cfg):
+    """Advance the state by exactly one iteration (two index draws when z is on)."""
+    session = Session(A, b, cfg, state)
+    session._end = state.k + 1  # the session ends with this step: draw nothing ahead
+    return session.advance(1)
 
 
 def _sparse_regularizer(lam, is_complex, name):

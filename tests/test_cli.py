@@ -21,6 +21,7 @@ from gerk.errors import (
     TooManyColumns,
     ZeroMatrix,
 )
+from gerk.experiments import make_generator
 from gerk.fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
@@ -155,17 +156,6 @@ def test_experiment_tiny_run(tmp_path, capsys):
     assert not (out / "i" / "srk" / "z_error.csv").exists()
 
 
-def test_experiment_threads_do_not_change_output(tmp_path):
-    base = ["experiment", "--which", "ii", "--m", "14", "--n", "7", "--rank", "3",
-            "--sparsity", "2", "--noise-level", "2.0", "--sv-lo", "0.5", "--sv-hi", "2.0",
-            "--lambda", "1.0", "--eps", "0.01", "--tau", "0.001",
-            "--trials", "3", "--epochs", "4", "--presets", "srk,gerk_bd"]
-    assert main(base + ["--out", str(tmp_path / "a")]) == 0
-    assert main(base + ["--threads", "3", "--out", str(tmp_path / "b")]) == 0
-    for rel in ("ii/sparsity.csv", "ii/srk/rel_error.csv", "ii/gerk_bd/rel_residual.csv"):
-        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
-
-
 def test_experiment_invalid_rank_exit_code(tmp_path):
     rc = main(["experiment", "--which", "i", "--m", "6", "--n", "6", "--rank", "6",
                "--sparsity", "2", "--noise-level", "1.0", "--sv-lo", "0.5",
@@ -188,6 +178,27 @@ def test_experiment_zero_sparsity_exit_code(tmp_path, capsys):
                "--presets", "srk", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "sparsity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, flag, text, name", [
+    ("i", "--sv-hi", "inf", "sv_hi"),
+    ("ii", "--noise-level", "nan", "noise_level"),
+    ("i", "--noise-level", "nan", "noise_level"),
+    ("i", "--noise-level", "-3", "noise_level"),
+])
+def test_experiment_generator_parameter_exit_code(tmp_path, capsys, which, flag, text, name):
+    rc = main(["experiment", "--which", which, "--m", "16", "--n", "8", "--rank", "4",
+               "--sparsity", "2", "--lambda", "2.0", "--trials", "1", "--epochs", "1",
+               "--presets", "srk", flag, text, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err
+    # the library raises the same error
+    params = dict(m=16, n=8, rank=4, sparsity=2, noise_level=5.0, sv_lo=0.1, sv_hi=10.0)
+    params[name] = float(text)
+    with pytest.raises(ValueError) as info:
+        make_generator(which, params, "real")(RngStream(0))
+    assert f"gerk: error: {info.value}" in err
 
 
 def test_experiment_unknown_preset_exit_code(tmp_path):
@@ -247,6 +258,15 @@ def test_certify_too_many_columns_exit_code(tmp_path):
                "--xhat", str(tmp_path / "x.csv"), "--lambda", "1.0",
                "--samples", "10"])
     assert rc == 5
+
+
+def test_certify_xhat_length_mismatch_exit_code(tmp_path, capsys):
+    write_matrix_market(tmp_path / "A.mtx", RngStream(954).normal_array(8 * 4).reshape(8, 4))
+    write_vector_csv(tmp_path / "x.csv", np.ones(8))
+    rc = main(["certify", "--matrix", str(tmp_path / "A.mtx"), "--xhat", str(tmp_path / "x.csv"),
+               "--lambda", "1.0", "--samples", "5"])
+    assert rc == 3
+    assert "x_hat has length 8, but the matrix has 4 columns" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -466,7 +486,7 @@ def test_option_precedence(monkeypatch, tmp_path):
     args = resolved_args(monkeypatch, experiment,
                          {"threads": "x", "out": 5, "which": "i", "matrix": [1],
                           "lambda": 1, "lam": 3}, tmp_path)
-    assert (args.out, args.which, args.lam, args.threads) == ("out", "ii", 3.0, None)
+    assert (args.out, args.which, args.lam) == ("out", "ii", 3.0)
 
 
 @pytest.mark.parametrize("command, config, message", [

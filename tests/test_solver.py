@@ -446,8 +446,14 @@ def test_checkpoint_chunking_does_not_change_the_run():
         for interval in (1, 7, m, DRAW_CHUNK + 5):
             cfg = preset(name, M, max_iterations=iters, seed=3, checkpoint_interval=interval,
                          **kw)
-            states.append(run(M, v, cfg).state)
-        draws = iters * (2 if cfg.z_update_enabled else 1)
+            per_iter = 2 if cfg.z_update_enabled else 1
+
+            def counted(state):
+                # indices drawn ahead are not counted until their iterations run
+                assert state.rng._counter == state.k * per_iter
+
+            states.append(run(M, v, cfg, hooks=(counted,)).state)
+        draws = iters * per_iter
         for state in states:
             assert state.k == iters
             assert state.rng._counter == draws
@@ -455,11 +461,12 @@ def test_checkpoint_chunking_does_not_change_the_run():
             assert np.array_equal(state.xstar, states[0].xstar)
             if cfg.z_update_enabled:
                 assert np.array_equal(state.zstar, states[0].zstar)
-        # single steps are chunks of one too
-        stepped = init_state(M, v, cfg)
-        for _ in range(40):
-            gerk_step(stepped, M, v, cfg)
+        # single steps are chunks of one too, also past cfg.max_iterations
         cfg40 = preset(name, M, max_iterations=40, seed=3, **kw)
         ran = run(M, v, cfg40).state
-        assert np.array_equal(stepped.x, ran.x)
-        assert stepped.rng._counter == ran.rng._counter
+        for step_cfg in (cfg, preset(name, M, max_iterations=1, seed=3, **kw)):
+            stepped = init_state(M, v, step_cfg)
+            for _ in range(40):
+                gerk_step(stepped, M, v, step_cfg)
+            assert np.array_equal(stepped.x, ran.x)
+            assert stepped.rng._counter == ran.rng._counter
