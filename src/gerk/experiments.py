@@ -206,14 +206,21 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
     final_x[label], in trial order.
     """
     y_hat_quad = [None] * len(instances)
+    # each trial's partitions: built by the first preset that needs them, then
+    # shared, since their block norms depend on A alone
+    rows, cols = [None] * len(instances), [None] * len(instances)
     for spec in preset_specs:
         cfgs = [
             preset(spec.name, inst.A, lam=spec.lam, eps=spec.eps, tau=spec.tau,
                    max_iterations=iterations, seed=seed, stream=1,
                    checkpoint_interval=checkpoint_interval,
-                   z_stepsize_mode=spec.z_stepsize_mode)
-            for inst, seed in zip(instances, seeds)
+                   z_stepsize_mode=spec.z_stepsize_mode,
+                   row_partition=row, col_partition=col)
+            for inst, seed, row, col in zip(instances, seeds, rows, cols)
         ]
+        rows = [cfg.row_partition for cfg in cfgs]
+        cols = [col if cfg.col_partition is None else cfg.col_partition
+                for cfg, col in zip(cfgs, cols)]
         recorders = []
         for t, (inst, cfg) in enumerate(zip(instances, cfgs)):
             z_target = None

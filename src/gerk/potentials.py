@@ -206,7 +206,10 @@ class ComplexElasticNet(_Regularizer):
             np.abs(xstar, out=mag)
             np.subtract(mag, lam, out=scale)
             np.maximum(scale, 0.0, out=scale)
-            np.divide(scale, mag, out=scale, where=mag > 0.0)
+            # scale is 0 wherever mag is, so raising mag to the least subnormal
+            # there gives 0 / tiny = 0 and changes no other quotient
+            np.maximum(mag, 5e-324, out=mag)
+            np.divide(scale, mag, out=scale)
             np.multiply(xstar, scale, out=out)
 
         return apply
@@ -247,10 +250,10 @@ class HuberQuadMisfit(_Misfit):
     name = "huber_quad"
 
     def __init__(self, eps, tau):
-        if eps <= 0 or tau <= 0:
-            raise ValueError("need eps > 0 and tau > 0")
-        self.eps = float(eps)
-        self.tau = float(tau)
+        for name, value in (("eps", eps), ("tau", tau)):
+            if checked_nonneg(value, name) == 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        self.eps, self.tau = float(eps), float(tau)
         self.grad_lipschitz = 1.0 / self.eps + self.tau
 
     def value(self, y):

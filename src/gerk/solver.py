@@ -27,13 +27,13 @@ Session.advance is the single implementation of the update, and Session
 the single one of whole runs; run, init_state and gerk_step wrap it.  The
 state arrays carry a leading batch shape: () for one system and (T,) for T
 systems of one shape and method advancing in lockstep (the experiment
-harness's path).  A batch stacks its matrices into a row-major (T*m, n)
-array and a (T*n, m) array of columns, gathers one row and one column per
-system by flat index each iteration, and forms the products with np.vecdot,
-which reduces each batch row exactly as np.vdot reduces a single vector.  A
-system's iterates are therefore bit-identical alone or in any batch, while
-numpy's per-call overhead, the dominant cost of an iteration, is shared
-among the T systems.
+harness's path).  A batch stacks its matrices into two row-major arrays, a
+(T*m, n) one of rows and a (T*n, m) one of columns, gathers one row and one
+column per system by flat index each iteration, and forms the products with
+np.vecdot, which reduces each batch row exactly as np.vdot reduces a single
+vector.  A system's iterates are therefore bit-identical alone or in any
+batch, while numpy's per-call overhead, the dominant cost of an iteration,
+is shared among the T systems.
 """
 
 import itertools
@@ -43,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockPartition, column_partition, draw_blocks, row_partition
+from . import blocks
+from .blocks import BlockPartition, draw_blocks
 from .errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
 from .linalg import as_matrix, as_vector, spectral_norm
 from .potentials import (
@@ -168,7 +169,9 @@ def _stacked(mats, conj):
     """Row-major (T*rows, cols) stack of T matrices, conjugated when conj."""
     if len(mats) == 1:  # copies only to conjugate or to reorder
         return np.ascontiguousarray(mats[0].conj() if conj else mats[0])
-    out = np.concatenate(mats)
+    # np.concatenate would keep the layout of column-major inputs such as A.T
+    rows, cols = mats[0].shape
+    out = np.concatenate(mats, out=np.empty((len(mats) * rows, cols), mats[0].dtype))
     return np.conjugate(out, out=out) if conj else out
 
 
@@ -413,10 +416,14 @@ def preset(
     stream=0,
     checkpoint_interval=None,
     z_stepsize_mode="constant",
-    row_probabilities=None,
-    col_probabilities=None,
+    row_partition=None,
+    col_partition=None,
 ):
-    """Named solver configuration over single-index partitions of A.
+    """Named solver configuration, by default over single-index partitions of A.
+
+    row_partition and col_partition, when given, replace the default
+    partitions; passing the same ones to several presets builds their block
+    norms once.
 
     rk       minimum-norm Kaczmarz, no z-update
     srk      sparse (elastic net) Kaczmarz, no z-update; needs lam
@@ -441,11 +448,15 @@ def preset(
         g, z_on = HuberQuadMisfit(eps, tau), True
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if row_partition is None:
+        row_partition = blocks.row_partition(A)
+    if z_on and col_partition is None:
+        col_partition = blocks.column_partition(A)
     return SolverConfig(
         f=f,
         g=g,
-        row_partition=row_partition(A, probabilities=row_probabilities),
-        col_partition=column_partition(A, probabilities=col_probabilities) if z_on else None,
+        row_partition=row_partition,
+        col_partition=col_partition if z_on else None,
         z_update_enabled=z_on,
         max_iterations=max_iterations,
         seed=seed,

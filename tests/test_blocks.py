@@ -33,6 +33,27 @@ def test_column_partition_complex_norms():
         assert abs(part.block_sq_norms[j] - expected) <= 1e-12
 
 
+def test_single_index_norms_bit_equal_to_linalg_norm():
+    # the per-block formula the single-index path replaced, kept as reference
+    def reference(A, kind, i):
+        sub = A[[i], :] if kind == "row" else A[:, [i]]
+        return float(np.linalg.norm(sub)) ** 2
+
+    rng = RngStream(205)
+    for m, n in ((7, 3), (9, 1), (1, 9), (33, 17), (40, 21)):
+        for field in ("real", "complex"):
+            A = 10.0 ** rng.normal_array(1)[0] * rng.gaussian_array(m * n, field).reshape(m, n)
+            for B in (A, np.asfortranarray(A)):
+                for kind, part in (("row", row_partition(B)), ("column", column_partition(B))):
+                    want = np.array([reference(A, kind, i) for i in range(part.axis_len)])
+                    assert np.array_equal(part.block_sq_norms.view(np.uint64), want.view(np.uint64))
+    # single-index blocks mixed with multi-index ones take the same values
+    A = rng.gaussian_array(6 * 5, "complex").reshape(6, 5)
+    part = row_partition(A, blocks=[np.array([4]), np.array([0, 2]), np.array([1, 3, 5])])
+    assert part.block_sq_norms[0] == reference(A, "row", 4)
+    assert part.block_sq_norms[1] == np.linalg.svd(A[[0, 2]], compute_uv=False)[0] ** 2
+
+
 def test_multi_index_block_norm_is_spectral():
     rng = RngStream(202)
     A = rng.normal_array(42).reshape(7, 6)

@@ -29,6 +29,7 @@ from gerk.fileio import (
     write_matrix_market,
     write_vector_csv,
 )
+from gerk.potentials import HuberQuadMisfit
 from gerk.rng import RngStream
 
 
@@ -298,6 +299,22 @@ def test_non_finite_lambda_exit_code(tmp_path, capsys, command, flags):
     assert rc == 2
     assert "lam must be finite and >= 0, got " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["eps", "tau"])
+@pytest.mark.parametrize("text", ["nan", "inf", "0", "-0.5"])
+def test_huber_parameter_exit_code(tmp_path, capsys, name, text):
+    write_system(tmp_path, m=4, n=2)
+    params = {"eps": "0.1", "tau": "0.1", name: text}
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+               "--preset", "gerk_bd", "--lambda", "1", "--eps", params["eps"],
+               "--tau", params["tau"], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{name} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the library raises the same error
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        HuberQuadMisfit(**{"eps": 0.1, "tau": 0.1, name: float(text)})
 
 
 def test_certify_missing_lambda_exit_code(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gerk import experiments
+from gerk import blocks, experiments
 from gerk.experiments import (
     MetricRecorder,
     PresetSpec,
@@ -189,6 +189,26 @@ def test_grouping_does_not_change_results(monkeypatch):
     grouped = run_small(trials=5)
     for t in range(5):
         assert_trials_equal(whole, t, grouped, t)
+
+
+def test_partitions_built_once_per_trial(monkeypatch):
+    # every preset of a trial shares its row and column partitions
+    built = []
+    original = blocks._partition
+
+    def counting(kind, *args):
+        built.append(kind)
+        return original(kind, *args)
+
+    monkeypatch.setattr(blocks, "_partition", counting)
+    specs = tuple(PresetSpec(name, lam=1.0, eps=0.1, tau=0.01)
+                  for name in ("rk", "srk", "rek", "gerk_ad", "gerk_bd"))
+    run_trials(small_generator(), specs, trials=3, iterations=24, base_seed=910)
+    assert sorted(built) == ["column"] * 3 + ["row"] * 3
+    # a preset list without a z-update builds no column partition
+    built.clear()
+    run_trials(small_generator(), specs[:2], trials=2, iterations=24, base_seed=910)
+    assert built == ["row"] * 2
 
 
 def test_trials_must_be_positive():

@@ -239,6 +239,17 @@ def test_kernels_match_reference_formulas():
                     group_shrinkage(x, lam, groups),):
                 assert got.dtype == want.dtype
                 assert np.linalg.norm(got - want) <= 1e-14 * (1.0 + np.linalg.norm(x))
+    # vectors made only of zero and subnormal moduli, at lam = 0 and at
+    # subnormal lam: where the complex kernel divides by |x_j| = 0 or by a
+    # modulus near it
+    tiny = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324, -5e-324j,
+                     complex(5e-324, -5e-324), complex(1e-310, 2e-310), 2.2250738585072014e-308])
+    for lam in (0.0, 5e-324, 1e-310):
+        for z in (tiny, np.zeros(4, dtype=np.complex128), np.tile(tiny, (2, 1))):
+            for got in kernel_and_derived(ComplexElasticNet(lam), z):
+                assert same_bits(got, reference_complex_shrinkage(z, lam))
+            for got in kernel_and_derived(ElasticNet(lam), z.real.copy()):
+                assert same_bits(got, reference_soft_shrinkage(z.real, lam))
 
 
 def test_derived_forms_coerce_their_input():

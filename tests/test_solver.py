@@ -12,6 +12,7 @@ from gerk.potentials import ElasticNet, Quadratic, QuadraticMisfit, real_inner
 from gerk.rng import RngStream
 from gerk.solver import (
     DRAW_CHUNK,
+    Session,
     SolverConfig,
     draw_indices,
     gerk_step,
@@ -411,8 +412,8 @@ def test_draw_indices_interleave_z_then_x():
     rng = RngStream(520)
     A = rng.normal_array(6 * 4).reshape(6, 4)
     cfg = preset("rek", A, max_iterations=1, seed=4, stream=2,
-                 row_probabilities=[0.1, 0.1, 0.2, 0.2, 0.3, 0.1],
-                 col_probabilities=[0.4, 0.3, 0.2, 0.1])
+                 row_partition=row_partition(A, probabilities=[0.1, 0.1, 0.2, 0.2, 0.3, 0.1]),
+                 col_partition=column_partition(A, probabilities=[0.4, 0.3, 0.2, 0.1]))
     a, b = RngStream(4, 2), RngStream(4, 2)
     cols, rows = draw_indices(cfg, a, 300)
     for j, i in zip(cols, rows):
@@ -424,6 +425,22 @@ def test_draw_indices_interleave_z_then_x():
     assert cols is None
     mirror = RngStream(4)
     assert rows.tolist() == [cfg_x.row_partition.sample(mirror) for _ in range(50)]
+
+
+def test_lockstep_copies_are_row_major():
+    # an iteration gathers one row of each copy per system; in a column-major
+    # stack each gathered row would stride over the whole batch
+    rng = RngStream(530)
+    for field in ("real", "complex"):
+        As = [rng.gaussian_array(8 * 5, field).reshape(8, 5) for _ in range(3)]
+        bs = [A @ rng.gaussian_array(5, field) for A in As]
+        cfgs = [preset("rek", A, max_iterations=10, seed=t) for t, A in enumerate(As)]
+        for systems in ((As, bs, cfgs), (As[:1], bs[:1], cfgs[:1])):
+            session = Session(*systems)
+            assert session.A_rm_conj.flags.c_contiguous
+            assert session.A_cm.flags.c_contiguous
+            assert np.array_equal(session.A_rm_conj, np.concatenate(systems[0]).conj())
+            assert np.array_equal(session.A_cm, np.concatenate([A.T for A in systems[0]]))
 
 
 def test_checkpoint_chunking_does_not_change_the_run():
