@@ -31,6 +31,8 @@ from .potentials import ElasticNet, checked_nonneg
 from .rng import RngStream
 
 CHUNK_BYTES = 2**17  # stacked subset matrices per SVD call, stacked samples per pass
+SAMPLE_SCALES = (0.1, 1.0, 10.0)  # verify_error_bound's noise scales, cycled over samples
+BOUND_SLACK = 1e-10  # verify_error_bound's relative slack
 
 
 @dataclass
@@ -56,12 +58,20 @@ def _dots(P, Q):
     return (P[:, None, :] @ Q[..., None])[:, 0, 0]
 
 
+def _checked_count(value, name, least):
+    """value as an int; ValueError naming the parameter unless it is an integer >= least."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def sigma_tilde_min(A, max_cols=15):
     """min over nonzero column subsets J of the smallest positive sigma of A_J."""
     A = as_matrix(A)
     m, n = A.shape
-    if max_cols < 1:
-        raise ValueError(f"max_cols must be >= 1, got {max_cols}")
+    max_cols = _checked_count(max_cols, "max_cols", 1)
     if n > max_cols:
         raise TooManyColumns(f"{n} columns exceeds the enumeration cap of {max_cols}")
     best = np.inf
@@ -109,29 +119,19 @@ def gamma_hat(A, x_hat, lam, max_cols=15):
     )
 
 
-def verify_error_bound(
-    A,
-    x_hat,
-    y_hat,
-    lam,
-    n_samples,
-    seed,
-    scales=(0.1, 1.0, 10.0),
-    slack=1e-10,
-    max_cols=15,
-    gamma=None,
-):
-    """Sample the bound D_f(x, x_hat) <= gamma*||Ax - y_hat||^2 + slack*(1 + D).
+def verify_error_bound(A, x_hat, y_hat, lam, n_samples, seed, max_cols=15, gamma=None):
+    """Sample the bound D_f(x, x_hat) <= gamma*||Ax - y_hat||^2 + BOUND_SLACK*(1 + D).
 
-    Each sample draws u ~ scale * N(0, I) (scales cycled in order), forms
+    Each sample draws u ~ scale * N(0, I) (SAMPLE_SCALES cycled in order), forms
     xstar = A^T u in range(A^T) and x = grad f*(xstar), and checks the
     inequality, in batches of CHUNK_BYTES that round as one sample at a time.
     Requires ||A x_hat - y_hat|| <= 1e-8 * ||y_hat||, else OracleMismatch.
     Pass gamma to override the certificate constant (negative controls).
     Real field only.
     """
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    n_samples = _checked_count(n_samples, "n_samples", 0)
+    if gamma is not None:
+        gamma = checked_nonneg(gamma, "gamma")
     A = as_matrix(A)
     x_hat = as_vector(x_hat, A.shape[1])
     y_hat = as_vector(y_hat, A.shape[0])
@@ -140,7 +140,7 @@ def verify_error_bound(
     if float(np.linalg.norm(A @ x_hat - y_hat)) > 1e-8 * float(np.linalg.norm(y_hat)):
         raise OracleMismatch("x_hat does not solve A x = y_hat to 1e-8")
     cert = gamma_hat(A, x_hat, lam, max_cols=max_cols)
-    g = cert.gamma if gamma is None else float(gamma)
+    g = cert.gamma if gamma is None else gamma
     f = ElasticNet(lam)
     rng = RngStream(seed)
     m, n = A.shape
@@ -148,7 +148,7 @@ def verify_error_bound(
     violations, max_ratio = 0, 0.0
     for start in range(0, n_samples, per):
         k = min(per, n_samples - start)
-        scale = np.take(scales, np.arange(start, start + k), mode="wrap")
+        scale = np.take(SAMPLE_SCALES, np.arange(start, start + k), mode="wrap")
         u = scale[:, None] * rng.normal_array(k * m).reshape(k, m)
         xstar = (u[:, None, :] @ A)[:, 0]  # stacked: one gemv per sample, as A.T @ u
         x = f.conjugate_gradient(xstar)
@@ -156,7 +156,7 @@ def verify_error_bound(
         resid = (A @ x[:, :, None])[:, :, 0] - y_hat  # one gemv per sample, as A @ x
         # float ** 2 is libm pow, as in the per-sample float(norm) ** 2
         resid_sq = np.array([r**2 for r in np.sqrt(_dots(resid, resid)).tolist()])
-        violations += int(np.count_nonzero(dist > g * resid_sq + slack * (1.0 + dist)))
+        violations += int(np.count_nonzero(dist > g * resid_sq + BOUND_SLACK * (1.0 + dist)))
         keep = resid_sq > 1e-300
         max_ratio = float(np.fmax.reduce(dist[keep] / resid_sq[keep], initial=max_ratio))
     return VerificationReport(

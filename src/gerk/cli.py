@@ -145,7 +145,6 @@ def cmd_solve(args):
         max_iterations=200 * A.shape[0] if args.iterations is None else args.iterations,
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
-        z_stepsize_mode=args.z_stepsize,
     )
     # no ground truth: residuals are relative to b itself, and there is no rel_error
     field = "complex" if np.iscomplexobj(A) else "real"
@@ -264,7 +263,6 @@ def build_parser():
     option("--tau", type=float)
     option("--iterations", type=int, help="default: 200 per row of the matrix")
     option("--checkpoint-interval", type=int)
-    option("--z-stepsize", choices=("constant", "residual_adaptive"), default="constant")
 
     p, option = command("experiment", cmd_experiment, "run the reproducible trial harness")
     p.add_argument("--which", choices=("i", "ii"), required=True)

@@ -80,10 +80,6 @@ class PresetSpec:
     lam: Optional[float] = None
     eps: Optional[float] = None
     tau: Optional[float] = None
-    z_stepsize_mode: str = "constant"
-
-    def label(self):
-        return self.name
 
 
 @dataclass
@@ -139,9 +135,9 @@ def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rn
     return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level)
 
 
-def sparsity_count(x, tol=SPARSITY_TOL):
-    """Number of entries with |x_j| > tol."""
-    return int(np.count_nonzero(np.abs(np.asarray(x)) > tol))
+def sparsity_count(x):
+    """Number of entries with |x_j| > SPARSITY_TOL."""
+    return int(np.count_nonzero(np.abs(np.asarray(x)) > SPARSITY_TOL))
 
 
 class MetricRecorder:
@@ -153,7 +149,7 @@ class MetricRecorder:
     the instance has a ground truth x_hat.
     """
 
-    def __init__(self, instance, g, z_target=None, sparsity_tol=SPARSITY_TOL):
+    def __init__(self, instance, g, z_target=None):
         self.A = instance.A
         self.Ah = instance.A.conj().T
         self.b = instance.b
@@ -161,7 +157,6 @@ class MetricRecorder:
         self.x_hat = instance.x_hat
         self.g = g
         self.z_target = z_target
-        self.sparsity_tol = sparsity_tol
         self.b_hat_norm = float(np.linalg.norm(instance.b_hat))
         self.b_norm = float(np.linalg.norm(instance.b))
         self.x_hat_norm = None if self.x_hat is None else float(np.linalg.norm(self.x_hat))
@@ -188,7 +183,7 @@ class MetricRecorder:
             )
         if self.z_target is not None and state.zstar is not None:
             self.rows["z_error"].append(float(np.linalg.norm(state.zstar - self.z_target)))
-        self.rows["sparsity"].append(float(sparsity_count(x, self.sparsity_tol)))
+        self.rows["sparsity"].append(float(sparsity_count(x)))
         return False
 
     def trace(self):
@@ -214,7 +209,6 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
             preset(spec.name, inst.A, lam=spec.lam, eps=spec.eps, tau=spec.tau,
                    max_iterations=iterations, seed=seed, stream=1,
                    checkpoint_interval=checkpoint_interval,
-                   z_stepsize_mode=spec.z_stepsize_mode,
                    row_partition=row, col_partition=col)
             for inst, seed, row, col in zip(instances, seeds, rows, cols)
         ]
@@ -231,8 +225,8 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
             recorders.append(MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target))
         session = Session([inst.A for inst in instances], [inst.b for inst in instances], cfgs)
         session.finish([(rec,) for rec in recorders])
-        traces[spec.label()] += [rec.trace() for rec in recorders]
-        final_x[spec.label()] += [state.x.copy() for state in session.states()]
+        traces[spec.name] += [rec.trace() for rec in recorders]
+        final_x[spec.name] += [state.x.copy() for state in session.states()]
         del session  # its matrix copies go before the next preset's are built
 
 
@@ -256,7 +250,7 @@ def run_trials(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not preset_specs:
         raise ValueError("preset_specs is empty: name at least one preset")
-    labels = [spec.label() for spec in preset_specs]
+    labels = [spec.name for spec in preset_specs]
     if len(set(labels)) != len(labels):
         raise ValueError("preset labels must be unique")
     seeds = [base_seed + t for t in range(trials)]

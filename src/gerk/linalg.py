@@ -96,11 +96,10 @@ def nullspace_basis_adjoint(M):
     the adjoint nullspace must treat that as degenerate.
     """
     M = as_matrix(M)
-    m = M.shape[0]
     u, s, _ = np.linalg.svd(M, full_matrices=True)
     cutoff = rank_cutoff(M.shape, float(s[0]) if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
-    return u[:, r:].copy() if r < m else u[:, m:].copy()
+    return u[:, r:].copy()
 
 
 def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):

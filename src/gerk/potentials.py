@@ -255,6 +255,8 @@ class HuberQuadMisfit(_Misfit):
                 raise ValueError(f"{name} must be > 0, got {value}")
         self.eps, self.tau = float(eps), float(tau)
         self.grad_lipschitz = 1.0 / self.eps + self.tau
+        if self.grad_lipschitz == np.inf:  # every z-step would be 0
+            raise ValueError(f"eps must be large enough that 1/eps + tau is finite, got {eps}")
 
     def value(self, y):
         y = np.asarray(y)

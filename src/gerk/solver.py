@@ -12,7 +12,10 @@ f*(x*_k), z*_k (misfit-dual iterate) and z_k = grad g*(z*_k):
     x_{k+1}  = grad f*(x*_{k+1})
 
 Block norms are spectral norms, so for one-index blocks tx and tz reduce to
-inverse squared row/column norms.  Starting point: x*_0 = 0 and z*_0 = b.
+inverse squared row/column norms.  z_stepsize_mode "residual_adaptive"
+replaces tz on multi-index column blocks by ||A_j^H z||^2/(Lg* ||A_j A_j^H z||^2);
+on one column that is tz itself (rank-one identity), so tz is kept there.
+Starting point: x*_0 = 0 and z*_0 = b.
 With the z-update disabled the iteration is the sparse (elastic net) or plain
 randomized Kaczmarz method; with everything quadratic it is the extended
 randomized Kaczmarz method converging to the pseudoinverse solution.
@@ -64,6 +67,9 @@ DRAW_CHUNK = 1024  # iterations whose block indices are drawn at once
 
 @dataclass
 class SolverConfig:
+    """One method on one system.  z_stepsize_mode is "constant" or
+    "residual_adaptive"; the two differ on multi-index column blocks only."""
+
     f: object
     g: Optional[object]
     row_partition: BlockPartition
@@ -124,29 +130,27 @@ def validate_config(A, b, cfg):
 
 
 def _z_step(num, den, lip, t_const):
-    """The residual-adaptive z-step num / (lip * den), elementwise over a batch.
+    """The residual-adaptive z-step num / (lip * den).
 
     num = ||A_j^H z||^2 and den = ||A_j A_j^H z||^2.  Where den <= 1e-300 the
     step falls back to the constant step t_const = 1/(lip * ||A_j||^2).
     """
-    ok = den > 1e-300
-    return np.where(ok, num / (lip * np.where(ok, den, 1.0)), t_const)
+    return num / (lip * den) if den > 1e-300 else t_const
 
 
-def residual_adaptive_z_stepsize(z, A_block, grad_lipschitz, block_sq_norm=None):
+def residual_adaptive_z_stepsize(z, A_block, grad_lipschitz):
     """Stepsize (1/L) * ||A_j^H z||^2 / ||A_j A_j^H z||^2 with underflow fallback.
 
     Falls back to the constant 1/(L * ||A_j||^2) when the denominator is
-    <= 1e-300; ||A_j||^2 is computed only then when block_sq_norm is not
-    given.  On one-column blocks this equals the constant stepsize up to
-    roundoff (rank-one identity).
+    <= 1e-300; ||A_j||^2 is computed only then.  On one-column blocks this
+    equals the constant stepsize up to roundoff (rank-one identity), so the
+    solver takes the constant one there.
     """
     A_block = np.atleast_2d(np.asarray(A_block))
     s = A_block.conj().T @ z
     v = A_block @ s
     den = real_inner(v, v)
-    if block_sq_norm is None:
-        block_sq_norm = spectral_norm(A_block) ** 2 if den <= 1e-300 else np.inf
+    block_sq_norm = spectral_norm(A_block) ** 2 if den <= 1e-300 else np.inf
     t_const = 1.0 / (grad_lipschitz * block_sq_norm)
     return float(_z_step(real_inner(s, s), den, grad_lipschitz, t_const))
 
@@ -183,9 +187,10 @@ class Session:
     by flat indices t*m + i (rows, b, t_row) and t*n + j (columns, t_col).
     The configs may differ only in seed, stream and partition norms and
     probabilities, and with more than one system the partitions must be
-    single-index.  Validation, matrix copies, step sizes and updaters are
-    built once.  The session owns `state`: the initial state (x*_0 = 0, so
-    x_0 = 0, and z*_0 = b), or the given `state` of one system to continue.
+    single-index, where either z_stepsize_mode takes the constant step.
+    Validation, matrix copies, step sizes and updaters are built once.  The
+    session owns `state`: the initial state (x*_0 = 0, so x_0 = 0, and
+    z*_0 = b), or the given `state` of one system to continue.
     """
 
     def __init__(self, A, b, cfg, state=None):
@@ -298,16 +303,7 @@ class Session:
                         else:
                             tz = tc
                         zstar -= tz * v
-                    elif adaptive:
-                        col = A_cm[j]
-                        s = dot(col, z)
-                        # complex s * col, and complex products of numpy scalars,
-                        # round unlike a matrix product; these forms give the
-                        # values of residual_adaptive_z_stepsize alone and batched
-                        v = np.matmul(col[..., None], np.reshape(s, batch + (1, 1)))[..., 0]
-                        tz = _z_step(s.real * s.real + s.imag * s.imag, dot(v, v).real, g_lip, tc)
-                        zstar -= (tz[:, None] if batch else tz) * v
-                    else:
+                    else:  # the adaptive step on one column is tc (rank-one identity)
                         col = A_cm[j]
                         c = tc * dot(col, z)
                         zstar -= (c[:, None] if batch else c) * col
@@ -423,7 +419,8 @@ def preset(
 
     row_partition and col_partition, when given, replace the default
     partitions; passing the same ones to several presets builds their block
-    norms once.
+    norms once.  z_stepsize_mode="residual_adaptive" changes the z-step on
+    multi-index column blocks only.
 
     rk       minimum-norm Kaczmarz, no z-update
     srk      sparse (elastic net) Kaczmarz, no z-update; needs lam

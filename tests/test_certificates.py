@@ -121,8 +121,9 @@ def test_sigma_tilde_cap_is_checked_before_any_svd(monkeypatch):
     calls = count_svds(monkeypatch)
     with pytest.raises(TooManyColumns, match="4 columns exceeds the enumeration cap of 3"):
         sigma_tilde_min(np.ones((5, 4)), max_cols=3)
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match=f"max_cols must be >= 1, got {cap}"):
+    for cap in (0, -1, np.nan, np.inf, 2.5):
+        rule = ">= 1" if cap in (0, -1) else "an integer"
+        with pytest.raises(ValueError, match=f"max_cols must be {rule}, got {cap}"):
             sigma_tilde_min(np.ones((5, 4)), max_cols=cap)
     assert calls[0] == 0
 
@@ -290,6 +291,27 @@ def test_verify_error_bound_negative_control():
         A, x_hat, y_hat, lam, n_samples=200, seed=23, gamma=honest.max_ratio / 2
     )
     assert rigged.violations >= 1
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("gamma", np.nan, "gamma must be finite and >= 0, got nan"),
+    ("gamma", np.inf, "gamma must be finite and >= 0, got inf"),
+    ("gamma", -1.0, "gamma must be finite and >= 0, got -1.0"),
+    ("n_samples", np.nan, "n_samples must be an integer, got nan"),
+    ("n_samples", 2.5, "n_samples must be an integer, got 2.5"),
+    ("n_samples", -3, "n_samples must be >= 0, got -3"),
+])
+def test_verify_parameter_errors(name, value, message):
+    # a NaN gamma counted 0 violations where gamma = 0 counts every sample
+    rng = RngStream(703)
+    A = make_rank_deficient(8, 5, 3, 0.8, 2.0, "real", rng)
+    y_hat = range_projector_apply(A, rng.normal_array(8))
+    x_hat = constrained_regularizer_min(A, y_hat, ElasticNet(1.0), tol=1e-11).value
+    args = {"n_samples": 50, "gamma": 0.0}
+    assert verify_error_bound(A, x_hat, y_hat, 1.0, seed=23, **args).violations == 50
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_error_bound(A, x_hat, y_hat, 1.0, seed=23, **args)
 
 
 @pytest.fixture(scope="module")

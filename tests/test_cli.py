@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from gerk.fileio import (
 )
 from gerk.potentials import HuberQuadMisfit
 from gerk.rng import RngStream
+from gerk.solver import preset
 
 
 def write_system(tmp_path, m=20, n=10, seed=950, consistent=True, field="real"):
@@ -317,6 +319,34 @@ def test_huber_parameter_exit_code(tmp_path, capsys, name, text):
         HuberQuadMisfit(**{"eps": 0.1, "tau": 0.1, name: float(text)})
 
 
+def test_huber_eps_whose_inverse_overflows(tmp_path, capsys):
+    # 1/eps = inf would make every z-step 0 and leave x = 0 with exit 0
+    message = "eps must be large enough that 1/eps + tau is finite, got 1e-320"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HuberQuadMisfit(1e-320, 0.1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        preset("gerk_bd", np.eye(2), lam=1.0, eps=1e-320, tau=0.1, max_iterations=1, seed=0)
+    write_system(tmp_path, m=4, n=2)
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+               "--preset", "gerk_bd", "--lambda", "1", "--eps", "1e-320", "--tau", "0.1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    HuberQuadMisfit(1e-300, 0.1)  # 1/eps is still finite
+
+
+def test_z_stepsize_flag_is_gone(tmp_path, capsys):
+    write_system(tmp_path, m=4, n=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+              "--preset", "rek", "--z-stepsize", "residual_adaptive",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --z-stepsize" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_certify_missing_lambda_exit_code(tmp_path):
     write_matrix_market(tmp_path / "I.mtx", np.eye(2))
     write_vector_csv(tmp_path / "x.csv", np.ones(2))
@@ -421,8 +451,6 @@ CONFIG_OPTIONS = [
     ("solve", "tau", "--tau", "2.5", "tau", "2.5"),
     ("solve", "iterations", "--iterations", "123", "iterations", 123),
     ("solve", "checkpoint_interval", "--checkpoint-interval", "9", "checkpoint-interval", 9),
-    ("solve", "z_stepsize", "--z-stepsize", "residual_adaptive", "z_stepsize",
-     "residual_adaptive"),
     ("experiment", "seed", "--seed", "5", "seed", "5"),
     ("experiment", "profile", "--profile", "paper", "profile", "paper"),
     ("experiment", "field", "--field", "complex", "field", "complex"),
@@ -485,9 +513,12 @@ def test_config_value_equals_flag_value(monkeypatch, tmp_path, command, dest, fl
 def test_option_precedence(monkeypatch, tmp_path):
     solve, experiment = BASE_ARGV["solve"], BASE_ARGV["experiment"]
     # flag over config over built-in default; null is unset
+    # z_stepsize, a deleted option, is ignored like any unknown key
     args = resolved_args(monkeypatch, solve + ["--iterations", "9"],
-                         {"iterations": 7, "seed": 4, "tau": None}, tmp_path)
-    assert (args.iterations, args.seed, args.tau, args.z_stepsize) == (9, 4, None, "constant")
+                         {"iterations": 7, "seed": 4, "tau": None, "z_stepsize": "warp"},
+                         tmp_path)
+    assert (args.iterations, args.seed, args.tau) == (9, 4, None)
+    assert "z_stepsize" not in vars(args)
     # config over profile over built-in default
     args = resolved_args(monkeypatch, experiment, {"m": 37}, tmp_path)
     assert (args.profile, args.m, args.n, args.lam, args.seed) == ("desk", 37, 100, 10.0, 0)
@@ -511,7 +542,7 @@ def test_option_precedence(monkeypatch, tmp_path):
     ("solve", {"iterations": 2.5}, "iterations: invalid int value '2.5'"),
     ("solve", {"checkpoint_interval": True}, "checkpoint-interval: expected a string"),
     ("solve", {"lambda": "five"}, "lambda: invalid float value 'five'"),
-    ("solve", {"z-stepsize": "adaptive"}, "z-stepsize: invalid choice 'adaptive'"),
+    ("solve", {"preset": "banana"}, "preset: invalid choice 'banana'"),
     ("experiment", {"epochs": 1.9}, "epochs: invalid int value '1.9'"),
     ("experiment", {"presets": {"srk": 1}}, "presets: expected a string or a number"),
     ("experiment", {"profile": "huge"}, "profile: invalid choice 'huge'"),

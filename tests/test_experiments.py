@@ -171,17 +171,6 @@ def test_batch_size_does_not_change_a_trial():
             assert_trials_equal(batched, 1, alone)
 
 
-def test_adaptive_z_stepsize_batched_equals_one_at_a_time():
-    specs = (PresetSpec("rek", z_stepsize_mode="residual_adaptive"),
-             PresetSpec("gerk_bd", lam=2.0, eps=0.01, tau=0.001,
-                        z_stepsize_mode="residual_adaptive"))
-    for field in ("real", "complex"):
-        batched = run_small(trials=3, specs=specs, field=field)
-        for t in range(3):
-            alone = run_small(trials=1, base_seed=900 + t, specs=specs, field=field)
-            assert_trials_equal(batched, t, alone)
-
-
 def test_grouping_does_not_change_results(monkeypatch):
     whole = run_small(trials=5)
     # room for two trials per group: groups of 2, 2 and 1

@@ -166,6 +166,38 @@ def test_adaptive_z_stepsize_lockstep():
                    tol=1e-12)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_adaptive_z_stepsize_multi_block_lockstep(field):
+    # multi-index column blocks are where the residual-adaptive step differs
+    rng = RngStream(521)
+    A = rng.gaussian_array(12 * 7, field).reshape(12, 7)
+    b = rng.gaussian_array(12, field)
+    for name, kw in (("rek", {}), ("gerk_bd", {"lam": 0.5, "eps": 0.1, "tau": 0.05})):
+        lockstep_check(A, b, name, steps=500, z_stepsize_mode="residual_adaptive",
+                       row_partition=row_partition(A, blocks=contiguous_blocks(12, 5)),
+                       col_partition=column_partition(A, blocks=contiguous_blocks(7, 3)), **kw)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_adaptive_z_stepsize_on_single_columns_is_the_constant_one(field):
+    # rank-one identity: on one column the adaptive step is 1/(Lg ||a_j||^2)
+    rng = RngStream(522)
+    As = [rng.gaussian_array(9 * 5, field).reshape(9, 5) for _ in range(3)]
+    bs = [rng.gaussian_array(9, field) for _ in range(3)]
+    for name, kw in (("rek", {}), ("gerk_bd", {"lam": 0.5, "eps": 0.1, "tau": 0.05})):
+        finals = {}
+        for mode in ("constant", "residual_adaptive"):
+            cfgs = [preset(name, A, max_iterations=500, seed=t, z_stepsize_mode=mode, **kw)
+                    for t, A in enumerate(As)]
+            alone = [run(A, b, cfg).state for A, b, cfg in zip(As, bs, cfgs)]
+            session = Session(As, bs, cfgs)
+            session.advance(500)
+            finals[mode] = [(s.x, s.xstar, s.z, s.zstar) for s in alone + session.states()]
+        for const, adapt in zip(finals["constant"], finals["residual_adaptive"]):
+            for u, v in zip(const, adapt):
+                assert u.tobytes() == v.tobytes()
+
+
 def test_iterates_stay_in_dual_ranges():
     # xstar accumulates conjugated rows, zstar - b accumulates columns
     rng = RngStream(507)
