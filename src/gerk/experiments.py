@@ -12,10 +12,13 @@ Two instance families over a rank-deficient A = U diag(sv) V^H with
 
 Trial t of a run uses seed base_seed + t: stream 0 generates the instance,
 stream 1 drives the solver, so repeated invocations are bit-identical and
-trials never share draws.  The trials of a preset run in lockstep (one
-batched solver loop), which changes no value: each trial is bit-identical to
-a run on its own.  Metrics are recorded every checkpoint_interval iterations
-and aggregated across trials into min/q25/median/q75/max bands.
+trials never share draws.  The trials of a group run in lockstep, and so do
+their presets: those without the z-update (rk, srk) in one solver session,
+those with it (rek, gerk_ad, gerk_bd) in another, sharing each trial's index
+draws and the numpy calls of the update.  This changes no value: each preset
+on each trial is bit-identical to a run on its own.  Metrics are recorded
+every checkpoint_interval iterations and aggregated across trials into
+min/q25/median/q75/max bands.
 """
 
 import math
@@ -95,9 +98,9 @@ class ExperimentResult:
 
 
 def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
-    if sparsity < 1:
+    if not 1 <= sparsity <= n:
         # x_hat = 0 would leave the relative metrics without a scale
-        raise ValueError(f"sparsity must be >= 1, got {sparsity}")
+        raise ValueError(f"sparsity must be between 1 and n = {n}, got {sparsity}")
     A = make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)
     support = rng.choice_without_replacement(n, sparsity)
     x_hat = np.zeros(n, dtype=A.dtype)
@@ -146,7 +149,9 @@ class MetricRecorder:
     z_error (distance of z* to b - y_hat) is recorded when a z-target is
     supplied; the harness does that for quadratic-misfit presets, where the
     target b - A pinv(A) b is cheap and exact.  rel_error is recorded when
-    the instance has a ground truth x_hat.
+    the instance has a ground truth x_hat.  Where g's gradient is the
+    identity (quadratic misfit), rel_grad_misfit reuses A^H r of
+    rel_grad_quadratic.
     """
 
     def __init__(self, instance, g, z_target=None):
@@ -156,6 +161,7 @@ class MetricRecorder:
         self.b_hat = instance.b_hat
         self.x_hat = instance.x_hat
         self.g = g
+        self.g_identity = g.updater(self.b.shape, np.iscomplexobj(self.b)) is None
         self.z_target = z_target
         self.b_hat_norm = float(np.linalg.norm(instance.b_hat))
         self.b_norm = float(np.linalg.norm(instance.b))
@@ -171,12 +177,11 @@ class MetricRecorder:
         self.rows["rel_residual"].append(
             float(np.linalg.norm(Ax - self.b_hat)) / self.b_hat_norm
         )
-        self.rows["rel_grad_quadratic"].append(
-            float(np.linalg.norm(self.Ah @ anti_residual)) / self.b_norm
-        )
-        self.rows["rel_grad_misfit"].append(
-            float(np.linalg.norm(self.Ah @ self.g.gradient(anti_residual))) / self.b_norm
-        )
+        grad = self.Ah @ anti_residual
+        self.rows["rel_grad_quadratic"].append(float(np.linalg.norm(grad)) / self.b_norm)
+        if not self.g_identity:
+            grad = self.Ah @ self.g.gradient(anti_residual)
+        self.rows["rel_grad_misfit"].append(float(np.linalg.norm(grad)) / self.b_norm)
         if self.x_hat is not None:
             self.rows["rel_error"].append(
                 float(np.linalg.norm(x - self.x_hat)) / self.x_hat_norm
@@ -197,15 +202,18 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
                final_x):
     """Every preset over a group of trials, the group's systems in lockstep.
 
-    Appends each trial's trace and final iterate to traces[label] and
-    final_x[label], in trial order.
+    The presets without the z-update advance in one session and those with
+    it in another, sharing each trial's index draws.  Appends each trial's
+    trace and final iterate to traces[label] and final_x[label], in trial
+    order.
     """
     y_hat_quad = [None] * len(instances)
     # each trial's partitions: built by the first preset that needs them, then
     # shared, since their block norms depend on A alone
     rows, cols = [None] * len(instances), [None] * len(instances)
+    configs = {}
     for spec in preset_specs:
-        cfgs = [
+        configs[spec.name] = cfgs = [
             preset(spec.name, inst.A, lam=spec.lam, eps=spec.eps, tau=spec.tau,
                    max_iterations=iterations, seed=seed, stream=1,
                    checkpoint_interval=checkpoint_interval,
@@ -215,19 +223,27 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
         rows = [cfg.row_partition for cfg in cfgs]
         cols = [col if cfg.col_partition is None else cfg.col_partition
                 for cfg, col in zip(cfgs, cols)]
-        recorders = []
-        for t, (inst, cfg) in enumerate(zip(instances, cfgs)):
-            z_target = None
-            if cfg.z_update_enabled and isinstance(cfg.g, QuadraticMisfit):
-                if y_hat_quad[t] is None:
-                    y_hat_quad[t] = range_projection_quadratic(inst.A, inst.b).value
-                z_target = inst.b - y_hat_quad[t]
-            recorders.append(MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target))
-        session = Session([inst.A for inst in instances], [inst.b for inst in instances], cfgs)
-        session.finish([(rec,) for rec in recorders])
-        traces[spec.name] += [rec.trace() for rec in recorders]
-        final_x[spec.name] += [state.x.copy() for state in session.states()]
-        del session  # its matrix copies go before the next preset's are built
+    for z_on in (False, True):
+        labels = [label for label, cfgs in configs.items() if cfgs[0].z_update_enabled == z_on]
+        if not labels:
+            continue
+        recorders = []  # (label, recorder), preset by preset as the session orders its systems
+        for label in labels:
+            for t, (inst, cfg) in enumerate(zip(instances, configs[label])):
+                z_target = None
+                if z_on and isinstance(cfg.g, QuadraticMisfit):
+                    if y_hat_quad[t] is None:
+                        y_hat_quad[t] = range_projection_quadratic(inst.A, inst.b).value
+                    z_target = inst.b - y_hat_quad[t]
+                recorders.append(
+                    (label, MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target)))
+        session = Session([inst.A for inst in instances], [inst.b for inst in instances],
+                          [configs[label] for label in labels])
+        session.finish([(rec,) for _, rec in recorders])
+        for (label, rec), state in zip(recorders, session.states()):
+            traces[label].append(rec.trace())
+            final_x[label].append(state.x.copy())
+        del session  # its matrix copies go before the next session's are built
 
 
 def run_trials(
@@ -241,10 +257,11 @@ def run_trials(
     """Run every preset on `trials` fresh instances and aggregate the traces.
 
     generator: callable(rng) -> ProblemInstance.  Trial t uses seed
-    base_seed + t.  The trials of a preset advance in lockstep, in groups
-    whose stacked matrix copies fit GROUP_BYTES; each trial's trace and
-    final iterate are bit-identical to running it alone, so the result does
-    not depend on the grouping.
+    base_seed + t.  The trials advance in lockstep, in groups whose stacked
+    matrix copies fit GROUP_BYTES, with the presets of a group in at most
+    two sessions; each trial's trace and final iterate are bit-identical to
+    running its preset alone, so the result depends neither on the grouping
+    nor on the other presets.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

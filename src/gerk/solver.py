@@ -37,8 +37,19 @@ np.vecdot, which reduces each batch row exactly as np.vdot reduces a single
 vector.  A system's iterates are therefore bit-identical alone or in any
 batch, while numpy's per-call overhead, the dominant cost of an iteration,
 is shared among the T systems.
+
+A session can also advance P presets over the same systems, as the
+experiment harness does with the presets of a trial.  Their configs of one
+system agree on the z-update, partitions, seed, stream, max_iterations and
+checkpoint_interval, so the presets share the draws, the gathered rows and
+columns, and one call of every numpy operation of the update, broadcast over
+a leading preset axis of the state arrays, (P,) + batch.  Only the gradient
+kernels of f* and g* run per preset, each on its own contiguous slab (a copy
+where the gradient is the identity), with the preset's own step sizes, so
+each preset's iterates are again bit-identical to a run on its own.
 """
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -110,7 +121,12 @@ def validate_config(A, b, cfg):
         raise FieldMismatch("A and b must both be real or both be complex")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteInput("A and b must hold finite values only")
-    cfg.f.check_field(np.iscomplexobj(A))
+    _check_config(cfg, m, n, np.iscomplexobj(A))
+    return A, b
+
+
+def _check_config(cfg, m, n, is_complex):
+    cfg.f.check_field(is_complex)
     if cfg.row_partition.kind != "row" or cfg.row_partition.axis_len != m:
         raise DimensionMismatch(f"row partition must cover {m} rows")
     if cfg.z_update_enabled:
@@ -126,7 +142,24 @@ def validate_config(A, b, cfg):
         raise ValueError("max_iterations must be >= 0")
     if cfg.checkpoint_interval is not None and cfg.checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
-    return A, b
+
+
+def _shared_fields(cfg):
+    """What fixes a config's index draws and checkpoints, by field name.
+
+    A partition enters by its cumulative probabilities, the only part of it
+    the draws read; the column partition only when the z-update is on.
+    """
+    col = cfg.col_partition if cfg.z_update_enabled else None
+    return {
+        "z_update_enabled": cfg.z_update_enabled,
+        "row_partition": cfg.row_partition._cum.tobytes(),
+        "col_partition": None if col is None else col._cum.tobytes(),
+        "seed": cfg.seed,
+        "stream": cfg.stream,
+        "max_iterations": cfg.max_iterations,
+        "checkpoint_interval": cfg.checkpoint_interval,
+    }
 
 
 def _z_step(num, den, lip, t_const):
@@ -179,15 +212,50 @@ def _stacked(mats, conj):
     return np.conjugate(out, out=out) if conj else out
 
 
+def _join(arrays):
+    """The one array itself, else the concatenation."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _gradient_update(updaters, dual, primal):
+    """A call that sets primal = grad(dual); None when primal is dual.
+
+    updaters holds one kernel per preset (None for the identity), and dual
+    and primal one slab per preset along their leading axis, or, with one
+    preset, no preset axis.  A kernel runs on its preset's contiguous slab;
+    an identity preset's slab is copied.
+    """
+    if primal is dual:
+        return None
+    if len(updaters) == 1:
+        dual, primal = [dual], [primal]
+    calls = [functools.partial(np.copyto, p, d) if upd is None else functools.partial(upd, d, p)
+             for upd, d, p in zip(updaters, dual, primal)]
+    if len(calls) == 1:
+        return calls[0]
+
+    def update():
+        for call in calls:
+            call()
+    return update
+
+
 class Session:
     """One solver run: its systems validated, cached and stepped in place.
 
     Session(A, b, cfg) holds one system.  Session(As, bs, cfgs), given
     sequences, holds systems of one shape and method in lockstep, addressed
-    by flat indices t*m + i (rows, b, t_row) and t*n + j (columns, t_col).
-    The configs may differ only in seed, stream and partition norms and
-    probabilities, and with more than one system the partitions must be
-    single-index, where either z_stepsize_mode takes the constant step.
+    by flat indices t*m + i (rows, b) and t*n + j (columns).  The configs
+    may differ only in seed, stream and partition norms and probabilities,
+    and with more than one system the partitions must be single-index, where
+    either z_stepsize_mode takes the constant step.
+
+    Session(As, bs, presets), given a sequence of such config sequences
+    (presets[p][t] runs preset p on system t), advances the presets over the
+    same systems and draws, as the module docstring describes.  A system's
+    configs must agree on the fields of _shared_fields, or ValueError names
+    the one that differs; f, g and the step sizes are each preset's own.
+
     Validation, matrix copies, step sizes and updaters are built once.  The
     session owns `state`: the initial state (x*_0 = 0, so x_0 = 0, and
     z*_0 = b), or the given `state` of one system to continue.
@@ -196,46 +264,62 @@ class Session:
     def __init__(self, A, b, cfg, state=None):
         if isinstance(cfg, SolverConfig):
             A, b, cfg = [A], [b], [cfg]
-        As, bs = zip(*map(validate_config, A, b, cfg))
-        self.cfgs = cfgs = tuple(cfg)
+        presets = [tuple(cfg)] if isinstance(cfg[0], SolverConfig) else [tuple(c) for c in cfg]
+        self.cfgs = cfgs = presets[0]
+        As, bs = zip(*map(validate_config, A, b, cfgs))
         self.cfg = cfg = cfgs[0]
         m, n = self.shape = As[0].shape
         is_complex = np.iscomplexobj(As[0])
+        for other in presets[1:]:
+            if len(other) != len(cfgs):
+                raise ValueError("every preset of a session needs one config per system")
+            for c, c0 in zip(other, cfgs):
+                _check_config(c, m, n, is_complex)
+                shared = _shared_fields(c0)
+                for name, value in _shared_fields(c).items():
+                    if value != shared[name]:
+                        raise ValueError(f"the presets of a session must share {name}")
+        self.lead = lead = (len(presets),) if len(presets) > 1 else ()
         self.batch = batch = (len(As),) if len(As) > 1 else ()
         # rows of conj(A): vdot(conj(A_i), x) = A_i x, and the x-step adds conj(A_i)
         self.A_rm_conj = _stacked(As, is_complex)
-        join = np.concatenate if batch else (lambda arrays: arrays[0])  # one system: as is
-        self.b = join(bs)
-        self.t_row = join(
-            [1.0 / (c.f.conj_lipschitz * c.row_partition.block_sq_norms) for c in cfgs]
-        )
-        self.f_upd = cfg.f.updater(batch + (n,), is_complex)
+        self.b = _join(bs)
+        # preset p's step size on system t at [p, t*m + i] (t_col: [p, t*n + j])
+        by_preset = np.stack if lead else (lambda arrays: arrays[0])
+        self.t_row = by_preset([
+            _join([1.0 / (c.f.conj_lipschitz * c.row_partition.block_sq_norms) for c in p])
+            for p in presets])
+        f_upds = [p[0].f.updater(batch + (n,), is_complex) for p in presets]
         trivial = cfg.row_partition.trivial
         if cfg.z_update_enabled:
             # row j of A_cm is column j of A, contiguous
             self.A_cm = _stacked([A.T for A in As], False)
-            self.t_col = join(
-                [1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms) for c in cfgs]
-            )
-            self.g_upd = cfg.g.updater(batch + (m,), is_complex)
+            self.t_col = by_preset([
+                _join([1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms) for c in p])
+                for p in presets])
+            g_upds = [p[0].g.updater(batch + (m,), is_complex) for p in presets]
             trivial = trivial and cfg.col_partition.trivial
-        if batch and not trivial:
+        if (lead or batch) and not trivial:
             raise ValueError("systems run in lockstep need single-index partitions")
 
-        if state is None:
-            xstar = np.zeros(batch + (n,), dtype=self.A_rm_conj.dtype)
-            x = xstar if self.f_upd is None else np.zeros_like(xstar)
-            if self.f_upd is not None:
-                self.f_upd(xstar, x)
+        fresh = state is None
+        if fresh:
+            xstar = np.zeros(lead + batch + (n,), dtype=self.A_rm_conj.dtype)
+            x = xstar if all(u is None for u in f_upds) else np.empty_like(xstar)
             zstar = z = None
             if cfg.z_update_enabled:
-                zstar = self.b.reshape(batch + (m,)).copy()
-                z = zstar if self.g_upd is None else np.empty_like(zstar)
-                if self.g_upd is not None:
-                    self.g_upd(zstar, z)
+                zstar = np.broadcast_to(self.b.reshape(batch + (m,)), lead + batch + (m,)).copy()
+                z = zstar if all(u is None for u in g_upds) else np.empty_like(zstar)
             rngs = tuple(RngStream(c.seed, c.stream) for c in cfgs)
             state = SolverState(0, x, xstar, z, zstar, rngs if batch else rngs[0])
         self.state = state
+        self._f_update = _gradient_update(f_upds, state.xstar, state.x)
+        self._g_update = (_gradient_update(g_upds, state.zstar, state.z)
+                          if cfg.z_update_enabled else None)
+        if fresh:
+            for update in (self._f_update, self._g_update):
+                if update is not None:
+                    update()
         self._rngs = state.rng if batch else (state.rng,)
         self._draws = 2 if cfg.z_update_enabled else 1  # per iteration
         self._left = 0  # drawn iterations not yet run
@@ -249,6 +333,7 @@ class Session:
             rng.skip(-count * self._draws)
         batch = self.batch
         per_iter = (lambda a: a) if batch else np.ndarray.tolist
+        per_step = (lambda a: a) if batch or self.lead else np.ndarray.tolist
 
         def flat(k, axis_len):
             # (count,) + batch indices into the stacked arrays
@@ -256,13 +341,17 @@ class Session:
                 return drawn[0][k]
             return np.stack([d[k] for d in drawn], axis=1) + np.arange(len(drawn)) * axis_len
 
+        def steps(t, f):
+            # (count,) + lead + batch step sizes
+            return per_step(np.moveaxis(t[..., f], len(self.lead), 0))
+
         fi = flat(1, self.shape[0])
         if self.cfg.z_update_enabled:
             fj = flat(0, self.shape[1])
-            cols = (per_iter(fj), per_iter(self.t_col[fj]))
+            cols = (per_iter(fj), steps(self.t_col, fj))
         else:
             cols = (itertools.repeat(None),) * 2
-        self._drawn = zip(*cols, per_iter(fi), per_iter(self.t_row[fi]), per_iter(self.b[fi]))
+        self._drawn = zip(*cols, per_iter(fi), steps(self.t_row, fi), per_iter(self.b[fi]))
         self._left = count
 
     def advance(self, steps):
@@ -271,17 +360,20 @@ class Session:
         state = self.state
         x, xstar = state.x, state.xstar
         z, zstar = state.z, state.zstar
-        batch = self.batch
+        lead, vec = self.lead, bool(self.lead or self.batch)
         # both dot products conjugate their first argument; vecdot reduces each
-        # batch row exactly as vdot reduces one vector
-        dot = np.vecdot if batch else np.vdot
-        A_rm_conj, b, f_upd = self.A_rm_conj, self.b, self.f_upd
+        # row exactly as vdot reduces one vector, and broadcasts a gathered row
+        # or column over the presets
+        dot = np.vecdot if vec else np.vdot
+        A_rm_conj, b = self.A_rm_conj, self.b
+        f_update, g_update = self._f_update, self._g_update
         cfg = self.cfg
         row_blocks, row_trivial = cfg.row_partition.blocks, cfg.row_partition.trivial
         z_on = cfg.z_update_enabled
         if z_on:
-            zstar_flat = zstar.reshape(-1)
-            A_cm, g_upd, g_lip = self.A_cm, self.g_upd, cfg.g.grad_lipschitz
+            # entry i of system t's z* at [t*m + i], of every preset at [:, t*m + i]
+            zstar_rows = zstar.reshape(lead + (-1,))
+            A_cm, g_lip = self.A_cm, cfg.g.grad_lipschitz
             col_blocks, col_trivial = cfg.col_partition.blocks, cfg.col_partition.trivial
             adaptive = cfg.z_stepsize_mode == "residual_adaptive"
 
@@ -306,16 +398,16 @@ class Session:
                     else:  # the adaptive step on one column is tc (rank-one identity)
                         col = A_cm[j]
                         c = tc * dot(col, z)
-                        zstar -= (c[:, None] if batch else c) * col
-                    if g_upd is not None:
-                        g_upd(zstar, z)
+                        zstar -= (c[..., None] if vec else c) * col
+                    if g_update is not None:
+                        g_update()
                 if row_trivial:
                     row = A_rm_conj[i]
                     w = dot(row, x) - bi
                     if z_on:
-                        w += zstar_flat[i]
+                        w += zstar_rows[:, i] if lead else zstar_rows[i]
                     c = tr * w
-                    xstar -= (c[:, None] if batch else c) * row
+                    xstar -= (c[..., None] if vec else c) * row
                 else:  # one system only
                     blk = row_blocks[i]
                     Aic = A_rm_conj[blk]
@@ -323,23 +415,29 @@ class Session:
                     if z_on:
                         w += zstar[blk]
                     xstar -= tr * (Aic.T @ w)
-                if f_upd is not None:
-                    f_upd(xstar, x)
+                if f_update is not None:
+                    f_update()
             state.k += count
             for rng in self._rngs:
                 rng.skip(count * self._draws)
         return state
 
     def states(self):
-        """Per-system states: the state itself for one system, else views of its rows."""
+        """Per-system states: the state itself for one system, else views of
+        its rows, preset by preset (system t of preset p is entry p*T + t)."""
         state = self.state
-        if not self.batch:
+        if not (self.lead or self.batch):
             return [state]
+
+        def rows(a):
+            return None if a is None else a.reshape(-1, a.shape[-1])
+
+        x, xstar, z, zstar = map(rows, (state.x, state.xstar, state.z, state.zstar))
+        systems = len(self._rngs)
         return [
-            SolverState(state.k, state.x[t], state.xstar[t],
-                        None if state.z is None else state.z[t],
-                        None if state.zstar is None else state.zstar[t], rng)
-            for t, rng in enumerate(state.rng)
+            SolverState(state.k, x[s], xstar[s], None if z is None else z[s],
+                        None if zstar is None else zstar[s], self._rngs[s % systems])
+            for s in range(len(x))
         ]
 
     def checkpoints(self):
@@ -357,9 +455,9 @@ class Session:
     def finish(self, hooks):
         """Run every checkpoint and return the stop reason.
 
-        hooks[t] is the sequence of hooks called with system t's state at
-        every checkpoint; a truthy return stops every system, with stop
-        reason "tolerance_met".  Otherwise the reason is "max_iterations".
+        hooks[s] is the sequence of hooks called with states()[s] at every
+        checkpoint; a truthy return stops every system, with stop reason
+        "tolerance_met".  Otherwise the reason is "max_iterations".
         """
         for states in self.checkpoints():
             if any(hook(s) for s, system_hooks in zip(states, hooks) for hook in system_hooks):

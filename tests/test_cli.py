@@ -183,6 +183,15 @@ def test_experiment_zero_sparsity_exit_code(tmp_path, capsys):
     assert "sparsity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["i", "ii"])
+def test_experiment_sparsity_above_n_exit_code(tmp_path, capsys, which):
+    rc = main(["experiment", "--which", which, "--m", "16", "--n", "8", "--rank", "4",
+               "--sparsity", "9", "--lambda", "2.0", "--trials", "1", "--epochs", "1",
+               "--presets", "srk", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sparsity" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("which, flag, text, name", [
     ("i", "--sv-hi", "inf", "sv_hi"),
     ("ii", "--noise-level", "nan", "noise_level"),

@@ -14,7 +14,7 @@ from gerk.experiments import (
 )
 from gerk.linalg import range_projector_apply
 from gerk.oracles import range_projection_quadratic
-from gerk.potentials import QuadraticMisfit
+from gerk.potentials import HuberQuadMisfit, QuadraticMisfit
 from gerk.rng import RngStream
 from gerk.solver import preset, run
 
@@ -116,6 +116,30 @@ def test_recorder_skips_z_without_target():
     assert "z_error" not in recorder.trace().metrics
 
 
+def test_recorder_misfit_gradient_matches_full_formula():
+    # a quadratic misfit reuses A^H r; both misfits are bit-equal to
+    # ||A^H grad g(b - A x)|| / ||b|| computed in full
+    for field in ("real", "complex"):
+        inst = small_generator(field=field)(RngStream(808))
+        for name, g in (("rek", QuadraticMisfit()), ("gerk_bd", HuberQuadMisfit(0.1, 0.01))):
+            recorder = MetricRecorder(inst, g)
+            cfg = preset(name, inst.A, lam=1.0, eps=0.1, tau=0.01, max_iterations=60, seed=2,
+                         checkpoint_interval=20)
+            xs = []
+            run(inst.A, inst.b, cfg, hooks=(recorder, lambda s: xs.append(s.x.copy())))
+            full = [float(np.linalg.norm(inst.A.conj().T @ g.gradient(inst.b - inst.A @ x)))
+                    / float(np.linalg.norm(inst.b)) for x in xs]
+            assert recorder.g_identity == (name == "rek")
+            assert np.array_equal(recorder.trace().metrics["rel_grad_misfit"], full)
+
+
+def test_sparsity_above_n_names_sparsity():
+    for gen in (gen_experiment_i, gen_experiment_ii):
+        with pytest.raises(ValueError, match="sparsity"):
+            gen(m=24, n=12, rank=6, sparsity=13, noise_level=1.0, sv_lo=0.5, sv_hi=2.0,
+                field="real", rng=RngStream(809))
+
+
 def run_small(trials=4, base_seed=900, specs=None, field="real"):
     specs = specs or (PresetSpec("srk", lam=2.0), PresetSpec("rek"),
                       PresetSpec("gerk_ad", lam=2.0))
@@ -198,6 +222,20 @@ def test_partitions_built_once_per_trial(monkeypatch):
     built.clear()
     run_trials(small_generator(), specs[:2], trials=2, iterations=24, base_seed=910)
     assert built == ["row"] * 2
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_shared_presets_equal_each_preset_alone(field):
+    # the five presets share two sessions per group; each preset's traces and
+    # final iterates are bit-equal to running it alone, in either order
+    specs = (PresetSpec("rk"), PresetSpec("srk", lam=2.0), PresetSpec("rek"),
+             PresetSpec("gerk_ad", lam=2.0), PresetSpec("gerk_bd", lam=2.0, eps=0.01, tau=0.001))
+    for together in (specs, specs[::-1]):
+        shared = run_small(trials=3, specs=together, field=field)
+        for spec in specs:
+            alone = run_small(trials=3, specs=(spec,), field=field)
+            for t in range(3):
+                assert_trials_equal(alone, t, shared, t)
 
 
 def test_trials_must_be_positive():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gerk.potentials import ElasticNet, Quadratic, QuadraticMisfit, real_inner
 from gerk.rng import RngStream
 from gerk.solver import (
     DRAW_CHUNK,
+    PRESET_NAMES,
     Session,
     SolverConfig,
     draw_indices,
@@ -519,3 +522,95 @@ def test_checkpoint_chunking_does_not_change_the_run():
                 gerk_step(stepped, M, v, step_cfg)
             assert np.array_equal(stepped.x, ran.x)
             assert stepped.rng._counter == ran.rng._counter
+
+
+SHARED_KW = dict(lam=0.5, eps=0.1, tau=0.05)
+
+
+def shared_systems(field, trials, iters=37, interval=5):
+    """trials systems and, per preset name, their configs over shared partitions."""
+    rng = RngStream(540)
+    As = [rng.gaussian_array(12 * 6, field).reshape(12, 6) for _ in range(trials)]
+    bs = [rng.gaussian_array(12, field) for _ in range(trials)]
+    rows, cols = [row_partition(A) for A in As], [column_partition(A) for A in As]
+    cfgs = {name: [preset(name, A, **SHARED_KW, max_iterations=iters, seed=60 + t, stream=1,
+                          checkpoint_interval=interval, row_partition=row, col_partition=col)
+                   for t, (A, row, col) in enumerate(zip(As, rows, cols))]
+            for name in PRESET_NAMES}
+    return As, bs, cfgs
+
+
+def snapshot(snaps):
+    def hook(state):
+        snaps.append((state.k, state.x.copy(), state.xstar.copy(),
+                      None if state.zstar is None else state.zstar.copy()))
+    return hook
+
+
+def assert_snaps_equal(a, b):
+    assert len(a) == len(b)
+    for (ka, *arrays_a), (kb, *arrays_b) in zip(a, b):
+        assert ka == kb
+        for u, v in zip(arrays_a, arrays_b):
+            assert (u is None and v is None) or np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_shared_presets_equal_each_preset_alone(field, trials):
+    # every checkpoint's x, x* and z*, the final state and the draws consumed
+    # are bit-equal to the preset run alone on each system, in either order;
+    # the second order splits the identity misfits (rek, gerk_ad) apart
+    As, bs, cfgs = shared_systems(field, trials)
+    alone = {}
+    for name in PRESET_NAMES:
+        for t in range(trials):
+            alone[name, t] = snaps = []
+            report = run(As[t], bs[t], cfgs[name][t], hooks=(snapshot(snaps),))
+            snaps.append(report.state.rng._counter)
+    for order in (PRESET_NAMES, ("gerk_ad", "srk", "gerk_bd", "rk", "rek")):
+        for z_on in (False, True):
+            names = [name for name in order if cfgs[name][0].z_update_enabled == z_on]
+            session = Session(As, bs, [cfgs[name] for name in names])
+            assert session.state.x.shape == (len(names),) + (trials,) * (trials > 1) + (6,)
+            shared = {(name, t): [] for name in names for t in range(trials)}
+            assert session.finish([(snapshot(shared[key]),) for key in shared]) == "max_iterations"
+            for key, state in zip(shared, session.states()):
+                shared[key].append(state.rng._counter)
+                assert_snaps_equal(shared[key][:-1], alone[key][:-1])
+                assert shared[key][-1] == alone[key][-1]
+
+
+def test_one_preset_keeps_the_state_shapes():
+    As, bs, cfgs = shared_systems("real", 3)
+    assert Session(As, bs, [cfgs["rek"]]).state.zstar.shape == (3, 12)
+    assert Session(As, bs, cfgs["rek"]).state.zstar.shape == (3, 12)
+    assert Session(As[0], bs[0], cfgs["rek"][0]).state.zstar.shape == (12,)
+
+
+def test_shared_presets_must_share_the_draws():
+    # negative controls: presets that differ in any field fixing the draws or
+    # the checkpoints are refused, naming the field
+    As, bs, cfgs = shared_systems("real", 2)
+    A = As[1]
+    skewed = np.linspace(1.0, 2.0, 12)
+    changes = {
+        "z_update_enabled": cfgs["srk"][1],
+        "row_partition": dataclasses.replace(
+            cfgs["gerk_ad"][1], row_partition=row_partition(A, probabilities=skewed / skewed.sum())),
+        "col_partition": dataclasses.replace(
+            cfgs["gerk_ad"][1], col_partition=column_partition(A, probabilities=[0.5] + [0.1] * 5)),
+        "seed": dataclasses.replace(cfgs["gerk_ad"][1], seed=99),
+        "stream": dataclasses.replace(cfgs["gerk_ad"][1], stream=0),
+        "max_iterations": dataclasses.replace(cfgs["gerk_ad"][1], max_iterations=36),
+        "checkpoint_interval": dataclasses.replace(cfgs["gerk_ad"][1], checkpoint_interval=None),
+    }
+    for field, changed in changes.items():
+        with pytest.raises(ValueError, match=field):
+            Session(As, bs, [cfgs["rek"], [cfgs["gerk_ad"][0], changed]])
+    with pytest.raises(ValueError, match="one config per system"):
+        Session(As, bs, [cfgs["rek"], cfgs["gerk_ad"][:1]])
+    # equal partitions built apart are the same draws
+    rebuilt = [dataclasses.replace(c, row_partition=row_partition(M), col_partition=column_partition(M))
+               for c, M in zip(cfgs["gerk_ad"], As)]
+    Session(As, bs, [cfgs["rek"], rebuilt])
