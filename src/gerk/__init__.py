@@ -87,7 +87,6 @@ from .solver import (
     gerk_step,
     init_state,
     preset,
-    residual_adaptive_z_stepsize,
     run,
 )
 

@@ -106,15 +106,24 @@ def _partition(kind, A, blocks, probabilities):
     else:
         blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
         owners(blocks, axis_len)  # before indexing A with the blocks
-    line_sq_norms = None
-    if any(blk.size == 1 for blk in blocks):
-        # spectral norm of a single row/column is its euclidean norm
-        line_sq_norms = _line_sq_norms(A if kind == "row" else A.T)
-    sq_norms = [
-        line_sq_norms[blk[0]] if blk.size == 1
-        else spectral_norm(A[blk, :] if kind == "row" else A[:, blk]) ** 2
-        for blk in blocks
-    ]
+    lines = A if kind == "row" else A.T
+    message = f"the squared {kind} norms of A overflow or underflow; rescale A"
+    try:
+        with np.errstate(over="ignore"):
+            # spectral norm of a single row/column is its euclidean norm
+            line_sq_norms = _line_sq_norms(lines) if any(blk.size == 1 for blk in blocks) else None
+            sq_norms = np.array([
+                line_sq_norms[blk[0]] if blk.size == 1
+                else spectral_norm(A[blk, :] if kind == "row" else A[:, blk]) ** 2
+                for blk in blocks
+            ])
+    except OverflowError:  # a finite block's norm squared past the largest double
+        raise ValueError(message) from None
+    for k in np.flatnonzero(~((sq_norms >= np.finfo(float).tiny) & (sq_norms < math.inf))):
+        block = lines[blocks[k]]
+        # a zero block raises ZeroMatrix below, a non-finite one NonFiniteInput in the solver
+        if block.any() and np.isfinite(block).all():
+            raise ValueError(message)
     return BlockPartition(kind, axis_len, blocks, sq_norms, probabilities)
 
 

@@ -134,8 +134,6 @@ def cmd_solve(args):
         raise MissingParameter("solve needs --preset")
     A = read_matrix_market(args.matrix)
     b = read_vector_csv(args.rhs)
-    if np.linalg.norm(b) == 0.0:  # every solve metric is relative to ||b||
-        raise ZeroMatrix(f"{args.rhs}: right-hand side b is zero")
     cfg = preset(
         args.preset,
         A,
@@ -146,6 +144,8 @@ def cmd_solve(args):
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
     )
+    if np.linalg.norm(b) == 0.0:  # every solve metric is relative to ||b||
+        raise ZeroMatrix(f"{args.rhs}: right-hand side b is zero")
     # no ground truth: residuals are relative to b itself, and there is no rel_error
     field = "complex" if np.iscomplexobj(A) else "real"
     system = ProblemInstance(A, b, b_hat=b, x_hat=None, field=field, noise_kind="none",

@@ -123,16 +123,18 @@ def _read_body(fh, path, skip, comment, delimiter, dtype):
         return None
 
 
-def _entry_line(path, skip, comment, k):
-    """Error path only: line number of data line k (0-based) after the first `skip`."""
+def _body_lines(path, skip, comment):
+    """Error path only: yield (line number, line, stripped line or None if blank or comment)."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(itertools.islice(fh, skip, None), skip + 1):
-            stripped = line.strip()
-            if stripped and not stripped.startswith(comment):
-                if k == 0:
-                    return lineno
-                k -= 1
-    raise IndexError(k)
+            data = line.strip()
+            yield lineno, line, (data if data and not data.startswith(comment) else None)
+
+
+def _entry_line(path, skip, comment, k):
+    """Error path only: line number of data line k (0-based) after the first `skip`."""
+    data_lines = (lineno for lineno, _, data in _body_lines(path, skip, comment) if data)
+    return next(itertools.islice(data_lines, k, None))
 
 
 def _names_undecodable_line(read):
@@ -273,32 +275,30 @@ def _rescan_matrix_market(path, size_line, layout, per_entry, m, n, nnz):
     """Error path only: raise the ParseError of the first offending body line."""
     count = 0
     lineno = size_line
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(itertools.islice(fh, size_line, None), size_line + 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if count >= nnz:
-                raise ParseError(path, lineno, f"more than {nnz} entries")
-            parts = stripped.split()
-            try:
-                if layout == "coordinate":
-                    if len(parts) != 2 + per_entry:
-                        raise ValueError
-                    i, j = _index(parts[0]) - 1, _index(parts[1]) - 1
-                    vals = [_number(p) for p in parts[2:]]
-                else:
-                    if len(parts) != per_entry:
-                        raise ValueError
-                    i, j = count % m, count // m  # array format is column-major
-                    vals = [_number(p) for p in parts]
-            except ValueError:
-                raise ParseError(path, lineno, f"malformed {layout} entry") from None
-            if not (0 <= i < m and 0 <= j < n):
-                raise ParseError(path, lineno, f"index ({i + 1}, {j + 1}) out of range")
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(path, lineno, "non-finite entry")
-            count += 1
+    for lineno, _, data in _body_lines(path, size_line, "%"):
+        if data is None:
+            continue
+        if count >= nnz:
+            raise ParseError(path, lineno, f"more than {nnz} entries")
+        parts = data.split()
+        try:
+            if layout == "coordinate":
+                if len(parts) != 2 + per_entry:
+                    raise ValueError
+                i, j = _index(parts[0]) - 1, _index(parts[1]) - 1
+                vals = [_number(p) for p in parts[2:]]
+            else:
+                if len(parts) != per_entry:
+                    raise ValueError
+                i, j = count % m, count // m  # array format is column-major
+                vals = [_number(p) for p in parts]
+        except ValueError:
+            raise ParseError(path, lineno, f"malformed {layout} entry") from None
+        if not (0 <= i < m and 0 <= j < n):
+            raise ParseError(path, lineno, f"index ({i + 1}, {j + 1}) out of range")
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(path, lineno, "non-finite entry")
+        count += 1
     if count != nnz:
         raise ParseError(path, lineno, f"expected {nnz} entries, found {count}")
 
@@ -360,20 +360,18 @@ def read_vector_csv(path):
 
 def _rescan_vector_csv(path, header_no, per_entry):
     """Error path only: raise the ParseError of the first offending body line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(itertools.islice(fh, header_no, None), header_no + 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                # split on commas, np.loadtxt reads leading whitespace as a field
-                if per_entry == 2 and line.rstrip("\n")[:1].isspace():
-                    raise ParseError(path, lineno, "whitespace before a comment or on a blank line")
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                if len(parts) != per_entry:
-                    raise ValueError
-                vals = [_number(p) for p in parts]
-            except ValueError:
-                raise ParseError(path, lineno, "malformed vector entry") from None
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(path, lineno, "non-finite entry")
+    for lineno, line, data in _body_lines(path, header_no, "#"):
+        if data is None:
+            # split on commas, np.loadtxt reads leading whitespace as a field
+            if per_entry == 2 and line.rstrip("\n")[:1].isspace():
+                raise ParseError(path, lineno, "whitespace before a comment or on a blank line")
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            if len(parts) != per_entry:
+                raise ValueError
+            vals = [_number(p) for p in parts]
+        except ValueError:
+            raise ParseError(path, lineno, "malformed vector entry") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(path, lineno, "non-finite entry")

@@ -12,13 +12,12 @@ f*(x*_k), z*_k (misfit-dual iterate) and z_k = grad g*(z*_k):
     x_{k+1}  = grad f*(x*_{k+1})
 
 Block norms are spectral norms, so for one-index blocks tx and tz reduce to
-inverse squared row/column norms.  z_stepsize_mode "residual_adaptive"
-replaces tz on multi-index column blocks by ||A_j^H z||^2/(Lg* ||A_j A_j^H z||^2);
-on one column that is tz itself (rank-one identity), so tz is kept there.
-Starting point: x*_0 = 0 and z*_0 = b.
-With the z-update disabled the iteration is the sparse (elastic net) or plain
-randomized Kaczmarz method; with everything quadratic it is the extended
-randomized Kaczmarz method converging to the pseudoinverse solution.
+inverse squared row/column norms; tz is the constant column step of the
+extended randomized Kaczmarz method.  Starting point: x*_0 = 0 and z*_0 = b.
+The z-update runs exactly when a misfit g is given.  Without it the
+iteration is the sparse (elastic net) or plain randomized Kaczmarz method;
+with everything quadratic it is the extended randomized Kaczmarz method
+converging to the pseudoinverse solution.
 
 Exactly one z-draw then one x-draw is consumed per iteration, in that order,
 from RngStream(seed, stream), so runs with equal configs are bit-identical.
@@ -60,14 +59,13 @@ import numpy as np
 from . import blocks
 from .blocks import BlockPartition, draw_blocks
 from .errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
-from .linalg import as_matrix, as_vector, spectral_norm
+from .linalg import as_matrix, as_vector
 from .potentials import (
     ComplexElasticNet,
     ElasticNet,
     HuberQuadMisfit,
     Quadratic,
     QuadraticMisfit,
-    real_inner,
 )
 from .rng import RngStream
 
@@ -78,19 +76,20 @@ DRAW_CHUNK = 1024  # iterations whose block indices are drawn at once
 
 @dataclass
 class SolverConfig:
-    """One method on one system.  z_stepsize_mode is "constant" or
-    "residual_adaptive"; the two differ on multi-index column blocks only."""
+    """One method on one system; the z-update runs when a misfit g is given."""
 
     f: object
     g: Optional[object]
     row_partition: BlockPartition
     col_partition: Optional[BlockPartition]
-    z_update_enabled: bool
     max_iterations: int
     seed: int
     stream: int = 0
-    z_stepsize_mode: str = "constant"
     checkpoint_interval: Optional[int] = None
+
+    @property
+    def z_update_enabled(self):
+        return self.g is not None
 
 
 @dataclass
@@ -130,14 +129,10 @@ def _check_config(cfg, m, n, is_complex):
     if cfg.row_partition.kind != "row" or cfg.row_partition.axis_len != m:
         raise DimensionMismatch(f"row partition must cover {m} rows")
     if cfg.z_update_enabled:
-        if cfg.g is None:
-            raise MissingParameter("z-update needs a misfit g")
         if cfg.col_partition is None:
             raise DimensionMismatch("z-update needs a column partition")
         if cfg.col_partition.kind != "column" or cfg.col_partition.axis_len != n:
             raise DimensionMismatch(f"column partition must cover {n} columns")
-    if cfg.z_stepsize_mode not in ("constant", "residual_adaptive"):
-        raise ValueError(f"unknown z_stepsize_mode {cfg.z_stepsize_mode!r}")
     if cfg.max_iterations < 0:
         raise ValueError("max_iterations must be >= 0")
     if cfg.checkpoint_interval is not None and cfg.checkpoint_interval < 1:
@@ -150,42 +145,15 @@ def _shared_fields(cfg):
     A partition enters by its cumulative probabilities, the only part of it
     the draws read; the column partition only when the z-update is on.
     """
-    col = cfg.col_partition if cfg.z_update_enabled else None
     return {
         "z_update_enabled": cfg.z_update_enabled,
         "row_partition": cfg.row_partition._cum.tobytes(),
-        "col_partition": None if col is None else col._cum.tobytes(),
+        "col_partition": cfg.col_partition._cum.tobytes() if cfg.z_update_enabled else None,
         "seed": cfg.seed,
         "stream": cfg.stream,
         "max_iterations": cfg.max_iterations,
         "checkpoint_interval": cfg.checkpoint_interval,
     }
-
-
-def _z_step(num, den, lip, t_const):
-    """The residual-adaptive z-step num / (lip * den).
-
-    num = ||A_j^H z||^2 and den = ||A_j A_j^H z||^2.  Where den <= 1e-300 the
-    step falls back to the constant step t_const = 1/(lip * ||A_j||^2).
-    """
-    return num / (lip * den) if den > 1e-300 else t_const
-
-
-def residual_adaptive_z_stepsize(z, A_block, grad_lipschitz):
-    """Stepsize (1/L) * ||A_j^H z||^2 / ||A_j A_j^H z||^2 with underflow fallback.
-
-    Falls back to the constant 1/(L * ||A_j||^2) when the denominator is
-    <= 1e-300; ||A_j||^2 is computed only then.  On one-column blocks this
-    equals the constant stepsize up to roundoff (rank-one identity), so the
-    solver takes the constant one there.
-    """
-    A_block = np.atleast_2d(np.asarray(A_block))
-    s = A_block.conj().T @ z
-    v = A_block @ s
-    den = real_inner(v, v)
-    block_sq_norm = spectral_norm(A_block) ** 2 if den <= 1e-300 else np.inf
-    t_const = 1.0 / (grad_lipschitz * block_sq_norm)
-    return float(_z_step(real_inner(s, s), den, grad_lipschitz, t_const))
 
 
 def draw_indices(cfg, rng, count):
@@ -247,8 +215,7 @@ class Session:
     sequences, holds systems of one shape and method in lockstep, addressed
     by flat indices t*m + i (rows, b) and t*n + j (columns).  The configs
     may differ only in seed, stream and partition norms and probabilities,
-    and with more than one system the partitions must be single-index, where
-    either z_stepsize_mode takes the constant step.
+    and with more than one system the partitions must be single-index.
 
     Session(As, bs, presets), given a sequence of such config sequences
     (presets[p][t] runs preset p on system t), advances the presets over the
@@ -373,9 +340,8 @@ class Session:
         if z_on:
             # entry i of system t's z* at [t*m + i], of every preset at [:, t*m + i]
             zstar_rows = zstar.reshape(lead + (-1,))
-            A_cm, g_lip = self.A_cm, cfg.g.grad_lipschitz
+            A_cm = self.A_cm
             col_blocks, col_trivial = cfg.col_partition.blocks, cfg.col_partition.trivial
-            adaptive = cfg.z_stepsize_mode == "residual_adaptive"
 
         done = 0
         while done < steps:
@@ -388,14 +354,8 @@ class Session:
                 if z_on:
                     if not col_trivial:  # one system only
                         Aj = A_cm[col_blocks[j]].T
-                        s = Aj.conj().T @ z
-                        v = Aj @ s
-                        if adaptive:
-                            tz = _z_step(real_inner(s, s), real_inner(v, v), g_lip, tc)
-                        else:
-                            tz = tc
-                        zstar -= tz * v
-                    else:  # the adaptive step on one column is tc (rank-one identity)
+                        zstar -= tc * (Aj @ (Aj.conj().T @ z))
+                    else:
                         col = A_cm[j]
                         c = tc * dot(col, z)
                         zstar -= (c[..., None] if vec else c) * col
@@ -509,7 +469,6 @@ def preset(
     seed,
     stream=0,
     checkpoint_interval=None,
-    z_stepsize_mode="constant",
     row_partition=None,
     col_partition=None,
 ):
@@ -517,8 +476,7 @@ def preset(
 
     row_partition and col_partition, when given, replace the default
     partitions; passing the same ones to several presets builds their block
-    norms once.  z_stepsize_mode="residual_adaptive" changes the z-step on
-    multi-index column blocks only.
+    norms once.  The presets with a misfit g run the z-update.
 
     rk       minimum-norm Kaczmarz, no z-update
     srk      sparse (elastic net) Kaczmarz, no z-update; needs lam
@@ -529,33 +487,30 @@ def preset(
     A = as_matrix(A)
     is_complex = np.iscomplexobj(A)
     if name == "rk":
-        f, g, z_on = Quadratic(), None, False
+        f, g = Quadratic(), None
     elif name == "srk":
-        f, g, z_on = _sparse_regularizer(lam, is_complex, name), None, False
+        f, g = _sparse_regularizer(lam, is_complex, name), None
     elif name == "rek":
-        f, g, z_on = Quadratic(), QuadraticMisfit(), True
+        f, g = Quadratic(), QuadraticMisfit()
     elif name == "gerk_ad":
-        f, g, z_on = _sparse_regularizer(lam, is_complex, name), QuadraticMisfit(), True
+        f, g = _sparse_regularizer(lam, is_complex, name), QuadraticMisfit()
     elif name == "gerk_bd":
         if eps is None or tau is None:
             raise MissingParameter("preset 'gerk_bd' needs eps and tau")
-        f = _sparse_regularizer(lam, is_complex, name)
-        g, z_on = HuberQuadMisfit(eps, tau), True
+        f, g = _sparse_regularizer(lam, is_complex, name), HuberQuadMisfit(eps, tau)
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if row_partition is None:
         row_partition = blocks.row_partition(A)
-    if z_on and col_partition is None:
+    if g is not None and col_partition is None:
         col_partition = blocks.column_partition(A)
     return SolverConfig(
         f=f,
         g=g,
         row_partition=row_partition,
-        col_partition=col_partition if z_on else None,
-        z_update_enabled=z_on,
+        col_partition=None if g is None else col_partition,
         max_iterations=max_iterations,
         seed=seed,
         stream=stream,
-        z_stepsize_mode=z_stepsize_mode,
         checkpoint_interval=checkpoint_interval,
     )

@@ -173,7 +173,6 @@ def test_complex_iteration_matches_real_embedding():
         g=QuadraticMisfit(),
         row_partition=row_partition(E, blocks=paired_blocks(m)),
         col_partition=column_partition(E, blocks=paired_blocks(n)),
-        z_update_enabled=True,
         max_iterations=1000,
         seed=77,
         checkpoint_interval=1,

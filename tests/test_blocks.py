@@ -88,6 +88,24 @@ def test_zero_block_rejected():
         column_partition(A)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_out_of_range_scale_rejected(scale, field):
+    # squared norms that overflow to inf or underflow to 0 name the axis; on
+    # multi-index blocks the squared spectral norm overflowed as a Python float
+    A = scale * RngStream(203).gaussian_array(8 * 4, field).reshape(8, 4)
+    for kind, partition, length in (("row", row_partition, 8), ("column", column_partition, 4)):
+        for blocks in (None, contiguous_blocks(length, 3)):
+            with pytest.raises(ValueError, match=f"squared {kind} norms of A .* rescale A"):
+                partition(A, blocks=blocks)
+    # negative control: a zero block among normal ones is still ZeroMatrix
+    B = RngStream(204).gaussian_array(8 * 4, field).reshape(8, 4)
+    B[2:4] = 0.0
+    for blocks in (None, contiguous_blocks(8, 4)):
+        with pytest.raises(ZeroMatrix):
+            row_partition(B, blocks=blocks)
+
+
 def test_probability_validation():
     A = np.eye(3)
     with pytest.raises(ValueError):

@@ -118,6 +118,19 @@ def test_zero_rhs_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_out_of_range_scale_exit_code(tmp_path, capsys, scale):
+    A, _, b = write_system(tmp_path, m=8, n=4)
+    write_matrix_market(tmp_path / "A.mtx", scale * A)
+    write_vector_csv(tmp_path / "b.csv", scale * b)
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+               "--rhs", str(tmp_path / "b.csv"), "--preset", "rek",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "squared row norms of A overflow or underflow; rescale A" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_missing_matrix_exit_code(tmp_path):
     write_vector_csv(tmp_path / "b.csv", np.ones(2))
     rc = main(["solve", "--matrix", str(tmp_path / "nope.mtx"),

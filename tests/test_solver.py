@@ -10,7 +10,7 @@ from gerk.linalg import (
     range_projector_apply,
     svd_pseudoinverse_apply,
 )
-from gerk.potentials import ElasticNet, Quadratic, QuadraticMisfit, real_inner
+from gerk.potentials import ElasticNet, Quadratic, QuadraticMisfit
 from gerk.rng import RngStream
 from gerk.solver import (
     DRAW_CHUNK,
@@ -21,14 +21,12 @@ from gerk.solver import (
     gerk_step,
     init_state,
     preset,
-    residual_adaptive_z_stepsize,
     run,
     validate_config,
 )
 
 
-def naive_trajectory(A, b, f, g, z_on, row_part, col_part, seed, stream, steps,
-                     z_mode="constant"):
+def naive_trajectory(A, b, f, g, z_on, row_part, col_part, seed, stream, steps):
     """Literal transcription of the iteration, no caching or in-place tricks."""
     rng = RngStream(seed, stream)
     xstar = np.zeros(A.shape[1], dtype=A.dtype)
@@ -43,14 +41,7 @@ def naive_trajectory(A, b, f, g, z_on, row_part, col_part, seed, stream, steps,
             Aj = A[:, blk]
             s = Aj.conj().T @ z
             v = Aj @ s
-            if z_mode == "residual_adaptive":
-                den = real_inner(v, v)
-                if den > 1e-300:
-                    tz = real_inner(s, s) / (g.grad_lipschitz * den)
-                else:
-                    tz = 1.0 / (g.grad_lipschitz * col_part.block_sq_norms[j])
-            else:
-                tz = 1.0 / (g.grad_lipschitz * col_part.block_sq_norms[j])
+            tz = 1.0 / (g.grad_lipschitz * col_part.block_sq_norms[j])
             zstar = zstar - tz * v
             z = g.gradient(zstar)
         i = row_part.sample(rng)
@@ -86,7 +77,6 @@ def lockstep_check(A, b, name, steps, seed=7, tol=1e-14, **kw):
     traj = naive_trajectory(
         A, b, cfg.f, cfg.g, cfg.z_update_enabled,
         cfg.row_partition, cfg.col_partition, seed, cfg.stream, steps,
-        z_mode=cfg.z_stepsize_mode,
     )
     assert snaps[0][0] == 0
     scale = 1.0 + float(np.linalg.norm(b))
@@ -161,44 +151,16 @@ def test_gerk_bd_lockstep_both_fields():
     lockstep_check(Ac, bc, "gerk_bd", steps=500, lam=0.5, eps=0.1, tau=0.05)
 
 
-def test_adaptive_z_stepsize_lockstep():
-    rng = RngStream(506)
-    A = rng.normal_array(10 * 6).reshape(10, 6)
-    b = rng.normal_array(10)
-    lockstep_check(A, b, "rek", steps=500, z_stepsize_mode="residual_adaptive",
-                   tol=1e-12)
-
-
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_adaptive_z_stepsize_multi_block_lockstep(field):
-    # multi-index column blocks are where the residual-adaptive step differs
+def test_multi_block_lockstep(field):
+    # multi-index row and column blocks, the solver's one-system block path
     rng = RngStream(521)
     A = rng.gaussian_array(12 * 7, field).reshape(12, 7)
     b = rng.gaussian_array(12, field)
     for name, kw in (("rek", {}), ("gerk_bd", {"lam": 0.5, "eps": 0.1, "tau": 0.05})):
-        lockstep_check(A, b, name, steps=500, z_stepsize_mode="residual_adaptive",
+        lockstep_check(A, b, name, steps=500,
                        row_partition=row_partition(A, blocks=contiguous_blocks(12, 5)),
                        col_partition=column_partition(A, blocks=contiguous_blocks(7, 3)), **kw)
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_adaptive_z_stepsize_on_single_columns_is_the_constant_one(field):
-    # rank-one identity: on one column the adaptive step is 1/(Lg ||a_j||^2)
-    rng = RngStream(522)
-    As = [rng.gaussian_array(9 * 5, field).reshape(9, 5) for _ in range(3)]
-    bs = [rng.gaussian_array(9, field) for _ in range(3)]
-    for name, kw in (("rek", {}), ("gerk_bd", {"lam": 0.5, "eps": 0.1, "tau": 0.05})):
-        finals = {}
-        for mode in ("constant", "residual_adaptive"):
-            cfgs = [preset(name, A, max_iterations=500, seed=t, z_stepsize_mode=mode, **kw)
-                    for t, A in enumerate(As)]
-            alone = [run(A, b, cfg).state for A, b, cfg in zip(As, bs, cfgs)]
-            session = Session(As, bs, cfgs)
-            session.advance(500)
-            finals[mode] = [(s.x, s.xstar, s.z, s.zstar) for s in alone + session.states()]
-        for const, adapt in zip(finals["constant"], finals["residual_adaptive"]):
-            for u, v in zip(const, adapt):
-                assert u.tobytes() == v.tobytes()
 
 
 def test_iterates_stay_in_dual_ranges():
@@ -332,14 +294,6 @@ def test_validate_config_errors():
     bad.col_partition = None
     with pytest.raises(DimensionMismatch):
         validate_config(A, b, bad)
-    bad2 = preset("rek", A, max_iterations=1, seed=0)
-    bad2.g = None
-    with pytest.raises(MissingParameter):
-        validate_config(A, b, bad2)
-    bad3 = preset("rek", A, max_iterations=1, seed=0)
-    bad3.z_stepsize_mode = "warp"
-    with pytest.raises(ValueError):
-        validate_config(A, b, bad3)
     complex_f = preset("srk", A, lam=1.0, max_iterations=1, seed=0)
     with pytest.raises(FieldMismatch):
         validate_config(A.astype(np.complex128), b.astype(np.complex128), complex_f)
@@ -361,29 +315,9 @@ def test_non_finite_input_rejected(bad, field):
             validate_config(A_in, b_in, cfg)
         with pytest.raises(NonFiniteInput):
             run(A_in, b_in, cfg)
-
-
-def test_adaptive_stepsize_orthonormal_block():
-    # orthonormal columns give exactly the constant 1/L
-    q, _ = np.linalg.qr(RngStream(514).normal_array(20).reshape(5, 4))
-    z = RngStream(515).normal_array(5)
-    t = residual_adaptive_z_stepsize(z, q, 2.0)
-    assert abs(t - 0.5) <= 1e-12
-
-
-def test_adaptive_stepsize_single_column_is_constant():
-    rng = RngStream(516)
-    a = rng.normal_array(6).reshape(6, 1)
-    z = rng.normal_array(6)
-    t = residual_adaptive_z_stepsize(z, a, 1.5)
-    expected = 1.0 / (1.5 * float(np.linalg.norm(a)) ** 2)
-    assert abs(t - expected) <= 1e-12 * expected
-
-
-def test_adaptive_stepsize_zero_residual_fallback():
-    a = np.array([[3.0], [4.0]])
-    t = residual_adaptive_z_stepsize(np.zeros(2), a, 2.0)
-    assert abs(t - 1.0 / (2.0 * 25.0)) <= 1e-15
+        # partitions built from the non-finite A leave the error to the solver
+        with pytest.raises(NonFiniteInput):
+            run(A_in, b_in, preset("rek", A_in, max_iterations=5, seed=0))
 
 
 def test_multi_block_partitions_converge():
@@ -396,12 +330,34 @@ def test_multi_block_partitions_converge():
         g=QuadraticMisfit(),
         row_partition=row_partition(A, blocks=contiguous_blocks(18, 5)),
         col_partition=column_partition(A, blocks=contiguous_blocks(6, 2)),
-        z_update_enabled=True,
         max_iterations=4000,
         seed=19,
     )
     report = run(A, b, cfg)
     assert np.linalg.norm(report.state.x - x_true) <= 1e-8 * np.linalg.norm(x_true)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_out_of_range_scale_rejected(scale):
+    # at 1e160 every step was 0 (rk returned x = 0, rek NaN); at 1e-170 the
+    # nonzero rows were rejected as zero
+    rng = RngStream(523)
+    A = scale * rng.normal_array(8 * 4).reshape(8, 4)
+    b = A @ rng.normal_array(4)
+    for name in ("rk", "rek"):
+        with pytest.raises(ValueError, match="squared row norms of A .* rescale A"):
+            run(A, b, preset(name, A, max_iterations=100, seed=0))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_extreme_but_representable_scale_solves(scale):
+    # positive control for the scale check
+    rng = RngStream(523)
+    A = scale * rng.normal_array(8 * 4).reshape(8, 4)
+    x_true = rng.normal_array(4)
+    for name in ("rk", "rek"):
+        report = run(A, A @ x_true, preset(name, A, max_iterations=2000, seed=0))
+        assert np.linalg.norm(report.state.x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
 
 def test_checkpoint_cadence():
