@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroMatrix
+from .errors import DimensionMismatch, NonFiniteInput, ZeroMatrix
 from .linalg import as_matrix, spectral_norm
 
 
@@ -114,17 +114,24 @@ def _partition(kind, A, blocks, probabilities):
             line_sq_norms = _line_sq_norms(lines) if any(blk.size == 1 for blk in blocks) else None
             sq_norms = np.array([
                 line_sq_norms[blk[0]] if blk.size == 1
-                else spectral_norm(A[blk, :] if kind == "row" else A[:, blk]) ** 2
+                else _spectral_sq_norm(A[blk, :] if kind == "row" else A[:, blk])
                 for blk in blocks
             ])
     except OverflowError:  # a finite block's norm squared past the largest double
         raise ValueError(message) from None
     for k in np.flatnonzero(~((sq_norms >= np.finfo(float).tiny) & (sq_norms < math.inf))):
         block = lines[blocks[k]]
-        # a zero block raises ZeroMatrix below, a non-finite one NonFiniteInput in the solver
+        # a zero block raises ZeroMatrix below, a non-finite line NonFiniteInput in the solver
         if block.any() and np.isfinite(block).all():
             raise ValueError(message)
     return BlockPartition(kind, axis_len, blocks, sq_norms, probabilities)
+
+
+def _spectral_sq_norm(block):
+    """Squared spectral norm of a finite block; NonFiniteInput, not a failed SVD, else."""
+    if not np.isfinite(block).all():
+        raise NonFiniteInput("A must hold finite values only")
+    return spectral_norm(block) ** 2
 
 
 def _line_sq_norms(M):

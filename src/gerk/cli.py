@@ -144,13 +144,15 @@ def cmd_solve(args):
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
     )
-    if np.linalg.norm(b) == 0.0:  # every solve metric is relative to ||b||
+    if not b.any():
         raise ZeroMatrix(f"{args.rhs}: right-hand side b is zero")
     # no ground truth: residuals are relative to b itself, and there is no rel_error
     field = "complex" if np.iscomplexobj(A) else "real"
     system = ProblemInstance(A, b, b_hat=b, x_hat=None, field=field, noise_kind="none",
                              noise_level=0.0)
     recorder = MetricRecorder(system, cfg.g or QuadraticMisfit())
+    if not np.finfo(float).tiny <= recorder.b_norm < np.inf:  # every metric divides by it
+        raise ValueError(f"{args.rhs}: the norm of b overflows or underflows; rescale b")
     report = run(A, b, cfg, hooks=(recorder,))
     write_vector_csv(os.path.join(args.out, "solution.csv"), report.state.x)
     rows = recorder.rows

@@ -5,7 +5,8 @@ Two instance families over a rank-deficient A = U diag(sv) V^H with
 
     experiment i   b = b_hat + noise in null(A^H), norm noise_level*||b_hat||
                    (direction uniform on the sphere), so the least-squares
-                   residual is pure nullspace noise
+                   residual is pure nullspace noise; the full SVD that gives
+                   null(A^H) also gives P_range(A) b, kept on the instance
     experiment ii  b = b_hat + impulsive noise: ceil(n/20) entries, drawn
                    without replacement from the m rows, each +-1 (complex:
                    (s+it)/sqrt(2)) times noise_level*||b_hat||_inf
@@ -15,8 +16,11 @@ stream 1 drives the solver, so repeated invocations are bit-identical and
 trials never share draws.  The trials of a group run in lockstep, and so do
 their presets: those without the z-update (rk, srk) in one solver session,
 those with it (rek, gerk_ad, gerk_bd) in another, sharing each trial's index
-draws and the numpy calls of the update.  This changes no value: each preset
-on each trial is bit-identical to a run on its own.  Metrics are recorded
+draws and the numpy calls of the update, and rek and gerk_ad, both of the
+quadratic misfit, one z* chain.  This changes no value: each preset on each
+trial is bit-identical to a run on its own.  The quadratic presets' z_error
+target b - P_range(A) b comes from the instance (ProblemInstance.z_target):
+one SVD per instance, whichever presets ask for it.  Metrics are recorded
 every checkpoint_interval iterations and aggregated across trials into
 min/q25/median/q75/max bands.
 """
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, _fmt, atomic_write
-from .linalg import draw_nullspace_noise, make_rank_deficient
+from .linalg import draw_in_span, left_singular_bases, make_rank_deficient, project_onto
 from .oracles import range_projection_quadratic
 from .potentials import QuadraticMisfit, checked_nonneg
 from .rng import RngStream
@@ -59,6 +63,17 @@ class ProblemInstance:
     field: str
     noise_kind: str
     noise_level: float
+    b_range: Optional[np.ndarray] = None  # P_range(A) b; see z_target
+
+    def z_target(self):
+        """b - P_range(A) b, the limit of z* under the quadratic misfit.
+
+        P_range(A) b is kept in b_range: set by the generator where it takes
+        the SVD anyway, else computed by the oracle on first use.
+        """
+        if self.b_range is None:
+            self.b_range = range_projection_quadratic(self.A, self.b).value
+        return self.b - self.b_range
 
 
 @dataclass
@@ -109,15 +124,22 @@ def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
 
 
 def gen_experiment_i(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
-    """Sparse ground truth plus nullspace noise of norm noise_level*||b_hat||."""
+    """Sparse ground truth plus nullspace noise of norm noise_level*||b_hat||.
+
+    The full SVD of A that gives null(A^H) also gives b_range = P_range(A) b.
+    It equals the oracle's projection, from the thin SVD, to rounding; bit
+    for bit where LAPACK rounds the leading singular vectors of both alike,
+    as at the profiles' shapes with one BLAS thread.
+    """
     noise_level = checked_nonneg(noise_level, "noise_level")
     A, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
-    if noise_level > 0.0:
-        radius = noise_level * float(np.linalg.norm(b_hat))
-        b = b_hat + draw_nullspace_noise(A, radius, field, rng)
-    else:
-        b = b_hat.copy()
-    return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", noise_level)
+    if noise_level == 0.0:
+        return ProblemInstance(A, b_hat.copy(), b_hat, x_hat, field, "nullspace", noise_level)
+    range_basis, null_basis = left_singular_bases(A, True)
+    radius = noise_level * float(np.linalg.norm(b_hat))
+    b = b_hat + draw_in_span(null_basis, radius, field, rng)
+    return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", noise_level,
+                           b_range=project_onto(range_basis, b))
 
 
 def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
@@ -138,6 +160,17 @@ def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rn
     return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level)
 
 
+def _norm(v):
+    """float(np.linalg.norm(v)); where that overflows on finite v, the norm of
+    v / max|v| scaled back, inf only past the largest double.  Callers
+    silence the overflow warning of the first try."""
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def sparsity_count(x):
     """Number of entries with |x_j| > SPARSITY_TOL."""
     return int(np.count_nonzero(np.abs(np.asarray(x)) > SPARSITY_TOL))
@@ -151,9 +184,11 @@ class MetricRecorder:
     target b - A pinv(A) b is cheap and exact.  rel_error is recorded when
     the instance has a ground truth x_hat.  Where g's gradient is the
     identity (quadratic misfit), rel_grad_misfit reuses A^H r of
-    rel_grad_quadratic.
+    rel_grad_quadratic.  A norm that overflows on finite input, as that of
+    A^H r does for entries of A near 1e150, is recomputed scaled (_norm).
     """
 
+    @np.errstate(over="ignore")
     def __init__(self, instance, g, z_target=None):
         self.A = instance.A
         self.Ah = instance.A.conj().T
@@ -163,31 +198,28 @@ class MetricRecorder:
         self.g = g
         self.g_identity = g.updater(self.b.shape, np.iscomplexobj(self.b)) is None
         self.z_target = z_target
-        self.b_hat_norm = float(np.linalg.norm(instance.b_hat))
-        self.b_norm = float(np.linalg.norm(instance.b))
-        self.x_hat_norm = None if self.x_hat is None else float(np.linalg.norm(self.x_hat))
+        self.b_hat_norm = _norm(instance.b_hat)
+        self.b_norm = _norm(instance.b)
+        self.x_hat_norm = None if self.x_hat is None else _norm(self.x_hat)
         self.checkpoints = []
         self.rows = {name: [] for name in METRIC_NAMES}
 
+    @np.errstate(over="ignore")
     def __call__(self, state):
         x = state.x
         Ax = self.A @ x
         anti_residual = self.b - Ax
         self.checkpoints.append(state.k)
-        self.rows["rel_residual"].append(
-            float(np.linalg.norm(Ax - self.b_hat)) / self.b_hat_norm
-        )
+        self.rows["rel_residual"].append(_norm(Ax - self.b_hat) / self.b_hat_norm)
         grad = self.Ah @ anti_residual
-        self.rows["rel_grad_quadratic"].append(float(np.linalg.norm(grad)) / self.b_norm)
+        self.rows["rel_grad_quadratic"].append(_norm(grad) / self.b_norm)
         if not self.g_identity:
             grad = self.Ah @ self.g.gradient(anti_residual)
-        self.rows["rel_grad_misfit"].append(float(np.linalg.norm(grad)) / self.b_norm)
+        self.rows["rel_grad_misfit"].append(_norm(grad) / self.b_norm)
         if self.x_hat is not None:
-            self.rows["rel_error"].append(
-                float(np.linalg.norm(x - self.x_hat)) / self.x_hat_norm
-            )
+            self.rows["rel_error"].append(_norm(x - self.x_hat) / self.x_hat_norm)
         if self.z_target is not None and state.zstar is not None:
-            self.rows["z_error"].append(float(np.linalg.norm(state.zstar - self.z_target)))
+            self.rows["z_error"].append(_norm(state.zstar - self.z_target))
         self.rows["sparsity"].append(float(sparsity_count(x)))
         return False
 
@@ -207,7 +239,6 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
     trace and final iterate to traces[label] and final_x[label], in trial
     order.
     """
-    y_hat_quad = [None] * len(instances)
     # each trial's partitions: built by the first preset that needs them, then
     # shared, since their block norms depend on A alone
     rows, cols = [None] * len(instances), [None] * len(instances)
@@ -229,12 +260,9 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
             continue
         recorders = []  # (label, recorder), preset by preset as the session orders its systems
         for label in labels:
-            for t, (inst, cfg) in enumerate(zip(instances, configs[label])):
-                z_target = None
-                if z_on and isinstance(cfg.g, QuadraticMisfit):
-                    if y_hat_quad[t] is None:
-                        y_hat_quad[t] = range_projection_quadratic(inst.A, inst.b).value
-                    z_target = inst.b - y_hat_quad[t]
+            for inst, cfg in zip(instances, configs[label]):
+                quadratic = z_on and isinstance(cfg.g, QuadraticMisfit)
+                z_target = inst.z_target() if quadratic else None
                 recorders.append(
                     (label, MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target)))
         session = Session([inst.A for inst in instances], [inst.b for inst in instances],

@@ -79,14 +79,31 @@ def svd_pseudoinverse_apply(M, v):
     return vh.conj().T @ ((u.conj().T @ v) * inv)
 
 
+def left_singular_bases(M, full_matrices):
+    """M's left singular vectors split at the rank cutoff: an orthonormal basis
+    of range(M), m x r, and the remaining columns, which span null(M*) when
+    full_matrices is True.
+
+    Both are contiguous copies.  The range basis is taken by mask: where a
+    full and a thin SVD agree on the leading columns, projections onto either
+    round alike, which they would not onto a strided view of the full one's.
+    """
+    M = as_matrix(M)
+    u, s, _ = np.linalg.svd(M, full_matrices=full_matrices)
+    keep = s > rank_cutoff(M.shape, float(s[0]) if s.size else 0.0)
+    return u[:, :s.size][:, keep], u[:, np.count_nonzero(keep):].copy()
+
+
+def project_onto(basis, v):
+    """Orthogonal projection of v onto the span of basis's orthonormal columns."""
+    return basis @ (basis.conj().T @ v)
+
+
 def range_projector_apply(M, v):
-    """Orthogonal projection of v onto range(M), via the SVD of M."""
+    """Orthogonal projection of v onto range(M), via the thin SVD of M."""
     M = as_matrix(M)
     v = as_vector(v, M.shape[0])
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    cutoff = rank_cutoff(M.shape, float(s[0]) if s.size else 0.0)
-    ur = u[:, s > cutoff]
-    return ur @ (ur.conj().T @ v)
+    return project_onto(left_singular_bases(M, False)[0], v)
 
 
 def nullspace_basis_adjoint(M):
@@ -95,11 +112,7 @@ def nullspace_basis_adjoint(M):
     Full row rank yields a basis with zero columns; callers that need noise in
     the adjoint nullspace must treat that as degenerate.
     """
-    M = as_matrix(M)
-    u, s, _ = np.linalg.svd(M, full_matrices=True)
-    cutoff = rank_cutoff(M.shape, float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    return u[:, r:].copy()
+    return left_singular_bases(M, True)[1]
 
 
 def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
@@ -126,7 +139,12 @@ def draw_nullspace_noise(M, radius, field, rng):
     Direction is uniform on the sphere (normalized Gaussian).  Raises
     DegenerateNullspace when M has full row rank.
     """
-    basis = nullspace_basis_adjoint(M)
+    return draw_in_span(nullspace_basis_adjoint(M), radius, field, rng)
+
+
+def draw_in_span(basis, radius, field, rng):
+    """draw_nullspace_noise given the null(M*) basis: basis @ g for a Gaussian g
+    scaled to norm `radius`."""
     if basis.shape[1] == 0:
         raise DegenerateNullspace("matrix has full row rank, adjoint nullspace is trivial")
     g = rng.gaussian_array(basis.shape[1], field)

@@ -81,10 +81,18 @@ class _Regularizer:
 
 
 class _Misfit:
+    """Misfits are values: equal when of one type with equal parameters."""
+
     dtype = None
 
     def gradient(self, y):
         return _allocating(self, y)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash((type(self), tuple(sorted(vars(self).items()))))
 
 
 class Quadratic(_Regularizer):

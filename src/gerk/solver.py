@@ -42,10 +42,15 @@ experiment harness does with the presets of a trial.  Their configs of one
 system agree on the z-update, partitions, seed, stream, max_iterations and
 checkpoint_interval, so the presets share the draws, the gathered rows and
 columns, and one call of every numpy operation of the update, broadcast over
-a leading preset axis of the state arrays, (P,) + batch.  Only the gradient
-kernels of f* and g* run per preset, each on its own contiguous slab (a copy
-where the gradient is the identity), with the preset's own step sizes, so
-each preset's iterates are again bit-identical to a run on its own.
+a leading preset axis of x and x*, (P,) + batch.  The z-update reads neither
+x nor f, so presets with equal misfits g and equal column steps run one z*
+chain: z and z* hold one slab per distinct chain, with a leading chain axis
+only when there are several, and the x-step gathers each preset's z*_i
+through a map from preset to chain, in one indexing call.  The gradient
+kernels run per slab, f* once per preset and g* once per chain, each on its
+own contiguous slab (a copy where the gradient is the identity), with the
+slab's own step sizes, so each preset's iterates are again bit-identical to
+a run on its own.
 """
 
 import functools
@@ -185,6 +190,11 @@ def _join(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _stack(arrays):
+    """The one array itself, else the arrays stacked along a new leading axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _gradient_update(updaters, dual, primal):
     """A call that sets primal = grad(dual); None when primal is dual.
 
@@ -251,20 +261,34 @@ class Session:
         # rows of conj(A): vdot(conj(A_i), x) = A_i x, and the x-step adds conj(A_i)
         self.A_rm_conj = _stacked(As, is_complex)
         self.b = _join(bs)
-        # preset p's step size on system t at [p, t*m + i] (t_col: [p, t*n + j])
-        by_preset = np.stack if lead else (lambda arrays: arrays[0])
-        self.t_row = by_preset([
+        # preset p's step size on system t at [p, t*m + i], chain c's at [c, t*n + j]
+        self.t_row = _stack([
             _join([1.0 / (c.f.conj_lipschitz * c.row_partition.block_sq_norms) for c in p])
             for p in presets])
         f_upds = [p[0].f.updater(batch + (n,), is_complex) for p in presets]
         trivial = cfg.row_partition.trivial
+        # preset p runs z* chain _chains[p]; chain c's z* on system t is at
+        # [c, t*m + i], with no chain axis for one chain
+        self._chains, self._zmap, zlead = [0] * len(presets), None, ()
         if cfg.z_update_enabled:
             # row j of A_cm is column j of A, contiguous
             self.A_cm = _stacked([A.T for A in As], False)
-            self.t_col = by_preset([
-                _join([1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms) for c in p])
-                for p in presets])
-            g_upds = [p[0].g.updater(batch + (m,), is_complex) for p in presets]
+            # the z-update reads neither x nor f: presets of one misfit and one
+            # column step run one z* chain, held once
+            t_cols = [_join([1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms)
+                             for c in p]) for p in presets]
+            keys = [(p[0].g, t.tobytes()) for p, t in zip(presets, t_cols)]
+            chains = list(dict.fromkeys(keys))  # in order of first use
+            self._chains = [chains.index(key) for key in keys]
+            firsts = [keys.index(key) for key in chains]
+            if len(chains) > 1:
+                zlead = (len(chains),)
+                # the x-step gathers every preset's z*_i at once, through the
+                # chain map where presets share a chain
+                self._zmap = (slice(None) if len(chains) == len(presets)
+                              else np.reshape(self._chains, (-1,) + (1,) * len(batch)))
+            self.t_col = _stack([t_cols[p] for p in firsts])
+            g_upds = [presets[p][0].g.updater(batch + (m,), is_complex) for p in firsts]
             trivial = trivial and cfg.col_partition.trivial
         if (lead or batch) and not trivial:
             raise ValueError("systems run in lockstep need single-index partitions")
@@ -275,7 +299,7 @@ class Session:
             x = xstar if all(u is None for u in f_upds) else np.empty_like(xstar)
             zstar = z = None
             if cfg.z_update_enabled:
-                zstar = np.broadcast_to(self.b.reshape(batch + (m,)), lead + batch + (m,)).copy()
+                zstar = np.broadcast_to(self.b.reshape(batch + (m,)), zlead + batch + (m,)).copy()
                 z = zstar if all(u is None for u in g_upds) else np.empty_like(zstar)
             rngs = tuple(RngStream(c.seed, c.stream) for c in cfgs)
             state = SolverState(0, x, xstar, z, zstar, rngs if batch else rngs[0])
@@ -309,8 +333,8 @@ class Session:
             return np.stack([d[k] for d in drawn], axis=1) + np.arange(len(drawn)) * axis_len
 
         def steps(t, f):
-            # (count,) + lead + batch step sizes
-            return per_step(np.moveaxis(t[..., f], len(self.lead), 0))
+            # (count,) + lead + batch step sizes, lead being t's own
+            return per_step(np.moveaxis(t[..., f], t.ndim - 1, 0))
 
         fi = flat(1, self.shape[0])
         if self.cfg.z_update_enabled:
@@ -327,7 +351,7 @@ class Session:
         state = self.state
         x, xstar = state.x, state.xstar
         z, zstar = state.z, state.zstar
-        lead, vec = self.lead, bool(self.lead or self.batch)
+        vec = bool(self.lead or self.batch)
         # both dot products conjugate their first argument; vecdot reduces each
         # row exactly as vdot reduces one vector, and broadcasts a gathered row
         # or column over the presets
@@ -338,8 +362,11 @@ class Session:
         row_blocks, row_trivial = cfg.row_partition.blocks, cfg.row_partition.trivial
         z_on = cfg.z_update_enabled
         if z_on:
-            # entry i of system t's z* at [t*m + i], of every preset at [:, t*m + i]
-            zstar_rows = zstar.reshape(lead + (-1,))
+            # entry i of system t's z* at [t*m + i], of every chain at [:, t*m + i]
+            zmap = self._zmap
+            zstar_rows = zstar.reshape((-1,) if zmap is None else (len(zstar), -1))
+            zvec = zmap is not None or bool(self.batch)
+            zdot = np.vecdot if zvec else np.vdot
             A_cm = self.A_cm
             col_blocks, col_trivial = cfg.col_partition.blocks, cfg.col_partition.trivial
 
@@ -357,15 +384,15 @@ class Session:
                         zstar -= tc * (Aj @ (Aj.conj().T @ z))
                     else:
                         col = A_cm[j]
-                        c = tc * dot(col, z)
-                        zstar -= (c[..., None] if vec else c) * col
+                        c = tc * zdot(col, z)
+                        zstar -= (c[..., None] if zvec else c) * col
                     if g_update is not None:
                         g_update()
                 if row_trivial:
                     row = A_rm_conj[i]
                     w = dot(row, x) - bi
                     if z_on:
-                        w += zstar_rows[:, i] if lead else zstar_rows[i]
+                        w += zstar_rows[i] if zmap is None else zstar_rows[zmap, i]
                     c = tr * w
                     xstar -= (c[..., None] if vec else c) * row
                 else:  # one system only
@@ -394,9 +421,11 @@ class Session:
 
         x, xstar, z, zstar = map(rows, (state.x, state.xstar, state.z, state.zstar))
         systems = len(self._rngs)
+        # system t of preset p reads z* of the preset's chain c at c*T + t
+        zs = [self._chains[s // systems] * systems + s % systems for s in range(len(x))]
         return [
-            SolverState(state.k, x[s], xstar[s], None if z is None else z[s],
-                        None if zstar is None else zstar[s], self._rngs[s % systems])
+            SolverState(state.k, x[s], xstar[s], None if z is None else z[zs[s]],
+                        None if zstar is None else zstar[zs[s]], self._rngs[s % systems])
             for s in range(len(x))
         ]
 

@@ -9,7 +9,7 @@ from gerk.blocks import (
     paired_blocks,
     row_partition,
 )
-from gerk.errors import DimensionMismatch, ZeroMatrix
+from gerk.errors import DimensionMismatch, NonFiniteInput, ZeroMatrix
 from gerk.linalg import embed_complex_as_real
 from gerk.rng import RngStream
 
@@ -104,6 +104,20 @@ def test_out_of_range_scale_rejected(scale, field):
     for blocks in (None, contiguous_blocks(8, 4)):
         with pytest.raises(ZeroMatrix):
             row_partition(B, blocks=blocks)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_multi_index_block_rejected(bad):
+    # the SVD of a multi-index block does not converge on NaN or inf; the
+    # partition says why instead
+    A = RngStream(205).normal_array(12).reshape(4, 3)
+    cases = ((row_partition, contiguous_blocks(4, 2)), (column_partition, contiguous_blocks(3, 2)))
+    for partition, blocks in cases:
+        partition(A, blocks=blocks)  # negative control: finite A partitions
+    A[1, 2] = bad
+    for partition, blocks in cases:
+        with pytest.raises(NonFiniteInput, match="finite"):
+            partition(A, blocks=blocks)
 
 
 def test_probability_validation():

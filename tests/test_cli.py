@@ -118,6 +118,22 @@ def test_zero_rhs_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("scale, code", [(1e-170, 2), (1e-150, 0), (1e200, 0)])
+def test_tiny_rhs_exit_code(tmp_path, capsys, scale, code):
+    # a nonzero b whose norm underflows is refused, asking to rescale b, not
+    # called zero; b at 1e-150, or at 1e200 (its norm recomputed scaled),
+    # solves (negative controls)
+    _, _, b = write_system(tmp_path, m=8, n=4)
+    write_vector_csv(tmp_path / "b.csv", scale * b)
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+               "--rhs", str(tmp_path / "b.csv"), "--preset", "rek",
+               "--out", str(tmp_path / "out")])
+    assert rc == code
+    refused = "the norm of b overflows or underflows; rescale b" in capsys.readouterr().err
+    assert refused == (code == 2)
+    assert (tmp_path / "out" / "solution.csv").exists() == (code == 0)
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_out_of_range_scale_exit_code(tmp_path, capsys, scale):
     A, _, b = write_system(tmp_path, m=8, n=4)

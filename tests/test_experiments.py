@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +138,29 @@ def test_recorder_misfit_gradient_matches_full_formula():
             assert np.array_equal(recorder.trace().metrics["rel_grad_misfit"], full)
 
 
+def test_recorder_norms_survive_overflow():
+    # at entries near 1e150, ||A^H r|| (about 1e300) squares past the largest
+    # double; the recorder recomputes it scaled instead of reading inf
+    rng = np.random.default_rng(7)
+    A = 1e150 * rng.standard_normal((8, 4))
+    b = A @ rng.standard_normal(4)
+    system = experiments.ProblemInstance(A, b, b, None, "real", "none", 0.0)
+    recorder = MetricRecorder(system, QuadraticMisfit())
+    xs = []
+    run(A, b, preset("rk", A, max_iterations=800, seed=1, checkpoint_interval=400),
+        hooks=(recorder, lambda s: xs.append(s.x.copy())))
+    metrics = recorder.trace().metrics
+    assert metrics["rel_residual"][-1] <= 1e-12  # rk converges
+    grads = [A.T @ (b - A @ x) for x in xs]
+    # negative control: the plain norm of the first gradient overflows
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(grads[0]) == np.inf
+    for name in ("rel_grad_quadratic", "rel_grad_misfit"):
+        assert np.isfinite(metrics[name]).all()
+        want = [np.linalg.norm(g / 1e150) * 1e150 / np.linalg.norm(b) for g in grads]
+        assert metrics[name] == pytest.approx(want, rel=1e-12)
+
+
 def test_sparsity_above_n_names_sparsity():
     for gen in (gen_experiment_i, gen_experiment_ii):
         with pytest.raises(ValueError, match="sparsity"):
@@ -202,6 +230,65 @@ def test_grouping_does_not_change_results(monkeypatch):
     grouped = run_small(trials=5)
     for t in range(5):
         assert_trials_equal(whole, t, grouped, t)
+
+
+# with one BLAS thread, LAPACK's full and thin SVDs round the leading left
+# singular vectors alike at these shapes, so the target kept from the full SVD
+# is the oracle's bit for bit; other shapes (60x40 real) or thread counts can
+# round them apart in the last bit
+ONE_SVD_BIT_EQUAL = """
+import numpy as np
+from gerk.experiments import gen_experiment_i
+from gerk.oracles import range_projection_quadratic
+from gerk.rng import RngStream
+for m, n, rank in ((200, 100, 50), (300, 290, 145)):
+    for field in ("real", "complex"):
+        inst = gen_experiment_i(m, n, rank, 5, 5.0, 0.1, 10.0, field, RngStream(830))
+        oracle = range_projection_quadratic(inst.A, inst.b).value
+        assert np.array_equal(inst.b_range, oracle), (m, n, field)
+"""
+
+
+def test_experiment_i_target_is_the_oracles_projection():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")})
+    proc = subprocess.run([sys.executable, "-c", ONE_SVD_BIT_EQUAL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # at any shape it is the projection, to rounding, and z_target uses it
+    for m, n, field in ((60, 40, "real"), (24, 12, "complex")):
+        inst = gen_experiment_i(m, n, n // 2, 2, 5.0, 0.5, 2.0, field, RngStream(831))
+        oracle = range_projection_quadratic(inst.A, inst.b).value
+        assert np.linalg.norm(inst.b_range - oracle) <= 1e-13 * np.linalg.norm(inst.b)
+        assert np.array_equal(inst.z_target(), inst.b - inst.b_range)
+
+
+def test_one_svd_per_experiment_i_instance(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("full_matrices", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    specs = [PresetSpec(name, lam=1.0) for name in ("srk", "rek", "gerk_ad")]
+    for field in ("real", "complex"):
+        calls.clear()
+        run_trials(small_generator("i", field), specs, trials=3, iterations=24, base_seed=920)
+        assert calls == [True] * 3  # the full SVD of the noise; the z-target comes with it
+    # without the noise there is no SVD to share: the oracle's thin one runs on
+    # first use of the z-target, once per instance, as for experiment ii
+    for which, noise in (("i", 0.0), ("ii", 2.0)):
+        inst = small_generator(which, noise=noise)(RngStream(921))
+        calls.clear()
+        target = inst.z_target()
+        assert np.array_equal(inst.z_target(), target)
+        assert calls == [False]
+        assert np.array_equal(inst.b_range, range_projection_quadratic(inst.A, inst.b).value)
 
 
 def test_partitions_built_once_per_trial(monkeypatch):

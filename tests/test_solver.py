@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gerk.blocks import column_partition, contiguous_blocks, row_partition
+from gerk.blocks import BlockPartition, column_partition, contiguous_blocks, row_partition
 from gerk.errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
 from gerk.linalg import (
     make_rank_deficient,
     range_projector_apply,
     svd_pseudoinverse_apply,
 )
-from gerk.potentials import ElasticNet, Quadratic, QuadraticMisfit
+from gerk.potentials import ElasticNet, HuberQuadMisfit, Quadratic, QuadraticMisfit
 from gerk.rng import RngStream
 from gerk.solver import (
     DRAW_CHUNK,
@@ -542,6 +542,33 @@ def test_one_preset_keeps_the_state_shapes():
     assert Session(As, bs, [cfgs["rek"]]).state.zstar.shape == (3, 12)
     assert Session(As, bs, cfgs["rek"]).state.zstar.shape == (3, 12)
     assert Session(As[0], bs[0], cfgs["rek"][0]).state.zstar.shape == (12,)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_presets_of_one_misfit_share_a_z_chain(trials):
+    # rek and gerk_ad, both quadratic, hold one z* slab; gerk_bd adds a second
+    As, bs, cfgs = shared_systems("real", trials)
+    batch = (trials,) * (trials > 1)
+    for names, chains in ((("rek", "gerk_ad"), ()), (("rek", "gerk_ad", "gerk_bd"), (2,)),
+                          (("gerk_ad", "gerk_bd", "rek"), (2,))):
+        session = Session(As, bs, [cfgs[name] for name in names])
+        assert session.state.zstar.shape == chains + batch + (12,)
+        session.advance(20)
+        states = dict(zip([(name, t) for name in names for t in range(trials)], session.states()))
+        for t in range(trials):
+            assert np.shares_memory(states["rek", t].zstar, states["gerk_ad", t].zstar)
+            if "gerk_bd" in names:
+                assert not np.shares_memory(states["rek", t].zstar, states["gerk_bd", t].zstar)
+    # negative controls: another misfit of the same column step (1/eps + tau =
+    # 10.05), or the same misfit with other column steps, runs its own chain
+    other_g = [dataclasses.replace(c, g=HuberQuadMisfit(0.2, 5.05)) for c in cfgs["gerk_bd"]]
+    other_t = [dataclasses.replace(c, col_partition=BlockPartition(
+        "column", 6, c.col_partition.blocks, 2.0 * c.col_partition.block_sq_norms))
+        for c in cfgs["gerk_bd"]]
+    for other in (other_g, other_t):
+        session = Session(As, bs, [cfgs["gerk_bd"], other])
+        assert session.state.zstar.shape == (2,) + batch + (12,)
+        assert np.array_equal(session.t_col[0], session.t_col[1]) == (other is other_g)
 
 
 def test_shared_presets_must_share_the_draws():
