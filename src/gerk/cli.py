@@ -20,6 +20,7 @@ invocations produce byte-identical files.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -151,7 +152,9 @@ def cmd_solve(args):
     system = ProblemInstance(A, b, b_hat=b, x_hat=None, field=field, noise_kind="none",
                              noise_level=0.0)
     recorder = MetricRecorder(system, cfg.g or QuadraticMisfit())
-    if not np.finfo(float).tiny <= recorder.b_norm < np.inf:  # every metric divides by it
+    # every metric divides by ||b||, refused where it overflows or its square
+    # underflows to zero
+    if not math.sqrt(np.finfo(float).smallest_subnormal) <= recorder.b_norm < np.inf:
         raise ValueError(f"{args.rhs}: the norm of b overflows or underflows; rescale b")
     report = run(A, b, cfg, hooks=(recorder,))
     write_vector_csv(os.path.join(args.out, "solution.csv"), report.state.x)

@@ -13,11 +13,12 @@ Two instance families over a rank-deficient A = U diag(sv) V^H with
 
 Trial t of a run uses seed base_seed + t: stream 0 generates the instance,
 stream 1 drives the solver, so repeated invocations are bit-identical and
-trials never share draws.  The trials of a group run in lockstep, and so do
-their presets: those without the z-update (rk, srk) in one solver session,
-those with it (rek, gerk_ad, gerk_bd) in another, sharing each trial's index
-draws and the numpy calls of the update, and rek and gerk_ad, both of the
-quadratic misfit, one z* chain.  This changes no value: each preset on each
+trials never share draws.  The trials of a group and all their presets run in
+one solver session, in lockstep.  The presets without the z-update (rk, srk)
+share each trial's index draws, and so do those with it (rek, gerk_ad,
+gerk_bd); rek and gerk_ad, both of the quadratic misfit, run one z* chain;
+the presets of one regularizer are ordered side by side, so its gradient
+kernel runs once for all of them.  This changes no value: each preset on each
 trial is bit-identical to a run on its own.  The quadratic presets' z_error
 target b - P_range(A) b comes from the instance (ProblemInstance.z_target):
 one SVD per instance, whichever presets ask for it.  Metrics are recorded
@@ -160,14 +161,20 @@ def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rn
     return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level)
 
 
+# below this norm the squares of a vector's entries leave the normal range
+NORM_MIN = math.sqrt(np.finfo(float).tiny)
+
+
 def _norm(v):
-    """float(np.linalg.norm(v)); where that overflows on finite v, the norm of
-    v / max|v| scaled back, inf only past the largest double.  Callers
-    silence the overflow warning of the first try."""
+    """float(np.linalg.norm(v)); where that overflows or falls below NORM_MIN
+    on finite nonzero v, the norm of v / max|v| scaled back, inf only past
+    the largest double.  Callers silence the overflow warning of the first
+    try."""
     norm = float(np.linalg.norm(v))
-    if norm == math.inf and np.isfinite(v).all():
+    if not NORM_MIN <= norm < math.inf and np.isfinite(v).all():
         scale = float(np.max(np.abs(v)))
-        norm = scale * float(np.linalg.norm(v / scale))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(v / scale))
     return norm
 
 
@@ -185,7 +192,8 @@ class MetricRecorder:
     the instance has a ground truth x_hat.  Where g's gradient is the
     identity (quadratic misfit), rel_grad_misfit reuses A^H r of
     rel_grad_quadratic.  A norm that overflows on finite input, as that of
-    A^H r does for entries of A near 1e150, is recomputed scaled (_norm).
+    A^H r does for entries of A near 1e150, or whose squares underflow, as
+    that of b does near 1e-160, is recomputed scaled (_norm).
     """
 
     @np.errstate(over="ignore")
@@ -232,12 +240,12 @@ class MetricRecorder:
 
 def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, traces,
                final_x):
-    """Every preset over a group of trials, the group's systems in lockstep.
+    """Every preset over a group of trials, in one session.
 
-    The presets without the z-update advance in one session and those with
-    it in another, sharing each trial's index draws.  Appends each trial's
-    trace and final iterate to traces[label] and final_x[label], in trial
-    order.
+    The group's systems and presets advance in lockstep, the presets of each
+    draw group (with and without the z-update) on each trial's shared index
+    draws.  Appends each trial's trace and final iterate to traces[label]
+    and final_x[label], in trial order.
     """
     # each trial's partitions: built by the first preset that needs them, then
     # shared, since their block norms depend on A alone
@@ -254,24 +262,22 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
         rows = [cfg.row_partition for cfg in cfgs]
         cols = [col if cfg.col_partition is None else cfg.col_partition
                 for cfg, col in zip(cfgs, cols)]
-    for z_on in (False, True):
-        labels = [label for label, cfgs in configs.items() if cfgs[0].z_update_enabled == z_on]
-        if not labels:
-            continue
-        recorders = []  # (label, recorder), preset by preset as the session orders its systems
-        for label in labels:
-            for inst, cfg in zip(instances, configs[label]):
-                quadratic = z_on and isinstance(cfg.g, QuadraticMisfit)
-                z_target = inst.z_target() if quadratic else None
-                recorders.append(
-                    (label, MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target)))
-        session = Session([inst.A for inst in instances], [inst.b for inst in instances],
-                          [configs[label] for label in labels])
-        session.finish([(rec,) for _, rec in recorders])
-        for (label, rec), state in zip(recorders, session.states()):
-            traces[label].append(rec.trace())
-            final_x[label].append(state.x.copy())
-        del session  # its matrix copies go before the next session's are built
+    # equal regularizers adjacent, so that the session runs one f-kernel over
+    # their slabs
+    regularizers = [cfgs[0].f for cfgs in configs.values()]
+    labels = sorted(configs, key=lambda label: regularizers.index(configs[label][0].f))
+    recorders = []  # (label, recorder), preset by preset as the session orders its systems
+    for label in labels:
+        for inst, cfg in zip(instances, configs[label]):
+            z_target = inst.z_target() if isinstance(cfg.g, QuadraticMisfit) else None
+            recorders.append(
+                (label, MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target)))
+    session = Session([inst.A for inst in instances], [inst.b for inst in instances],
+                      [configs[label] for label in labels])
+    session.finish([(rec,) for _, rec in recorders])
+    for (label, rec), state in zip(recorders, session.states()):
+        traces[label].append(rec.trace())
+        final_x[label].append(state.x.copy())
 
 
 def run_trials(
@@ -286,8 +292,8 @@ def run_trials(
 
     generator: callable(rng) -> ProblemInstance.  Trial t uses seed
     base_seed + t.  The trials advance in lockstep, in groups whose stacked
-    matrix copies fit GROUP_BYTES, with the presets of a group in at most
-    two sessions; each trial's trace and final iterate are bit-identical to
+    matrix copies fit GROUP_BYTES, with the presets of a group in one
+    session; each trial's trace and final iterate are bit-identical to
     running its preset alone, so the result depends neither on the grouping
     nor on the other presets.
     """

@@ -24,14 +24,18 @@ Each gradient is written once, as the in-place kernel apply(dual, out) that
 `updater(shape, is_complex)` returns (None when the gradient is the
 identity).  The solver calls that kernel every iteration.  shape is the
 iterate's length, or a batch shape plus that length for systems advancing
-in lockstep.  The kernels are elementwise, so each row of a batch gets
-exactly the values it would get alone; the group regularizer's kernel
-couples entries and takes one system only.
+in lockstep.  Each row of a batch gets exactly the values it would get
+alone: the kernels are elementwise, and the group regularizer's sums each
+row's groups in that row's own order.  Potentials are values, equal when of
+one type with equal parameters, so the solver can run one kernel over the
+slabs of several presets of one potential.
 
 The allocating forms, conjugate_gradient (regularizers) and gradient
 (misfits), are derived from the kernel in one place (_allocating), and the
 shrinkage functions are aliases of them.
 """
+
+import math
 
 import numpy as np
 
@@ -67,7 +71,20 @@ def _allocating(potential, v):
     return out
 
 
-class _Regularizer:
+class _Value:
+    """Equal when of one type with equal parameters (_params)."""
+
+    def _params(self):
+        return tuple(sorted(vars(self).items()))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._params() == self._params()
+
+    def __hash__(self):
+        return hash((type(self), self._params()))
+
+
+class _Regularizer(_Value):
     alpha = 1.0
     conj_lipschitz = 1.0
     dtype = None
@@ -80,19 +97,11 @@ class _Regularizer:
         return 0.5 * real_inner(s, s)
 
 
-class _Misfit:
-    """Misfits are values: equal when of one type with equal parameters."""
-
+class _Misfit(_Value):
     dtype = None
 
     def gradient(self, y):
         return _allocating(self, y)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def __hash__(self):
-        return hash((type(self), tuple(sorted(vars(self).items()))))
 
 
 class Quadratic(_Regularizer):
@@ -154,6 +163,10 @@ class GroupElasticNet(_Regularizer):
         self.n = int(sum(blk.size for blk in self.groups))
         self.gid = owners(self.groups, self.n, "group")
 
+    def _params(self):
+        # the groups are arrays, so not compared through vars
+        return self.lam, tuple(tuple(blk.tolist()) for blk in self.groups)
+
     def check_field(self, is_complex):
         pass
 
@@ -168,21 +181,26 @@ class GroupElasticNet(_Regularizer):
         return self.lam * total + 0.5 * real_inner(x, x)
 
     def updater(self, shape, is_complex):
-        # scale each group x_g by max(0, 1 - lam/||x_g||); zero groups stay zero
-        self._check_len(np.empty(shape))  # one system only: no batch shape
+        # scale each group x_g by max(0, 1 - lam/||x_g||); zero groups stay zero.
+        # Group g of row r is bin r*k + g, whose squares bincount sums in the
+        # order it sums them for that row alone
+        shape = np.broadcast_shapes(shape)
+        if shape[-1:] != (self.n,):
+            raise DimensionMismatch(f"expected length {self.n}")
         lam = self.lam
-        gid = self.gid
         k = len(self.groups)
+        rows = math.prod(shape[:-1])
+        gid = (self.gid + k * np.arange(rows)[:, None]).reshape(-1)
 
         def apply(xstar, out):
             sq = np.abs(xstar) ** 2 if is_complex else xstar * xstar
-            norms = np.sqrt(np.bincount(gid, weights=sq, minlength=k))
+            norms = np.sqrt(np.bincount(gid, weights=sq.reshape(-1), minlength=rows * k))
             if lam > 0.0:
                 with np.errstate(divide="ignore"):
                     scale = np.maximum(1.0 - lam / norms, 0.0)
             else:
-                scale = np.ones(k)
-            np.multiply(xstar, scale[gid], out=out)
+                scale = np.ones(rows * k)
+            np.multiply(xstar, scale[gid].reshape(shape), out=out)
 
         return apply
 

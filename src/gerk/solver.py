@@ -38,19 +38,30 @@ batch, while numpy's per-call overhead, the dominant cost of an iteration,
 is shared among the T systems.
 
 A session can also advance P presets over the same systems, as the
-experiment harness does with the presets of a trial.  Their configs of one
-system agree on the z-update, partitions, seed, stream, max_iterations and
-checkpoint_interval, so the presets share the draws, the gathered rows and
-columns, and one call of every numpy operation of the update, broadcast over
-a leading preset axis of x and x*, (P,) + batch.  The z-update reads neither
-x nor f, so presets with equal misfits g and equal column steps run one z*
-chain: z and z* hold one slab per distinct chain, with a leading chain axis
-only when there are several, and the x-step gathers each preset's z*_i
-through a map from preset to chain, in one indexing call.  The gradient
-kernels run per slab, f* once per preset and g* once per chain, each on its
-own contiguous slab (a copy where the gradient is the identity), with the
-slab's own step sizes, so each preset's iterates are again bit-identical to
-a run on its own.
+experiment harness does with all the presets of a trial.  The presets form at
+most two draw groups, those without the z-update and those with it, and each
+group draws from its own RngStream per system, as its first preset's configs
+would alone: one draw per iteration without the z-update, two with it.  A
+system's configs agree within a group on the z-update, partitions, seed and
+stream, and across the session on max_iterations and checkpoint_interval.
+One call of every numpy operation of the update is broadcast over a leading
+preset axis of x and x*, (P,) + batch.  The x-step gathers each preset's row
+in one indexing call, through a flat row index of shape lead + batch (the
+right-hand sides and step sizes are gathered ahead, with the draws); with
+one draw group the index is the group's own, batch-shaped and shared by
+every preset.  The z-update reads neither x nor f, so presets with equal
+misfits g and equal column steps run one z* chain: z and z* hold one slab
+per distinct chain, with a leading chain axis only when there are several,
+and the x-step gathers each preset's z*_i through a map from preset to
+chain, in one indexing call.  A preset without the z-update maps to a slab of
+zeros past the chains; adding its +0.0 can only turn a w of -0.0 into +0.0,
+which leaves x* bit-equal because x* never holds -0.0 (it starts at +0.0,
+and exact differences round to +0.0).  Potentials are values, and each
+gradient kernel runs once per run of adjacent equal ones, on their
+contiguous slab (a copy where the gradient is the identity): f over the
+presets, g over the chains.  The kernels are elementwise, or sum each row on
+its own, and every step size is the preset's own, so each preset's iterates
+are again bit-identical to a run on its own.
 """
 
 import functools
@@ -144,21 +155,24 @@ def _check_config(cfg, m, n, is_complex):
         raise ValueError("checkpoint_interval must be >= 1")
 
 
-def _shared_fields(cfg):
-    """What fixes a config's index draws and checkpoints, by field name.
+def _shared_fields(cfg, draws=True):
+    """What fixes a config's checkpoints and, with draws, its index draws, by
+    field name.
 
     A partition enters by its cumulative probabilities, the only part of it
     the draws read; the column partition only when the z-update is on.
     """
-    return {
-        "z_update_enabled": cfg.z_update_enabled,
-        "row_partition": cfg.row_partition._cum.tobytes(),
-        "col_partition": cfg.col_partition._cum.tobytes() if cfg.z_update_enabled else None,
-        "seed": cfg.seed,
-        "stream": cfg.stream,
-        "max_iterations": cfg.max_iterations,
-        "checkpoint_interval": cfg.checkpoint_interval,
-    }
+    fields = {"max_iterations": cfg.max_iterations,
+              "checkpoint_interval": cfg.checkpoint_interval}
+    if draws:
+        fields.update(
+            z_update_enabled=cfg.z_update_enabled,
+            row_partition=cfg.row_partition._cum.tobytes(),
+            col_partition=cfg.col_partition._cum.tobytes() if cfg.z_update_enabled else None,
+            seed=cfg.seed,
+            stream=cfg.stream,
+        )
+    return fields
 
 
 def draw_indices(cfg, rng, count):
@@ -195,20 +209,28 @@ def _stack(arrays):
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _gradient_update(updaters, dual, primal):
-    """A call that sets primal = grad(dual); None when primal is dual.
+def _kernels(potentials, shape, is_complex):
+    """(slab, kernel) per run of adjacent equal potentials.
 
-    updaters holds one kernel per preset (None for the identity), and dual
-    and primal one slab per preset along their leading axis, or, with one
-    preset, no preset axis.  A kernel runs on its preset's contiguous slab;
-    an identity preset's slab is copied.
+    potentials holds one potential per slab along the leading axis of
+    `shape`, which has no such axis for one potential.  slab indexes a run's
+    contiguous slabs, and kernel (None for the identity) takes them at once.
     """
+    if len(potentials) == 1:
+        return [(..., potentials[0].updater(shape, is_complex))]
+    starts = [k for k, f in enumerate(potentials) if k == 0 or f != potentials[k - 1]]
+    stops = starts[1:] + [len(potentials)]
+    return [(slice(a, z), potentials[a].updater((z - a,) + shape[1:], is_complex))
+            for a, z in zip(starts, stops)]
+
+
+def _gradient_update(kernels, dual, primal):
+    """A call that sets primal = grad(dual) by _kernels' runs; None when
+    primal is dual.  An identity run's slabs are copied."""
     if primal is dual:
         return None
-    if len(updaters) == 1:
-        dual, primal = [dual], [primal]
-    calls = [functools.partial(np.copyto, p, d) if upd is None else functools.partial(upd, d, p)
-             for upd, d, p in zip(updaters, dual, primal)]
+    calls = [functools.partial(np.copyto, primal[s], dual[s]) if k is None
+             else functools.partial(k, dual[s], primal[s]) for s, k in kernels]
     if len(calls) == 1:
         return calls[0]
 
@@ -229,8 +251,9 @@ class Session:
 
     Session(As, bs, presets), given a sequence of such config sequences
     (presets[p][t] runs preset p on system t), advances the presets over the
-    same systems and draws, as the module docstring describes.  A system's
-    configs must agree on the fields of _shared_fields, or ValueError names
+    same systems in one loop, as the module docstring describes.  A system's
+    configs must agree on the fields of _shared_fields, all of them within a
+    draw group and the checkpoint fields across groups, or ValueError names
     the one that differs; f, g and the step sizes are each preset's own.
 
     Validation, matrix copies, step sizes and updaters are built once.  The
@@ -247,15 +270,22 @@ class Session:
         self.cfg = cfg = cfgs[0]
         m, n = self.shape = As[0].shape
         is_complex = np.iscomplexobj(As[0])
-        for other in presets[1:]:
+        # draw groups, in order of first use: the presets without the z-update
+        # and those with it, each drawing as its first preset's configs do
+        z_ons = [p[0].z_update_enabled for p in presets]
+        self._groups = groups = list(dict.fromkeys(z_ons))
+        self._group = [groups.index(z_on) for z_on in z_ons]
+        for other, z_on in zip(presets, z_ons):
             if len(other) != len(cfgs):
                 raise ValueError("every preset of a session needs one config per system")
-            for c, c0 in zip(other, cfgs):
+            for c, c0, first in zip(other, presets[z_ons.index(z_on)], cfgs):
                 _check_config(c, m, n, is_complex)
-                shared = _shared_fields(c0)
-                for name, value in _shared_fields(c).items():
-                    if value != shared[name]:
-                        raise ValueError(f"the presets of a session must share {name}")
+                for ref, draws in ((c0, True), (first, False)):
+                    shared = _shared_fields(ref, draws)
+                    for name, value in _shared_fields(c, draws).items():
+                        if value != shared[name]:
+                            raise ValueError(f"the presets of a session must share {name}")
+        self._draw_cfgs = [c for z_on in groups for c in presets[z_ons.index(z_on)]]
         self.lead = lead = (len(presets),) if len(presets) > 1 else ()
         self.batch = batch = (len(As),) if len(As) > 1 else ()
         # rows of conj(A): vdot(conj(A_i), x) = A_i x, and the x-step adds conj(A_i)
@@ -265,84 +295,105 @@ class Session:
         self.t_row = _stack([
             _join([1.0 / (c.f.conj_lipschitz * c.row_partition.block_sq_norms) for c in p])
             for p in presets])
-        f_upds = [p[0].f.updater(batch + (n,), is_complex) for p in presets]
+        # with two draw groups each preset gathers its own rows: its step sizes
+        # sit at p*T*m past the flat row index
+        self._t_off = np.arange(len(presets)).reshape(lead + (1,) * len(batch)) * len(self.b)
+        f_kernels = _kernels([p[0].f for p in presets], lead + batch + (n,), is_complex)
         trivial = cfg.row_partition.trivial
-        # preset p runs z* chain _chains[p]; chain c's z* on system t is at
-        # [c, t*m + i], with no chain axis for one chain
-        self._chains, self._zmap, zlead = [0] * len(presets), None, ()
-        if cfg.z_update_enabled:
+        # preset p runs z* chain _chains[p] (None without the z-update); chain
+        # c's z* on system t is at [c, t*m + i], with no chain axis for one chain
+        self._chains, self._zmap, self._zcfg, zlead = [None] * len(presets), None, None, ()
+        if True in groups:
+            zp = [p for p, z_on in enumerate(z_ons) if z_on]
+            self._zcfg = presets[zp[0]][0]
             # row j of A_cm is column j of A, contiguous
             self.A_cm = _stacked([A.T for A in As], False)
             # the z-update reads neither x nor f: presets of one misfit and one
             # column step run one z* chain, held once
             t_cols = [_join([1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms)
-                             for c in p]) for p in presets]
-            keys = [(p[0].g, t.tobytes()) for p, t in zip(presets, t_cols)]
-            chains = list(dict.fromkeys(keys))  # in order of first use
-            self._chains = [chains.index(key) for key in keys]
+                             for c in presets[p]]) for p in zp]
+            keys = [(presets[p][0].g, t.tobytes()) for p, t in zip(zp, t_cols)]
+            chains = list(dict.fromkeys(keys))
+            for p, key in zip(zp, keys):
+                self._chains[p] = chains.index(key)
             firsts = [keys.index(key) for key in chains]
-            if len(chains) > 1:
-                zlead = (len(chains),)
-                # the x-step gathers every preset's z*_i at once, through the
-                # chain map where presets share a chain
-                self._zmap = (slice(None) if len(chains) == len(presets)
-                              else np.reshape(self._chains, (-1,) + (1,) * len(batch)))
-            self.t_col = _stack([t_cols[p] for p in firsts])
-            g_upds = [presets[p][0].g.updater(batch + (m,), is_complex) for p in firsts]
-            trivial = trivial and cfg.col_partition.trivial
+            zlead = (len(chains),) if len(chains) > 1 else ()
+            # the x-step gathers every preset's z*_i at once, through the chain
+            # map where presets share a chain, and a preset without the
+            # z-update reads a slab of zeros past the chains
+            slabs = len(chains) + (len(groups) > 1)
+            if slabs > 1:
+                self._zmap = np.reshape([len(chains) if c is None else c for c in self._chains],
+                                        lead + (1,) * len(batch))
+            self.t_col = _stack([t_cols[k] for k in firsts])
+            g_kernels = _kernels([keys[k][0] for k in firsts], zlead + batch + (m,), is_complex)
+            trivial = trivial and self._zcfg.col_partition.trivial
         if (lead or batch) and not trivial:
             raise ValueError("systems run in lockstep need single-index partitions")
 
         fresh = state is None
         if fresh:
             xstar = np.zeros(lead + batch + (n,), dtype=self.A_rm_conj.dtype)
-            x = xstar if all(u is None for u in f_upds) else np.empty_like(xstar)
+            x = xstar if all(k is None for _, k in f_kernels) else np.empty_like(xstar)
             zstar = z = None
-            if cfg.z_update_enabled:
-                zstar = np.broadcast_to(self.b.reshape(batch + (m,)), zlead + batch + (m,)).copy()
-                z = zstar if all(u is None for u in g_upds) else np.empty_like(zstar)
-            rngs = tuple(RngStream(c.seed, c.stream) for c in cfgs)
-            state = SolverState(0, x, xstar, z, zstar, rngs if batch else rngs[0])
+            if self._zcfg is not None:
+                zbuf = np.zeros((slabs,) + batch + (m,), self.b.dtype)
+                zbuf[:len(chains)] = self.b.reshape(batch + (m,))
+                zstar = zbuf[:len(chains)] if zlead else zbuf[0]
+                z = zstar if all(k is None for _, k in g_kernels) else np.empty_like(zstar)
+            rngs = tuple(RngStream(c.seed, c.stream) for c in self._draw_cfgs)
+            state = SolverState(0, x, xstar, z, zstar, rngs if len(rngs) > 1 else rngs[0])
         self.state = state
-        self._f_update = _gradient_update(f_upds, state.xstar, state.x)
-        self._g_update = (_gradient_update(g_upds, state.zstar, state.z)
-                          if cfg.z_update_enabled else None)
+        self._f_update = _gradient_update(f_kernels, state.xstar, state.x)
+        self._g_update = None
+        if self._zcfg is not None:
+            self._g_update = _gradient_update(g_kernels, state.zstar, state.z)
+            # entry i of system t's z* at [t*m + i], of every slab at [:, t*m + i]
+            self._zrows = (state.zstar.reshape(-1) if self._zmap is None
+                           else zbuf.reshape(slabs, -1))
         if fresh:
             for update in (self._f_update, self._g_update):
                 if update is not None:
                     update()
-        self._rngs = state.rng if batch else (state.rng,)
-        self._draws = 2 if cfg.z_update_enabled else 1  # per iteration
+        self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
+        self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
         self._left = 0  # drawn iterations not yet run
         self._end = cfg.max_iterations  # indices are drawn past it only when asked for
 
     def _refill(self, wanted):
         """Draw the indices of up to DRAW_CHUNK iterations, and of `wanted` at least."""
         count = min(DRAW_CHUNK, max(wanted, self._end - self.state.k))
-        drawn = [draw_indices(c, rng, count) for c, rng in zip(self.cfgs, self._rngs)]
-        for rng in self._rngs:  # the streams count the draws of iterations run only
-            rng.skip(-count * self._draws)
-        batch = self.batch
+        drawn = [draw_indices(c, rng, count) for c, rng in zip(self._draw_cfgs, self._rngs)]
+        for rng, draws in zip(self._rngs, self._draws):
+            rng.skip(-count * draws)  # the streams count the draws of iterations run only
+        batch, systems, shared = self.batch, len(self.cfgs), len(self._groups) == 1
         per_iter = (lambda a: a) if batch else np.ndarray.tolist
+        per_row = per_iter if shared else (lambda a: a)
         per_step = (lambda a: a) if batch or self.lead else np.ndarray.tolist
 
-        def flat(k, axis_len):
-            # (count,) + batch indices into the stacked arrays
+        def flat(group, k, axis_len):
+            # the group's (count,) + batch indices into the stacked arrays
+            own = drawn[group * systems:(group + 1) * systems]
             if not batch:
-                return drawn[0][k]
-            return np.stack([d[k] for d in drawn], axis=1) + np.arange(len(drawn)) * axis_len
+                return own[0][k]
+            return np.stack([d[k] for d in own], axis=1) + np.arange(systems) * axis_len
 
         def steps(t, f):
             # (count,) + lead + batch step sizes, lead being t's own
             return per_step(np.moveaxis(t[..., f], t.ndim - 1, 0))
 
-        fi = flat(1, self.shape[0])
-        if self.cfg.z_update_enabled:
-            fj = flat(0, self.shape[1])
+        fis = [flat(group, 1, self.shape[0]) for group in range(len(self._groups))]
+        if shared:
+            fi, tr = fis[0], steps(self.t_row, fis[0])
+        else:  # each preset's row index: (count,) + lead + batch
+            fi = np.stack([fis[group] for group in self._group], axis=1)
+            tr = self.t_row.reshape(-1)[fi + self._t_off]
+        if self._zcfg is not None:
+            fj = flat(self._groups.index(True), 0, self.shape[1])
             cols = (per_iter(fj), steps(self.t_col, fj))
         else:
             cols = (itertools.repeat(None),) * 2
-        self._drawn = zip(*cols, per_iter(fi), steps(self.t_row, fi), per_iter(self.b[fi]))
+        self._drawn = zip(*cols, per_row(fi), tr, per_row(self.b[fi]))
         self._left = count
 
     def advance(self, steps):
@@ -351,7 +402,7 @@ class Session:
         state = self.state
         x, xstar = state.x, state.xstar
         z, zstar = state.z, state.zstar
-        vec = bool(self.lead or self.batch)
+        vec = xstar.ndim > 1
         # both dot products conjugate their first argument; vecdot reduces each
         # row exactly as vdot reduces one vector, and broadcasts a gathered row
         # or column over the presets
@@ -360,15 +411,13 @@ class Session:
         f_update, g_update = self._f_update, self._g_update
         cfg = self.cfg
         row_blocks, row_trivial = cfg.row_partition.blocks, cfg.row_partition.trivial
-        z_on = cfg.z_update_enabled
+        z_on = self._zcfg is not None
         if z_on:
-            # entry i of system t's z* at [t*m + i], of every chain at [:, t*m + i]
-            zmap = self._zmap
-            zstar_rows = zstar.reshape((-1,) if zmap is None else (len(zstar), -1))
-            zvec = zmap is not None or bool(self.batch)
+            zmap, zrows = self._zmap, self._zrows
+            zvec = zstar.ndim > 1
             zdot = np.vecdot if zvec else np.vdot
             A_cm = self.A_cm
-            col_blocks, col_trivial = cfg.col_partition.blocks, cfg.col_partition.trivial
+            col_blocks, col_trivial = self._zcfg.col_partition.blocks, self._zcfg.col_partition.trivial
 
         done = 0
         while done < steps:
@@ -392,7 +441,7 @@ class Session:
                     row = A_rm_conj[i]
                     w = dot(row, x) - bi
                     if z_on:
-                        w += zstar_rows[i] if zmap is None else zstar_rows[zmap, i]
+                        w += zrows[i] if zmap is None else zrows[zmap, i]
                     c = tr * w
                     xstar -= (c[..., None] if vec else c) * row
                 else:  # one system only
@@ -405,8 +454,8 @@ class Session:
                 if f_update is not None:
                     f_update()
             state.k += count
-            for rng in self._rngs:
-                rng.skip(count * self._draws)
+            for rng, draws in zip(self._rngs, self._draws):
+                rng.skip(count * draws)
         return state
 
     def states(self):
@@ -420,12 +469,14 @@ class Session:
             return None if a is None else a.reshape(-1, a.shape[-1])
 
         x, xstar, z, zstar = map(rows, (state.x, state.xstar, state.z, state.zstar))
-        systems = len(self._rngs)
-        # system t of preset p reads z* of the preset's chain c at c*T + t
-        zs = [self._chains[s // systems] * systems + s % systems for s in range(len(x))]
+        systems = len(self.cfgs)
+        # system t of preset p reads z* of the preset's chain c at c*T + t, and
+        # its draw group's stream
+        zs = [None if c is None else c * systems + t for c in self._chains for t in range(systems)]
         return [
-            SolverState(state.k, x[s], xstar[s], None if z is None else z[zs[s]],
-                        None if zstar is None else zstar[zs[s]], self._rngs[s % systems])
+            SolverState(state.k, x[s], xstar[s], None if zs[s] is None else z[zs[s]],
+                        None if zs[s] is None else zstar[zs[s]],
+                        self._rngs[self._group[s // systems] * systems + s % systems])
             for s in range(len(x))
         ]
 

@@ -134,6 +134,21 @@ def test_tiny_rhs_exit_code(tmp_path, capsys, scale, code):
     assert (tmp_path / "out" / "solution.csv").exists() == (code == 0)
 
 
+def test_tiny_rhs_residual_is_not_read_as_zero(tmp_path, capsys):
+    # at b near 1e-160 the squares of the residual underflow to zero; the
+    # residual's norm, computed scaled, is the rounding error of a solved
+    # system, not 0
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    write_matrix_market(tmp_path / "A.mtx", A)
+    write_vector_csv(tmp_path / "b.csv", 1e-160 * (A @ rng.standard_normal(4)))
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+               "--preset", "rk", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    printed = float(re.search(r"final rel residual (\S+),", capsys.readouterr().out).group(1))
+    assert 0.0 < printed < 1e-12
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_out_of_range_scale_exit_code(tmp_path, capsys, scale):
     A, _, b = write_system(tmp_path, m=8, n=4)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,30 @@ def test_recorder_norms_survive_overflow():
         assert metrics[name] == pytest.approx(want, rel=1e-12)
 
 
+def test_recorder_norms_survive_underflow():
+    # at b near 1e-160 the squares of b's entries are subnormal and those of
+    # the residual underflow to zero: the recorder recomputes both norms
+    # scaled, agreeing with math.hypot, which scales as it sums
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = 1e-160 * (A @ rng.standard_normal(4))
+    system = experiments.ProblemInstance(A, b, b, None, "real", "none", 0.0)
+    recorder = MetricRecorder(system, QuadraticMisfit())
+    assert recorder.b_norm == pytest.approx(math.hypot(*b), rel=1e-15, abs=0.0)
+    xs = []
+    run(A, b, preset("rk", A, max_iterations=800, seed=1, checkpoint_interval=400),
+        hooks=(recorder, lambda s: xs.append(s.x.copy())))
+    residual = A @ xs[-1] - b
+    # negative controls: the plain norms are off by 3.6e-5 and read 0
+    assert abs(np.linalg.norm(b) / math.hypot(*b) - 1.0) > 1e-5
+    assert np.linalg.norm(residual) == 0.0 < math.hypot(*residual)
+    got = recorder.trace().metrics["rel_residual"][-1]
+    assert got == pytest.approx(math.hypot(*residual) / math.hypot(*b), rel=1e-12, abs=0.0)
+    # in range, the norm is the plain one, byte for byte
+    v = rng.standard_normal(9)
+    assert experiments._norm(v) == float(np.linalg.norm(v))
+
+
 def test_sparsity_above_n_names_sparsity():
     for gen in (gen_experiment_i, gen_experiment_ii):
         with pytest.raises(ValueError, match="sparsity"):
@@ -309,6 +334,27 @@ def test_partitions_built_once_per_trial(monkeypatch):
     built.clear()
     run_trials(small_generator(), specs[:2], trials=2, iterations=24, base_seed=910)
     assert built == ["row"] * 2
+
+
+def test_one_session_per_group_with_equal_regularizers_adjacent(monkeypatch):
+    # all presets of a trial group run in one session, ordered so that equal
+    # regularizers sit side by side and share one kernel call
+    sessions = []
+    original = experiments.Session
+
+    def recording(As, bs, presets):
+        sessions.append([cfgs[0].f for cfgs in presets])
+        return original(As, bs, presets)
+
+    monkeypatch.setattr(experiments, "Session", recording)
+    specs = tuple(PresetSpec(name, lam=1.0, eps=0.1, tau=0.01)
+                  for name in ("rk", "srk", "rek", "gerk_ad", "gerk_bd"))
+    monkeypatch.setattr(experiments, "GROUP_BYTES", 2 * 2 * 24 * 12 * 8)  # two trials a group
+    result = run_trials(small_generator(), specs, trials=3, iterations=24, base_seed=910)
+    assert len(sessions) == 2
+    for fs in sessions:
+        assert [type(f).__name__ for f in fs] == ["Quadratic"] * 2 + ["ElasticNet"] * 3
+    assert result.preset_labels == [spec.name for spec in specs]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -147,6 +147,43 @@ def test_updater_matches_conjugate_gradient():
             assert np.linalg.norm(out - f.conjugate_gradient(xstar)) <= 1e-14
 
 
+def test_kernels_on_stacked_rows_equal_each_row_alone():
+    # the solver runs one kernel over the slabs of several presets: each row
+    # of a (2, 3, n) stack gets the bytes it gets alone
+    rng = RngStream(405)
+    n = 12
+    for f, is_complex in all_regularizers(rng, n):
+        upd = f.updater((2, 3, n), is_complex)
+        if upd is None:
+            continue
+        xstar = 2.5 * draw_vec(rng, 6 * n, is_complex).reshape(2, 3, n)
+        xstar[0, 1, : n // 2] = 0.0  # a zero group
+        out = np.empty_like(xstar)
+        upd(xstar, out)
+        for r in np.ndindex(2, 3):
+            assert out[r].tobytes() == f.conjugate_gradient(xstar[r]).tobytes()
+
+
+def test_potentials_are_values():
+    # equal when of one type with equal parameters, the group regularizer's
+    # groups compared by their indices
+    groups = [np.arange(0, 2), np.arange(2, 5)]
+    equal = [(Quadratic(), Quadratic()), (ElasticNet(0.5), ElasticNet(0.5)),
+             (ComplexElasticNet(0.5), ComplexElasticNet(0.5)),
+             (GroupElasticNet(0.5, groups), GroupElasticNet(0.5, [g.copy() for g in groups])),
+             (QuadraticMisfit(), QuadraticMisfit()),
+             (HuberQuadMisfit(0.1, 0.2), HuberQuadMisfit(0.1, 0.2))]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b)
+    unequal = [(ElasticNet(0.5), ElasticNet(0.6)), (ElasticNet(0.5), ComplexElasticNet(0.5)),
+               (Quadratic(), QuadraticMisfit()), (ElasticNet(0.0), Quadratic()),
+               (GroupElasticNet(0.5, groups), GroupElasticNet(0.6, groups)),
+               (GroupElasticNet(0.5, groups), GroupElasticNet(0.5, [np.arange(0, 3), np.arange(3, 5)])),
+               (HuberQuadMisfit(0.1, 0.2), HuberQuadMisfit(0.1, 0.3))]
+    for a, b in unequal:
+        assert a != b
+
+
 # The allocating formulas each kernel replaced, kept as the independent
 # reference the kernels and the forms derived from them are checked against.
 

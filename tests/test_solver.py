@@ -10,7 +10,13 @@ from gerk.linalg import (
     range_projector_apply,
     svd_pseudoinverse_apply,
 )
-from gerk.potentials import ElasticNet, HuberQuadMisfit, Quadratic, QuadraticMisfit
+from gerk.potentials import (
+    ElasticNet,
+    HuberQuadMisfit,
+    Quadratic,
+    QuadraticMisfit,
+    bregman_distance,
+)
 from gerk.rng import RngStream
 from gerk.solver import (
     DRAW_CHUNK,
@@ -597,3 +603,105 @@ def test_shared_presets_must_share_the_draws():
     rebuilt = [dataclasses.replace(c, row_partition=row_partition(M), col_partition=column_partition(M))
                for c, M in zip(cfgs["gerk_ad"], As)]
     Session(As, bs, [cfgs["rek"], rebuilt])
+
+
+def signed(snaps):
+    """snapshot's records with every array as its bytes, so zeros keep their sign."""
+    return [(k, *(None if a is None else a.tobytes() for a in arrays)) for k, *arrays in snaps]
+
+
+def negative_zeros(a):
+    return np.signbit(a.view(float)) & (a.view(float) == 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_all_presets_in_one_session_equal_each_preset_alone(field, trials):
+    # presets with and without the z-update advance in one loop, over two draw
+    # groups; the second order interleaves the groups and splits the equal
+    # regularizers apart (gerk_ad from srk and gerk_bd, rk from rek).  Every
+    # checkpoint's x, x* and z*, zero signs included, the final state and each
+    # preset's draws consumed are bit-equal to the preset run alone
+    As, bs, cfgs = shared_systems(field, trials)
+    alone = {}
+    for name in PRESET_NAMES:
+        for t in range(trials):
+            snaps = []
+            report = run(As[t], bs[t], cfgs[name][t], hooks=(snapshot(snaps),))
+            alone[name, t] = signed(snaps), report.state.rng._counter
+    # some x holds -0.0, so the sign bits are compared where they can differ
+    assert any(negative_zeros(np.frombuffer(x, As[0].dtype)).any()
+               for snaps, _ in alone.values() for _, x, *_ in snaps)
+    for order in (PRESET_NAMES, ("gerk_ad", "rk", "gerk_bd", "srk", "rek")):
+        session = Session(As, bs, [cfgs[name] for name in order])
+        shared = {(name, t): [] for name in order for t in range(trials)}
+        assert session.finish([(snapshot(shared[key]),) for key in shared]) == "max_iterations"
+        for key, state in zip(shared, session.states()):
+            assert state.k == 37
+            assert (signed(shared[key]), state.rng._counter) == alone[key]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dual_iterate_holds_no_negative_zero(field):
+    # a preset without the z-update adds the zeros past the z* chains in the
+    # x-step, which would turn a w of -0.0 into +0.0.  That leaves x*
+    # bit-equal only because x* never holds -0.0: it starts at +0.0, and exact
+    # differences round to +0.0.  Sparse integer rows make exact zeros in x*
+    rng = np.random.default_rng(11)
+    A = rng.integers(-2, 3, (12, 6)) * (rng.random((12, 6)) < 0.4)
+    A[np.arange(12), np.arange(12) % 6] = 1  # no zero row or column
+    A = A.astype(complex) * (1 + 1j) if field == "complex" else A.astype(float)
+    b = A @ rng.integers(-1, 2, 6)
+    cfgs = [[preset(name, A, **SHARED_KW, max_iterations=60, seed=5, checkpoint_interval=1)]
+            for name in PRESET_NAMES]
+    session = Session([A], [b], cfgs)
+    zeros = 0
+    for states in session.checkpoints():
+        for state in states:
+            assert not negative_zeros(state.xstar).any()
+            zeros += int(np.count_nonzero(state.xstar == 0)) if state.k else 0
+    assert zeros > 0
+
+
+def worst_descent_excess(A, b, x_hat, scale, steps=400):
+    """Largest D_{k+1} - D_k + 1/2 ||x*_{k+1} - x*_k||^2 - 1e-12 D_0 over the
+    steps of rk and srk, each advanced one step at a time in a session of all
+    five presets, with every row step scaled by `scale`."""
+    rows = row_partition(A)
+    rows = BlockPartition("row", A.shape[0], rows.blocks, rows.block_sq_norms / scale)
+    cfgs = [[preset(name, A, **SHARED_KW, max_iterations=steps, seed=8, row_partition=rows)]
+            for name in PRESET_NAMES]
+    session = Session([A], [b], cfgs)
+    watched = [(p, cfgs[p][0].f) for p in (PRESET_NAMES.index("rk"), PRESET_NAMES.index("srk"))]
+
+    def distances():
+        states = session.states()
+        return [(states[p].xstar.copy(), bregman_distance(f, states[p].x, states[p].xstar, x_hat))
+                for p, f in watched]
+
+    before = distances()
+    d0 = [d for _, d in before]
+    worst = -np.inf
+    for _ in range(steps):
+        session.advance(1)
+        after = distances()
+        for (xs0, d_k), (xs1, d_k1), start in zip(before, after, d0):
+            gain = 0.5 * float(np.sum((xs1 - xs0) ** 2))
+            worst = max(worst, d_k1 - d_k + gain - 1e-12 * start)
+        before = after
+    return worst
+
+
+def test_rk_and_srk_bregman_distance_descends_at_every_step():
+    # Schopfer & Lorenz 2019: grad f* is 1-Lipschitz and the row step is
+    # 1/||a_i||^2, so for any solution x_hat of a consistent system the
+    # Bregman distance D_k = f*(x*_k) - <x*_k, x_hat> + f(x_hat) falls by at
+    # least 1/2 ||x*_{k+1} - x*_k||^2 at every step
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 12)) * rng.uniform(0.2, 3.0, (30, 1))
+    x_hat = np.zeros(12)
+    x_hat[rng.choice(12, 3, replace=False)] = rng.standard_normal(3)
+    b = A @ x_hat
+    assert worst_descent_excess(A, b, x_hat, 1.0) <= 0.0
+    # negative control: the step 2.5/||a_i||^2 overshoots the row's hyperplane
+    assert worst_descent_excess(A, b, x_hat, 2.5) > 0.0
