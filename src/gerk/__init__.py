@@ -28,6 +28,7 @@ from .errors import (
     OracleMismatch,
     ParseError,
     TooManyColumns,
+    WorkerDied,
     ZeroMatrix,
 )
 from .experiments import (

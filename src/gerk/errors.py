@@ -58,6 +58,10 @@ class NotConverged(GerkError):
         self.residual = residual
 
 
+class WorkerDied(GerkError):
+    """The forked worker running a session's z-chain ahead died mid-run."""
+
+
 class OracleMismatch(GerkError):
     """A certificate input failed its consistency pre-check."""
 

@@ -25,15 +25,15 @@ The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices): one
 random_array call consumes the same counters in the same order as the scalar
 draws would, and blocks.draw_blocks maps each uniform to its block.
 
-Session.advance is the single implementation of the update, and Session
-the single one of whole runs; run, init_state and gerk_step wrap it.  The
-state arrays carry a leading batch shape: () for one system and (T,) for T
-systems of one shape and method advancing in lockstep (the experiment
-harness's path).  A batch stacks its matrices into two row-major arrays, a
-(T*m, n) one of rows and a (T*n, m) one of columns, gathers one row and one
-column per system by flat index each iteration, and forms the products with
-np.vecdot, which reduces each batch row exactly as np.vdot reduces a single
-vector.  A system's iterates are therefore bit-identical alone or in any
+Session's z-half and x-half (below) are the single implementation of the
+update, and Session the single one of whole runs; run, init_state and
+gerk_step wrap it.  The state arrays carry a leading batch shape: () for one
+system and (T,) for T systems of one shape and method advancing in lockstep
+(the experiment harness's path).  A batch stacks its matrices into two
+row-major arrays, a (T*m, n) one of rows and a (T*n, m) one of columns,
+gathers one row and one column per system by flat index each iteration, and
+forms the products with np.vecdot, which reduces each batch row exactly as
+np.vdot reduces a single vector.  A system's iterates are therefore bit-identical alone or in any
 batch, while numpy's per-call overhead, the dominant cost of an iteration,
 is shared among the T systems.
 
@@ -62,10 +62,37 @@ contiguous slab (a copy where the gradient is the identity): f over the
 presets, g over the chains.  The kernels are elementwise, or sum each row on
 its own, and every step size is the preset's own, so each preset's iterates
 are again bit-identical to a run on its own.
+
+Each chunk of drawn iterations runs in two halves.  The z-half advances
+every z* chain over the chunk and records, for each iteration, what its
+x-step adds to w: entry i of each preset's z*, or z*[block i] on the
+one-system block path.  The x-half then runs the chunk's x-steps on those
+records.  As the z-update reads neither x nor f, the z-half can run ahead:
+when checkpoints() drives a session with the z-update and single-index
+partitions, and _worker_pays (os.fork, no other Python thread, a second CPU
+in the affinity mask, FORK_ITERATIONS iterations or more to run and
+checkpoint intervals of MIN_CHUNK or more), one forked child, the worker,
+runs the z-half of each chunk while this process runs the x-half of the
+chunk before.  Chunks hold at most PIPE_CHUNK iterations and end at every
+checkpoint.  The draws go in and the records come out through two slots of
+an anonymous shared mmap, with one pipe byte each way per chunk, and the
+worker's z* and z at each chunk's end are copied into state before any hook
+runs.  A worker that keeps this process waiting longer than it computes, as
+when another process holds its CPU, is stopped at a checkpoint.  Both
+halves make the same IEEE operations in either process, so every iterate is
+bit-identical with the worker and without it.
 """
 
+import collections
+import contextlib
 import functools
+import gc
 import itertools
+import math
+import mmap
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -74,7 +101,13 @@ import numpy as np
 
 from . import blocks
 from .blocks import BlockPartition, draw_blocks
-from .errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
+from .errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    MissingParameter,
+    NonFiniteInput,
+    WorkerDied,
+)
 from .linalg import as_matrix, as_vector
 from .potentials import (
     ComplexElasticNet,
@@ -88,6 +121,10 @@ from .rng import RngStream
 PRESET_NAMES = ("rk", "srk", "rek", "gerk_ad", "gerk_bd")
 
 DRAW_CHUNK = 1024  # iterations whose block indices are drawn at once
+PIPE_CHUNK = 400  # most iterations in one chunk of the z-chain worker
+MIN_CHUNK = 64  # checkpoint intervals below this run in-process
+FORK_ITERATIONS = 2048  # shorter runs do not pay for a fork
+WAIT_SHARE = 1.0  # a worker stops once waits on it pass this share of its CPU time
 
 
 @dataclass
@@ -209,6 +246,12 @@ def _stack(arrays):
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _loop(a):
+    """What a chunk's loop iterates over: the Python scalars of a 1-D array,
+    which index and multiply faster than numpy's, else the array's rows."""
+    return a.tolist() if a.ndim == 1 else a
+
+
 def _kernels(potentials, shape, is_complex):
     """(slab, kernel) per run of adjacent equal potentials.
 
@@ -254,7 +297,8 @@ class Session:
     same systems in one loop, as the module docstring describes.  A system's
     configs must agree on the fields of _shared_fields, all of them within a
     draw group and the checkpoint fields across groups, or ValueError names
-    the one that differs; f, g and the step sizes are each preset's own.
+    the one that differs; f, g and the step sizes are each preset's own, and
+    a preset's configs must share f and g across systems.
 
     Validation, matrix copies, step sizes and updaters are built once.  The
     session owns `state`: the initial state (x*_0 = 0, so x_0 = 0, and
@@ -285,6 +329,10 @@ class Session:
                     for name, value in _shared_fields(c, draws).items():
                         if value != shared[name]:
                             raise ValueError(f"the presets of a session must share {name}")
+                # a preset runs as its first config's f and g, also the worker
+                for name in ("f", "g"):
+                    if getattr(c, name) != getattr(other[0], name):
+                        raise ValueError(f"the configs of a preset must share {name}")
         self._draw_cfgs = [c for z_on in groups for c in presets[z_ons.index(z_on)]]
         self.lead = lead = (len(presets),) if len(presets) > 1 else ()
         self.batch = batch = (len(As),) if len(As) > 1 else ()
@@ -326,10 +374,13 @@ class Session:
                 self._zmap = np.reshape([len(chains) if c is None else c for c in self._chains],
                                         lead + (1,) * len(batch))
             self.t_col = _stack([t_cols[k] for k in firsts])
+            # the shape of what the x-step adds to w: each preset's z*_i
+            self._zshape = batch if self._zmap is None else lead + batch
             g_kernels = _kernels([keys[k][0] for k in firsts], zlead + batch + (m,), is_complex)
             trivial = trivial and self._zcfg.col_partition.trivial
         if (lead or batch) and not trivial:
             raise ValueError("systems run in lockstep need single-index partitions")
+        self._trivial = trivial
 
         fresh = state is None
         if fresh:
@@ -359,17 +410,18 @@ class Session:
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
         self._left = 0  # drawn iterations not yet run
         self._end = cfg.max_iterations  # indices are drawn past it only when asked for
+        self._worker = None  # the z-chain worker of a forked checkpoints() run
 
-    def _refill(self, wanted):
-        """Draw the indices of up to DRAW_CHUNK iterations, and of `wanted` at least."""
-        count = min(DRAW_CHUNK, max(wanted, self._end - self.state.k))
+    def _draw(self, count, ahead=0):
+        """Block indices, step sizes and b_i of `count` iterations, starting
+        `ahead` iterations past state.k: (fj, tc, fi, tr, bi), each with a
+        leading (count,) axis; fj and tc are None without the z-update."""
+        for rng, draws in zip(self._rngs, self._draws):
+            rng.skip(ahead * draws)
         drawn = [draw_indices(c, rng, count) for c, rng in zip(self._draw_cfgs, self._rngs)]
         for rng, draws in zip(self._rngs, self._draws):
-            rng.skip(-count * draws)  # the streams count the draws of iterations run only
-        batch, systems, shared = self.batch, len(self.cfgs), len(self._groups) == 1
-        per_iter = (lambda a: a) if batch else np.ndarray.tolist
-        per_row = per_iter if shared else (lambda a: a)
-        per_step = (lambda a: a) if batch or self.lead else np.ndarray.tolist
+            rng.skip(-(ahead + count) * draws)  # the streams count the draws of iterations run only
+        batch, systems = self.batch, len(self.cfgs)
 
         def flat(group, k, axis_len):
             # the group's (count,) + batch indices into the stacked arrays
@@ -380,83 +432,115 @@ class Session:
 
         def steps(t, f):
             # (count,) + lead + batch step sizes, lead being t's own
-            return per_step(np.moveaxis(t[..., f], t.ndim - 1, 0))
+            return np.moveaxis(t[..., f], t.ndim - 1, 0)
 
         fis = [flat(group, 1, self.shape[0]) for group in range(len(self._groups))]
-        if shared:
+        if len(self._groups) == 1:
             fi, tr = fis[0], steps(self.t_row, fis[0])
         else:  # each preset's row index: (count,) + lead + batch
             fi = np.stack([fis[group] for group in self._group], axis=1)
             tr = self.t_row.reshape(-1)[fi + self._t_off]
+        fj = tc = None
         if self._zcfg is not None:
             fj = flat(self._groups.index(True), 0, self.shape[1])
-            cols = (per_iter(fj), steps(self.t_col, fj))
-        else:
-            cols = (itertools.repeat(None),) * 2
-        self._drawn = zip(*cols, per_row(fi), tr, per_row(self.b[fi]))
-        self._left = count
+            tc = steps(self.t_col, fj)
+        return fj, tc, fi, tr, self.b[fi]
+
+    def _refill(self, wanted):
+        """Draw the indices of up to DRAW_CHUNK iterations, and of `wanted` at least."""
+        count = min(DRAW_CHUNK, max(wanted, self._end - self.state.k))
+        self._drawn, self._pos, self._left = self._draw(count), 0, count
+
+    def _ran(self, count):
+        """Count `count` iterations as run, and their draws as consumed."""
+        self.state.k += count
+        for rng, draws in zip(self._rngs, self._draws):
+            rng.skip(count * draws)
 
     def advance(self, steps):
         """Run `steps` iterations in place and return the state; the single
-        implementation of the update."""
-        state = self.state
-        x, xstar = state.x, state.xstar
-        z, zstar = state.z, state.zstar
-        vec = xstar.ndim > 1
-        # both dot products conjugate their first argument; vecdot reduces each
-        # row exactly as vdot reduces one vector, and broadcasts a gathered row
-        # or column over the presets
-        dot = np.vecdot if vec else np.vdot
-        A_rm_conj, b = self.A_rm_conj, self.b
-        f_update, g_update = self._f_update, self._g_update
-        cfg = self.cfg
-        row_blocks, row_trivial = cfg.row_partition.blocks, cfg.row_partition.trivial
-        z_on = self._zcfg is not None
-        if z_on:
-            zmap, zrows = self._zmap, self._zrows
-            zvec = zstar.ndim > 1
-            zdot = np.vecdot if zvec else np.vdot
-            A_cm = self.A_cm
-            col_blocks, col_trivial = self._zcfg.col_partition.blocks, self._zcfg.col_partition.trivial
-
+        implementation of the update, the z-half then the x-half of each
+        drawn chunk."""
         done = 0
         while done < steps:
             if not self._left:
                 self._refill(steps - done)
             count = min(steps - done, self._left)
+            fj, tc, fi, tr, bi = [None if a is None else a[self._pos:self._pos + count]
+                                  for a in self._drawn]
+            self._pos += count
             self._left -= count
+            zvals = None
+            if fj is not None:
+                out = (np.empty((count,) + self._zshape, self.b.dtype)
+                       if self.cfg.row_partition.trivial else [None] * count)
+                zvals = self._z_half(fj, tc, fi, out)
+            self._x_half(fi, tr, bi, zvals)
+            self._ran(count)
             done += count
-            for j, tc, i, tr, bi in itertools.islice(self._drawn, count):
-                if z_on:
-                    if not col_trivial:  # one system only
-                        Aj = A_cm[col_blocks[j]].T
-                        zstar -= tc * (Aj @ (Aj.conj().T @ z))
-                    else:
-                        col = A_cm[j]
-                        c = tc * zdot(col, z)
-                        zstar -= (c[..., None] if zvec else c) * col
-                    if g_update is not None:
-                        g_update()
-                if row_trivial:
-                    row = A_rm_conj[i]
-                    w = dot(row, x) - bi
-                    if z_on:
-                        w += zrows[i] if zmap is None else zrows[zmap, i]
-                    c = tr * w
-                    xstar -= (c[..., None] if vec else c) * row
-                else:  # one system only
-                    blk = row_blocks[i]
-                    Aic = A_rm_conj[blk]
-                    w = Aic.conj() @ x - b[blk]
-                    if z_on:
-                        w += zstar[blk]
-                    xstar -= tr * (Aic.T @ w)
-                if f_update is not None:
-                    f_update()
-            state.k += count
-            for rng, draws in zip(self._rngs, self._draws):
-                rng.skip(count * draws)
-        return state
+        return self.state
+
+    def _z_half(self, fj, tc, fi, out):
+        """Advance z* and z over a chunk's column draws, and return `out`
+        with out[k] set to what the x-step of the chunk's iteration k adds to
+        w: entry i of each preset's z*, or z*[block i] on the block path.
+
+        Reads neither x nor f, so it can run ahead of the x-half."""
+        zstar, z = self.state.zstar, self.state.z
+        zvec = zstar.ndim > 1
+        # vdot and vecdot conjugate their first argument; vecdot reduces each
+        # row exactly as vdot reduces one vector
+        zdot = np.vecdot if zvec else np.vdot
+        A_cm, g_update, zmap, zrows = self.A_cm, self._g_update, self._zmap, self._zrows
+        col_blocks, col_trivial = self._zcfg.col_partition.blocks, self._zcfg.col_partition.trivial
+        row_blocks, row_trivial = self.cfg.row_partition.blocks, self.cfg.row_partition.trivial
+        for k, j, tc, i in zip(itertools.count(), _loop(fj), _loop(tc), _loop(fi)):
+            if not col_trivial:  # one system only
+                Aj = A_cm[col_blocks[j]].T
+                zstar -= tc * (Aj @ (Aj.conj().T @ z))
+            else:
+                col = A_cm[j]
+                c = tc * zdot(col, z)
+                zstar -= (c[..., None] if zvec else c) * col
+            if g_update is not None:
+                g_update()
+            if not row_trivial:  # one system only
+                out[k] = zstar[row_blocks[i]]
+            else:
+                out[k] = zrows[i] if zmap is None else zrows[zmap, i]
+        return out
+
+    def _x_half(self, fi, tr, bi, zvals):
+        """Advance x* and x over a chunk's row draws, adding zvals[k], the
+        z-half's record (None without the z-update), to iteration k's w."""
+        state = self.state
+        x, xstar = state.x, state.xstar
+        vec = xstar.ndim > 1
+        # a gathered row broadcasts over the presets
+        dot = np.vecdot if vec else np.vdot
+        A_rm_conj, b, f_update = self.A_rm_conj, self.b, self._f_update
+        row_blocks, row_trivial = self.cfg.row_partition.blocks, self.cfg.row_partition.trivial
+        if zvals is None:
+            zvals = itertools.repeat(None)
+        elif not isinstance(zvals, list):
+            zvals = _loop(zvals)
+        for i, tr, bi, zv in zip(_loop(fi), _loop(tr), _loop(bi), zvals):
+            if row_trivial:
+                row = A_rm_conj[i]
+                w = dot(row, x) - bi
+                if zv is not None:
+                    w += zv
+                c = tr * w
+                xstar -= (c[..., None] if vec else c) * row
+            else:  # one system only
+                blk = row_blocks[i]
+                Aic = A_rm_conj[blk]
+                w = Aic.conj() @ x - b[blk]
+                if zv is not None:
+                    w += zv
+                xstar -= tr * (Aic.T @ w)
+            if f_update is not None:
+                f_update()
 
     def states(self):
         """Per-system states: the state itself for one system, else views of
@@ -484,25 +568,238 @@ class Session:
         """Advance to cfg.max_iterations, yielding states() now and after every checkpoint.
 
         Checkpoints come every checkpoint_interval iterations (default: one
-        epoch, m iterations) and at the final iterate.
+        epoch, m iterations) and at the final iterate.  With the z-update and
+        single-index partitions, when _worker_pays, a forked worker runs the
+        z-half one chunk ahead; the iterates are the same either way.
         """
         interval = self.cfg.checkpoint_interval or self.shape[0]
+        end = self.cfg.max_iterations
         yield self.states()
-        while self.state.k < self.cfg.max_iterations:
-            self.advance(min(interval, self.cfg.max_iterations - self.state.k))
+        if (self._zcfg is not None and self._trivial and self.state.k < end
+                and _worker_pays(end - self.state.k, interval)):
+            yield from self._forked(interval)
+        while self.state.k < end:  # in-process, also after close() stopped the worker
+            self.advance(min(interval, end - self.state.k))
             yield self.states()
+
+    def _forked(self, interval):
+        """checkpoints() past the first, with the z-half of each chunk run by a
+        forked worker while this process runs the x-half of the chunk before.
+
+        Chunks hold at most PIPE_CHUNK iterations and end at every checkpoint.
+        The worker's z* and z at the end of each chunk are copied into state
+        before the x-half of the chunk is counted as run, so the state is
+        whole between chunks.  The worker is reaped at the last checkpoint,
+        before its hooks run, on any exit, and by close(); after close() the
+        run goes on in-process.  It is also reaped at a checkpoint when, over
+        FORK_ITERATIONS iterations or more past the first chunk (which fills
+        the pipeline), this process has waited on it longer than WAIT_SHARE
+        times the CPU time it spent on their z-halves: another process then
+        holds its CPU, and the z-half costs less here.  The horizon keeps a
+        stall of a few ms from stopping it.
+        """
+        k, end, chunks = self.state.k, self.cfg.max_iterations, []  # (count, ends a checkpoint)
+        while k < end:
+            stop = min(k + interval, end)
+            while k < stop:
+                count = min(PIPE_CHUNK, stop - k)
+                k += count
+                chunks.append((count, k == stop))
+        self._left = 0  # drop what advance drew ahead: the draws restart from the counters
+        try:
+            worker = self._worker = _Worker(self)
+        except OSError:  # no fork to be had: the run goes on in-process
+            return
+        pending = collections.deque()  # (fi, tr, bi) of the chunks sent
+
+        def send(count):
+            fj, tc, fi, tr, bi = self._draw(count, sum(len(p[0]) for p in pending))
+            worker.send(fj, tc, fi)
+            pending.append((fi, tr, bi))
+
+        try:
+            for count, _ in chunks[:2]:
+                send(count)
+            # over the chunks past the first: seconds waited on the worker, its
+            # CPU seconds, and their iterations
+            waited = spent = seen = 0
+            for n, (count, cut) in enumerate(chunks):
+                t0 = time.perf_counter()
+                zvals, cpu, snaps = worker.receive()
+                if n:
+                    waited += time.perf_counter() - t0
+                    spent += cpu
+                    seen += count
+                self._x_half(*pending.popleft(), zvals[:count])
+                for live, snap in zip((self.state.zstar, self.state.z), snaps):
+                    np.copyto(live, snap)
+                self._ran(count)
+                if n + 2 < len(chunks):
+                    send(chunks[n + 2][0])
+                if cut:
+                    if n + 1 == len(chunks) or (seen >= FORK_ITERATIONS
+                                                and waited > WAIT_SHARE * spent):
+                        self.close()
+                    yield self.states()
+                    if self._worker is not worker:
+                        return
+        finally:
+            if self._worker is worker:
+                self.close()
+
+    def close(self):
+        """Reap the z-chain worker, if one runs.  The state stays whole, and a
+        run that checkpoints() still drives goes on in-process."""
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.close()
 
     def finish(self, hooks):
         """Run every checkpoint and return the stop reason.
 
         hooks[s] is the sequence of hooks called with states()[s] at every
         checkpoint; a truthy return stops every system, with stop reason
-        "tolerance_met".  Otherwise the reason is "max_iterations".
+        "tolerance_met".  Otherwise the reason is "max_iterations".  The
+        z-chain worker, if one ran, is reaped on return and on any exception.
         """
-        for states in self.checkpoints():
-            if any(hook(s) for s, system_hooks in zip(states, hooks) for hook in system_hooks):
-                return "tolerance_met"
+        with contextlib.closing(self.checkpoints()) as checkpoints:
+            for states in checkpoints:
+                if any(hook(s) for s, system_hooks in zip(states, hooks)
+                       for hook in system_hooks):
+                    return "tolerance_met"
         return "max_iterations"
+
+
+def _worker_pays(iterations, interval):
+    """Whether a forked z-chain worker pays for itself over a run of
+    `iterations` with checkpoints every `interval`: it needs os.fork, no
+    other Python thread (which could hold a lock across the fork), a second
+    CPU to run on, a run long enough to pay for the fork (about 4 ms), and
+    chunks long enough to pay for their two pipe bytes (about 20 us)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1
+            and iterations >= FORK_ITERATIONS and interval >= MIN_CHUNK)
+
+
+def _shared(shape, dtype):
+    """A zeroed array in an anonymous shared mmap, which a forked child
+    shares with its parent."""
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize),
+                         dtype).reshape(shape)
+
+
+@contextlib.contextmanager
+def _sigint_blocked():
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+_WORKER_FDS = set()  # pipe ends the live workers' parents hold; a new worker closes them
+
+
+class _Worker:
+    """A forked child that runs a session's z-half, one chunk ahead.
+
+    Two slots of shared mmaps alternate, each holding one chunk: its column
+    indices and steps, its row indices, its count, the CPU seconds and the
+    z-values of the child's z-half, and the child's z* and z at the chunk's
+    end.  Each chunk costs one pipe byte each way: a request, then the reply
+    when its slot is full.  The child ignores SIGINT, touches no file, and
+    leaves with os._exit at the EOF of its request pipe, or at any error,
+    which the parent sees as the EOF of its reply pipe and raises as
+    WorkerDied.
+    """
+
+    def __init__(self, session):
+        fj, tc, fi, _, _ = session._draw(1)
+        state = session.state
+        live = [state.zstar] + ([] if state.z is state.zstar else [state.z])
+        self.slots = [[_shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in (fj, tc, fi)]
+                      + [_shared((1,), np.int64), _shared((1,), np.float64),
+                         _shared((PIPE_CHUNK,) + session._zshape, session.b.dtype)]
+                      + [_shared(a.shape, a.dtype) for a in live] for _ in range(2)]
+        self.sent = self.received = 0  # chunks
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        # SIGINT waits until the child has set it to ignored, so that no
+        # KeyboardInterrupt can reach the child outside its own try
+        with _sigint_blocked():
+            try:
+                self.pid = os.fork()
+            except OSError:
+                for fd in (req_r, req_w, rep_r, rep_w):
+                    os.close(fd)
+                raise
+            if self.pid == 0:
+                code = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                    gc.disable()  # no finalizer of the parent's objects runs here
+                    for fd in _WORKER_FDS | {req_w, rep_r}:
+                        os.close(fd)  # else older workers never see their EOF
+                    self._serve(session, req_r, rep_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+        os.close(req_r)
+        os.close(rep_w)
+        self.req, self.rep = req_w, rep_r
+        _WORKER_FDS.update((req_w, rep_r))
+
+    def _serve(self, session, req, rep):
+        state = session.state
+        while os.read(req, 1):
+            fj, tc, fi, count, cpu, out, *snaps = self.slots[self.sent % 2]
+            n = int(count[0])
+            t0 = time.thread_time()
+            session._z_half(fj[:n], tc[:n], fi[:n], out)
+            cpu[0] = time.thread_time() - t0
+            for snap, live in zip(snaps, (state.zstar, state.z)):
+                np.copyto(snap, live)
+            os.write(rep, b"\0")
+            self.sent += 1
+
+    def send(self, fj, tc, fi):
+        """Ask for the z-half of the chunk with these draws."""
+        slot = self.slots[self.sent % 2]
+        for buf, a in zip(slot, (fj, tc, fi)):
+            buf[:len(a)] = a
+        slot[3][0] = len(fj)
+        try:
+            os.write(self.req, b"\0")
+        except BrokenPipeError:
+            self._died()
+        self.sent += 1
+
+    def receive(self):
+        """The z-values, the CPU seconds of the z-half and the final z* (and
+        z) of the oldest chunk sent."""
+        if not os.read(self.rep, 1):
+            self._died()
+        _, _, _, _, cpu, out, *snaps = self.slots[self.received % 2]
+        self.received += 1
+        return out, float(cpu[0]), snaps
+
+    def _died(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        raise WorkerDied("the z-chain worker died mid-run "
+                         f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+    def close(self):
+        """Close both pipes and reap the child, which leaves at the EOF of its
+        request pipe once it has finished the chunk it may be running."""
+        _WORKER_FDS.difference_update((self.req, self.rep))
+        os.close(self.req)
+        os.close(self.rep)
+        if self.pid is not None:
+            with _sigint_blocked():  # a KeyboardInterrupt waits for the reaping
+                os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def run(A, b, cfg, hooks=()):

@@ -3,13 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gerk.solver as solver
 from gerk.blocks import BlockPartition, column_partition, contiguous_blocks, row_partition
 from gerk.errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
+from gerk.experiments import gen_experiment_i
 from gerk.linalg import (
     make_rank_deficient,
     range_projector_apply,
     svd_pseudoinverse_apply,
 )
+from gerk.oracles import range_projection_quadratic
 from gerk.potentials import (
     ElasticNet,
     HuberQuadMisfit,
@@ -663,27 +666,36 @@ def test_dual_iterate_holds_no_negative_zero(field):
     assert zeros > 0
 
 
-def worst_descent_excess(A, b, x_hat, scale, steps=400):
+def worst_descent_excess(A, b, x_hat, rows, scale, steps=400):
     """Largest D_{k+1} - D_k + 1/2 ||x*_{k+1} - x*_k||^2 - 1e-12 D_0 over the
-    steps of rk and srk, each advanced one step at a time in a session of all
-    five presets, with every row step scaled by `scale`."""
-    rows = row_partition(A)
-    rows = BlockPartition("row", A.shape[0], rows.blocks, rows.block_sq_norms / scale)
-    cfgs = [[preset(name, A, **SHARED_KW, max_iterations=steps, seed=8, row_partition=rows)]
-            for name in PRESET_NAMES]
-    session = Session([A], [b], cfgs)
-    watched = [(p, cfgs[p][0].f) for p in (PRESET_NAMES.index("rk"), PRESET_NAMES.index("srk"))]
+    steps of rk and srk, each advanced one step at a time, with every row
+    step scaled by `scale`: in a session of all five presets over single-index
+    rows, and each alone over multi-index blocks, which a session of several
+    presets does not take."""
+    rows = BlockPartition("row", A.shape[0], rows.blocks, rows.block_sq_norms / scale,
+                          rows.probabilities)
+
+    def cfg(name):
+        return preset(name, A, **SHARED_KW, max_iterations=steps, seed=8, row_partition=rows)
+
+    names = ("rk", "srk")
+    if rows.trivial:
+        sessions = [Session([A], [b], [[cfg(name)] for name in PRESET_NAMES])]
+        watched = [(sessions[0], PRESET_NAMES.index(name), cfg(name).f) for name in names]
+    else:
+        sessions = [Session(A, b, cfg(name)) for name in names]
+        watched = [(session, 0, cfg(name).f) for session, name in zip(sessions, names)]
 
     def distances():
-        states = session.states()
-        return [(states[p].xstar.copy(), bregman_distance(f, states[p].x, states[p].xstar, x_hat))
-                for p, f in watched]
+        return [(state.xstar.copy(), bregman_distance(f, state.x, state.xstar, x_hat))
+                for state, f in ((session.states()[p], f) for session, p, f in watched)]
 
     before = distances()
     d0 = [d for _, d in before]
     worst = -np.inf
     for _ in range(steps):
-        session.advance(1)
+        for session in sessions:
+            session.advance(1)
         after = distances()
         for (xs0, d_k), (xs1, d_k1), start in zip(before, after, d0):
             gain = 0.5 * float(np.sum((xs1 - xs0) ** 2))
@@ -694,14 +706,72 @@ def worst_descent_excess(A, b, x_hat, scale, steps=400):
 
 def test_rk_and_srk_bregman_distance_descends_at_every_step():
     # Schopfer & Lorenz 2019: grad f* is 1-Lipschitz and the row step is
-    # 1/||a_i||^2, so for any solution x_hat of a consistent system the
-    # Bregman distance D_k = f*(x*_k) - <x*_k, x_hat> + f(x_hat) falls by at
-    # least 1/2 ||x*_{k+1} - x*_k||^2 at every step
+    # 1/||A_i||^2 (spectral norm), so for any solution x_hat of a consistent
+    # system the Bregman distance D_k = f*(x*_k) - <x*_k, x_hat> + f(x_hat)
+    # falls by at least 1/2 ||x*_{k+1} - x*_k||^2 at every step, whatever the
+    # row probabilities, on single rows and on blocks (||A_i^H w|| <= ||A_i|| ||w||)
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 12)) * rng.uniform(0.2, 3.0, (30, 1))
     x_hat = np.zeros(12)
     x_hat[rng.choice(12, 3, replace=False)] = rng.standard_normal(3)
     b = A @ x_hat
-    assert worst_descent_excess(A, b, x_hat, 1.0) <= 0.0
-    # negative control: the step 2.5/||a_i||^2 overshoots the row's hyperplane
-    assert worst_descent_excess(A, b, x_hat, 2.5) > 0.0
+    sq_norms = np.sum(A * A, axis=1)
+    for rows in (row_partition(A), row_partition(A, probabilities=sq_norms / sq_norms.sum()),
+                 row_partition(A, blocks=contiguous_blocks(30, 15))):
+        assert worst_descent_excess(A, b, x_hat, rows, 1.0) <= 0.0
+        # negative control: the step 2.5/||A_i||^2 overshoots the block's solution set
+        assert worst_descent_excess(A, b, x_hat, rows, 2.5) > 0.0
+
+
+def z_chain_errors(A, b, rank, cols, steps):
+    """(||P_null e_k||, ||e_k||) at every step of rek over the column
+    partition cols, e_k = z*_k - (b - P_range(A) b), and whether a z-chain
+    worker ran."""
+    target = b - range_projection_quadratic(A, b).value
+    basis = np.linalg.svd(A)[0][:, :rank]  # of range(A)
+    session = Session(A, b, preset("rek", A, max_iterations=steps, seed=12,
+                                   checkpoint_interval=1, col_partition=cols))
+    errors, forked = [], False
+    for (state,) in session.checkpoints():
+        e = state.zstar - target
+        errors.append((np.linalg.norm(e - basis @ (basis.T @ e)), np.linalg.norm(e)))
+        forked |= session._worker is not None
+    return np.array(errors), forked
+
+
+@pytest.mark.parametrize("worker", [False, True])
+def test_rek_z_chain_error_stays_in_range_and_never_grows(worker, monkeypatch):
+    # Zouzias & Freris 2013: z*_0 = b and each column step subtracts a
+    # multiple of a column of A, so e_k = z*_k - (b - P_range(A) b) stays in
+    # range(A), and the step 1/||a_j||^2 projects e_k onto the hyperplane
+    # orthogonal to a_j, so ||e_k|| never grows.  Checked in-process and
+    # through the z-chain worker, on an experiment-i system (nullspace noise)
+    monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: worker)
+    inst = gen_experiment_i(40, 20, 10, 3, 5.0, 0.1, 10.0, "real", RngStream(1500))
+    cols = column_partition(inst.A)
+    errors, forked = z_chain_errors(inst.A, inst.b, 10, cols, 1500)
+    assert forked == worker
+    e0 = errors[0, 1]
+    assert np.all(errors[:, 0] <= 1e-12 * e0)
+    assert np.all(np.diff(errors[:, 1]) <= 1e-12 * e0)
+    assert errors[-1, 1] < 0.1 * e0
+    # negative control: the step 2.5/||a_j||^2 overshoots the hyperplane
+    over = BlockPartition("column", 20, cols.blocks, cols.block_sq_norms / 2.5)
+    errors, _ = z_chain_errors(inst.A, inst.b, 10, over, 200)
+    assert np.diff(errors[:, 1]).max() > 1e-12 * e0
+
+
+def test_a_preset_shares_f_and_g_across_systems():
+    # one preset over two systems runs as its first config's f and g, so
+    # configs that differ there are refused, naming the field.  srk on system
+    # 0 and gerk_ad on system 1 ran system 1 as srk, with z* None
+    As, bs, cfgs = shared_systems("real", 2)
+    with pytest.raises(ValueError, match="share g"):
+        Session(As, bs, [cfgs["srk"][0], cfgs["gerk_ad"][1]])
+    with pytest.raises(ValueError, match="share f"):
+        Session(As, bs, [cfgs["rek"][0], cfgs["gerk_ad"][1]])
+    with pytest.raises(ValueError, match="share f"):
+        Session(As, bs, [cfgs["srk"], [cfgs["rk"][0], cfgs["srk"][1]]])
+    # equal potentials built apart are one preset
+    rebuilt = dataclasses.replace(cfgs["gerk_bd"][1], f=ElasticNet(0.5), g=HuberQuadMisfit(0.1, 0.05))
+    Session(As, bs, [cfgs["gerk_bd"][0], rebuilt])
