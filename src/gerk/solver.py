@@ -21,9 +21,10 @@ converging to the pseudoinverse solution.
 
 Exactly one z-draw then one x-draw is consumed per iteration, in that order,
 from RngStream(seed, stream), so runs with equal configs are bit-identical.
-The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices): one
-random_array call consumes the same counters in the same order as the scalar
-draws would, and blocks.draw_blocks maps each uniform to its block.
+The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices), into
+one buffer indexed by iteration: one random_array call consumes the same
+counters in the same order as the scalar draws would, and
+blocks.draw_blocks maps each uniform to its block.
 
 Session's z-half and x-half (below) are the single implementation of the
 update, and Session the single one of whole runs; run, init_state and
@@ -63,24 +64,26 @@ presets, g over the chains.  The kernels are elementwise, or sum each row on
 its own, and every step size is the preset's own, so each preset's iterates
 are again bit-identical to a run on its own.
 
-Each chunk of drawn iterations runs in two halves.  The z-half advances
-every z* chain over the chunk and records, for each iteration, what its
-x-step adds to w: entry i of each preset's z*, or z*[block i] on the
-one-system block path.  The x-half then runs the chunk's x-steps on those
-records.  As the z-update reads neither x nor f, the z-half can run ahead:
-when checkpoints() drives a session with the z-update and single-index
-partitions, and _worker_pays (os.fork, no other Python thread, a second CPU
-in the affinity mask, FORK_ITERATIONS iterations or more to run and
-checkpoint intervals of MIN_CHUNK or more), one forked child, the worker,
-runs the z-half of each chunk while this process runs the x-half of the
-chunk before.  Chunks hold at most PIPE_CHUNK iterations and end at every
-checkpoint.  The draws go in and the records come out through two slots of
-an anonymous shared mmap, with one pipe byte each way per chunk, and the
-worker's z* and z at each chunk's end are copied into state before any hook
-runs.  A worker that keeps this process waiting longer than it computes, as
-when another process holds its CPU, is stopped at a checkpoint.  Both
-halves make the same IEEE operations in either process, so every iterate is
-bit-identical with the worker and without it.
+Session._run is the one run loop, of advance() and checkpoints().  It cuts
+the run into chunks of at most PIPE_CHUNK iterations that end at every
+checkpoint, each sliced whole from the draw buffer, and runs each chunk in
+two halves.  The z-half advances every z* chain over the chunk and records,
+for each iteration, what its x-step adds to w: entry i of each preset's z*,
+or z*[block i] on the one-system block path.  The x-half then runs the
+chunk's x-steps on those records.  As the z-update reads neither x nor f,
+the z-half can run ahead: when checkpoints() drives a session with the
+z-update and single-index partitions, and _worker_pays (os.fork, no other
+Python thread, a second CPU in the affinity mask, FORK_ITERATIONS
+iterations or more to run and checkpoint intervals of MIN_CHUNK or more),
+one forked child, the worker, runs the z-half of each chunk while this
+process runs the x-half of the chunk before.  The draws go in and the
+records come out through two slots of an anonymous shared mmap, with one
+pipe byte each way per chunk, and the worker's z* and z at each chunk's end
+are copied into state before any hook runs.  A worker that keeps this
+process waiting longer than it computes, as when another process holds its
+CPU, is stopped at a checkpoint, and the chunks already drawn run on
+in-process.  Both halves make the same IEEE operations in either process,
+so every iterate is bit-identical with the worker and without it.
 """
 
 import collections
@@ -408,7 +411,7 @@ class Session:
                     update()
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
-        self._left = 0  # drawn iterations not yet run
+        self._buffer = (0, 0, None)  # draws of iterations start to stop: (start, stop, _draw's arrays)
         self._end = cfg.max_iterations  # indices are drawn past it only when asked for
         self._worker = None  # the z-chain worker of a forked checkpoints() run
 
@@ -446,39 +449,103 @@ class Session:
             tc = steps(self.t_col, fj)
         return fj, tc, fi, tr, self.b[fi]
 
-    def _refill(self, wanted):
-        """Draw the indices of up to DRAW_CHUNK iterations, and of `wanted` at least."""
-        count = min(DRAW_CHUNK, max(wanted, self._end - self.state.k))
-        self._drawn, self._pos, self._left = self._draw(count), 0, count
-
-    def _ran(self, count):
-        """Count `count` iterations as run, and their draws as consumed."""
-        self.state.k += count
-        for rng, draws in zip(self._rngs, self._draws):
-            rng.skip(count * draws)
+    def _take(self, k, count, horizon):
+        """_draw's arrays for iterations k to k + count, sliced from the draw
+        buffer, which is redrawn from k when it does not hold them all: for
+        DRAW_CHUNK iterations, none past `horizon`, and `count` at least."""
+        start, stop, drawn = self._buffer
+        if not start <= k <= k + count <= stop:
+            start, stop = k, k + max(count, min(DRAW_CHUNK, horizon - k))
+            drawn = self._draw(stop - start, k - self.state.k)
+            self._buffer = start, stop, drawn
+        return [None if a is None else a[k - start:k - start + count] for a in drawn]
 
     def advance(self, steps):
-        """Run `steps` iterations in place and return the state; the single
-        implementation of the update, the z-half then the x-half of each
-        drawn chunk."""
-        done = 0
-        while done < steps:
-            if not self._left:
-                self._refill(steps - done)
-            count = min(steps - done, self._left)
-            fj, tc, fi, tr, bi = [None if a is None else a[self._pos:self._pos + count]
-                                  for a in self._drawn]
-            self._pos += count
-            self._left -= count
-            zvals = None
-            if fj is not None:
-                out = (np.empty((count,) + self._zshape, self.b.dtype)
-                       if self.cfg.row_partition.trivial else [None] * count)
-                zvals = self._z_half(fj, tc, fi, out)
-            self._x_half(fi, tr, bi, zvals)
-            self._ran(count)
-            done += count
+        """Run `steps` iterations in place and return the state."""
+        for _ in self._run(steps, self.state.k + steps):
+            pass
         return self.state
+
+    def _run(self, interval, end, fork=False):
+        """Run to iteration `end`, yielding states() after every `interval`
+        iterations and at `end` (module docstring).
+
+        With `fork` the worker, while live, runs two chunks ahead: the next
+        chunk is sent before a checkpoint is yielded, so it runs through the
+        hooks.  It is reaped at the last checkpoint, before its hooks run, on
+        any exit, and by close().  It is also reaped at a checkpoint when,
+        over FORK_ITERATIONS iterations or more past its first chunk (which
+        fills the pipeline), this process has waited on it longer than
+        WAIT_SHARE times the CPU time it spent on their z-halves: another
+        process then holds its CPU, and the z-half costs less here.  The
+        horizon keeps a stall of a few ms from stopping it.  When advance()
+        moved state.k while a checkpoint was yielded, the chunks taken ahead
+        and the worker's chain are stale: they are dropped, and the next
+        checkpoint is counted from state.k.
+        """
+        state = self.state
+        horizon = max(end, self._end)  # draws go no further unless asked for
+        if (fork and self._zcfg is not None and self._trivial and state.k < end
+                and _worker_pays(end - state.k, interval)):
+            with contextlib.suppress(OSError):  # no fork to be had: the run goes on in-process
+                self._worker = _Worker(self)
+        k, stop = state.k, min(state.k + interval, end)  # the next chunk's start and checkpoint
+        taken = collections.deque()  # (count, cut, fj, tc, fi, tr, bi) of the chunks taken ahead
+        # over the worker's chunks past its first: seconds waited on it, its
+        # CPU seconds, and their iterations
+        waited = spent = seen = 0
+
+        def take():
+            nonlocal k, stop
+            worker = self._worker if fork else None
+            while k < end and len(taken) < (1 if worker is None else 2):
+                count = min(PIPE_CHUNK, stop - k)
+                fj, tc, fi, tr, bi = self._take(k, count, horizon)
+                if worker is not None:
+                    worker.send(fj, tc, fi)
+                k += count
+                taken.append((count, k == stop, fj, tc, fi, tr, bi))
+                if k == stop:
+                    stop = min(k + interval, end)
+
+        try:
+            take()
+            while taken:
+                count, cut, fj, tc, fi, tr, bi = taken.popleft()
+                worker = self._worker if fork else None
+                if worker is None:
+                    zvals = None if fj is None else self._z_half(fj, tc, fi, (
+                        np.empty((count,) + self._zshape, self.b.dtype)
+                        if self.cfg.row_partition.trivial else [None] * count))
+                else:
+                    t0 = time.perf_counter()
+                    zvals, cpu, snaps = worker.receive()
+                    if worker.received > 1:
+                        waited += time.perf_counter() - t0
+                        spent += cpu
+                        seen += count
+                    zvals = zvals[:count]
+                    for a, snap in zip((state.zstar, state.z), snaps):
+                        np.copyto(a, snap)
+                self._x_half(fi, tr, bi, zvals)
+                state.k += count  # the streams count the draws of iterations run
+                for rng, draws in zip(self._rngs, self._draws):
+                    rng.skip(count * draws)
+                take()
+                if cut:
+                    if worker is not None and (not taken or (seen >= FORK_ITERATIONS
+                                                             and waited > WAIT_SHARE * spent)):
+                        self.close()
+                    at = state.k
+                    yield self.states()
+                    if state.k != at:
+                        taken.clear()
+                        self.close()
+                        k, stop = state.k, min(state.k + interval, end)
+                        take()
+        finally:
+            if fork:
+                self.close()
 
     def _z_half(self, fj, tc, fi, out):
         """Advance z* and z over a chunk's column draws, and return `out`
@@ -570,82 +637,13 @@ class Session:
         Checkpoints come every checkpoint_interval iterations (default: one
         epoch, m iterations) and at the final iterate.  With the z-update and
         single-index partitions, when _worker_pays, a forked worker runs the
-        z-half one chunk ahead; the iterates are the same either way.
+        z-half ahead (_run); the iterates are the same either way.  An
+        advance() between two checkpoints moves the next one to
+        checkpoint_interval iterations past where it leaves the state.
         """
-        interval = self.cfg.checkpoint_interval or self.shape[0]
-        end = self.cfg.max_iterations
         yield self.states()
-        if (self._zcfg is not None and self._trivial and self.state.k < end
-                and _worker_pays(end - self.state.k, interval)):
-            yield from self._forked(interval)
-        while self.state.k < end:  # in-process, also after close() stopped the worker
-            self.advance(min(interval, end - self.state.k))
-            yield self.states()
-
-    def _forked(self, interval):
-        """checkpoints() past the first, with the z-half of each chunk run by a
-        forked worker while this process runs the x-half of the chunk before.
-
-        Chunks hold at most PIPE_CHUNK iterations and end at every checkpoint.
-        The worker's z* and z at the end of each chunk are copied into state
-        before the x-half of the chunk is counted as run, so the state is
-        whole between chunks.  The worker is reaped at the last checkpoint,
-        before its hooks run, on any exit, and by close(); after close() the
-        run goes on in-process.  It is also reaped at a checkpoint when, over
-        FORK_ITERATIONS iterations or more past the first chunk (which fills
-        the pipeline), this process has waited on it longer than WAIT_SHARE
-        times the CPU time it spent on their z-halves: another process then
-        holds its CPU, and the z-half costs less here.  The horizon keeps a
-        stall of a few ms from stopping it.
-        """
-        k, end, chunks = self.state.k, self.cfg.max_iterations, []  # (count, ends a checkpoint)
-        while k < end:
-            stop = min(k + interval, end)
-            while k < stop:
-                count = min(PIPE_CHUNK, stop - k)
-                k += count
-                chunks.append((count, k == stop))
-        self._left = 0  # drop what advance drew ahead: the draws restart from the counters
-        try:
-            worker = self._worker = _Worker(self)
-        except OSError:  # no fork to be had: the run goes on in-process
-            return
-        pending = collections.deque()  # (fi, tr, bi) of the chunks sent
-
-        def send(count):
-            fj, tc, fi, tr, bi = self._draw(count, sum(len(p[0]) for p in pending))
-            worker.send(fj, tc, fi)
-            pending.append((fi, tr, bi))
-
-        try:
-            for count, _ in chunks[:2]:
-                send(count)
-            # over the chunks past the first: seconds waited on the worker, its
-            # CPU seconds, and their iterations
-            waited = spent = seen = 0
-            for n, (count, cut) in enumerate(chunks):
-                t0 = time.perf_counter()
-                zvals, cpu, snaps = worker.receive()
-                if n:
-                    waited += time.perf_counter() - t0
-                    spent += cpu
-                    seen += count
-                self._x_half(*pending.popleft(), zvals[:count])
-                for live, snap in zip((self.state.zstar, self.state.z), snaps):
-                    np.copyto(live, snap)
-                self._ran(count)
-                if n + 2 < len(chunks):
-                    send(chunks[n + 2][0])
-                if cut:
-                    if n + 1 == len(chunks) or (seen >= FORK_ITERATIONS
-                                                and waited > WAIT_SHARE * spent):
-                        self.close()
-                    yield self.states()
-                    if self._worker is not worker:
-                        return
-        finally:
-            if self._worker is worker:
-                self.close()
+        yield from self._run(self.cfg.checkpoint_interval or self.shape[0],
+                             self.cfg.max_iterations, fork=True)
 
     def close(self):
         """Reap the z-chain worker, if one runs.  The state stays whole, and a

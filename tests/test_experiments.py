@@ -359,7 +359,7 @@ def test_one_session_per_group_with_equal_regularizers_adjacent(monkeypatch):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_shared_presets_equal_each_preset_alone(field):
-    # the five presets share two sessions per group; each preset's traces and
+    # the five presets share one session per group; each preset's traces and
     # final iterates are bit-equal to running it alone, in either order
     specs = (PresetSpec("rk"), PresetSpec("srk", lam=2.0), PresetSpec("rek"),
              PresetSpec("gerk_ad", lam=2.0), PresetSpec("gerk_bd", lam=2.0, eps=0.01, tau=0.001))

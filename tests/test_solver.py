@@ -761,6 +761,36 @@ def test_rek_z_chain_error_stays_in_range_and_never_grows(worker, monkeypatch):
     assert np.diff(errors[:, 1]).max() > 1e-12 * e0
 
 
+def test_rek_z_chain_meets_the_expected_rate():
+    # Zouzias & Freris 2013: e_k stays in range(A), so under uniform columns
+    # and the step 1/||a_j||^2, E||e_{k+1}||^2 <= q E||e_k||^2 with
+    # q = 1 - s^2 / (n max_j ||a_j||^2), s the least nonzero singular value
+    # of A; the mean of ||e_k||^2 over seeds is then at most q^k ||e_0||^2.
+    # 200 seeds of rek in lockstep on one experiment-i system (rank 10)
+    inst = gen_experiment_i(40, 20, 10, 3, 5.0, 0.1, 10.0, "real", RngStream(1500))
+    A, b = inst.A, inst.b
+    target = b - range_projection_quadratic(A, b).value
+    trials, steps = 200, 300
+    rows, cols = row_partition(A), column_partition(A)
+    session = Session([A] * trials, [b] * trials, [
+        preset("rek", A, max_iterations=steps, seed=s, row_partition=rows, col_partition=cols)
+        for s in range(trials)])
+    mean_sq = []
+    for _ in range(steps + 1):
+        mean_sq.append(np.mean(np.sum((session.state.zstar - target) ** 2, axis=1)))
+        session.advance(1)
+    sv = np.linalg.svd(A, compute_uv=False)
+    assert sv[10] < 1e-12 * sv[0]
+
+    def worst_ratio(s):
+        q = 1.0 - s ** 2 / (A.shape[1] * np.max(np.sum(A * A, axis=0)))
+        return np.max(np.array(mean_sq) / (q ** np.arange(steps + 1) * mean_sq[0]))
+
+    assert worst_ratio(sv[9]) <= 1.0
+    # negative control: the largest singular value in place of the least
+    assert worst_ratio(sv[0]) > 1.0
+
+
 def test_a_preset_shares_f_and_g_across_systems():
     # one preset over two systems runs as its first config's f and g, so
     # configs that differ there are refused, naming the field.  srk on system

@@ -190,3 +190,58 @@ def test_failed_fork_goes_on_in_process(forks, monkeypatch):
     assert record([cfgs["rek"], cfgs["gerk_bd"]], As, bs) == forked
     assert len(forks) == 1
     assert_no_child()
+
+
+def run_with_advance(As, bs, cfgs, at, steps):
+    """record() of a run whose checkpoints loop calls advance(steps) at
+    iteration `at`, and whether the worker was live at each checkpoint."""
+    session = Session(As, bs, cfgs)
+    snaps, live = [], []
+    for states in session.checkpoints():
+        snaps.append([(s.k, *(a.tobytes() for a in (s.x, s.xstar, s.z, s.zstar)))
+                      for s in states])
+        live.append(session._worker is not None)
+        if states[0].k == at:
+            session.advance(steps)
+    return snaps, [s.rng._counter for s in session.states()], live
+
+
+def test_advance_inside_checkpoints_counts_on_from_the_state(forks, monkeypatch):
+    # an advance(3) at k = 1000 moves every later checkpoint by 3, and the run
+    # still ends at max_iterations; the worker's chain is then stale, so it is
+    # reaped and the run goes on in-process, bit-equal to a run in-process
+    As, bs, cfgs = systems("real", 1, iters=4000, interval=100)
+    forked, forked_draws, live = run_with_advance(As, bs, cfgs["gerk_bd"], 1000, 3)
+    assert len(forks) == 1
+    assert_no_child()
+    monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: False)
+    alone, alone_draws, _ = run_with_advance(As, bs, cfgs["gerk_bd"], 1000, 3)
+    ks = list(range(0, 1001, 100)) + list(range(1103, 4000, 100)) + [4000]
+    assert [snap[0][0] for snap in forked] == [snap[0][0] for snap in alone] == ks
+    assert forked == alone
+    assert forked_draws == alone_draws == [8000]
+    assert live == [False] + [True] * 10 + [False] * 30
+
+
+def test_wait_rule_reaps_the_worker_past_the_horizon(forks, monkeypatch):
+    # with WAIT_SHARE 0 every wait counts as too long, so the worker is
+    # reaped at the first checkpoint FORK_ITERATIONS past its first chunk:
+    # chunks of 3 from 0, so iteration 3 + 10 = 13, whose checkpoint is 15
+    monkeypatch.setattr(solver, "WAIT_SHARE", 0.0)
+    monkeypatch.setattr(solver, "FORK_ITERATIONS", 10)
+    monkeypatch.setattr(solver, "PIPE_CHUNK", 3)
+    As, bs, cfgs = systems("complex", 2)
+    session = Session(As, bs, [cfgs["rek"], cfgs["gerk_bd"]])
+    live = []
+    for states in session.checkpoints():
+        live.append((states[0].k, session._worker is not None))
+        if states[0].k == 15:
+            assert_no_child()
+    assert live[:4] == [(0, False), (5, True), (10, True), (15, False)]
+    assert not any(on for _, on in live[4:])
+    assert len(forks) == 1
+    forked = record([cfgs["rek"], cfgs["gerk_bd"]], As, bs)
+    assert len(forks) == 2
+    assert_no_child()
+    monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: False)
+    assert record([cfgs["rek"], cfgs["gerk_bd"]], As, bs) == forked
