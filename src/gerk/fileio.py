@@ -12,7 +12,14 @@ row: `value` for real data or `re,im` for complex data.
 Both readers parse the body (the lines after the header) in one C-level pass
 of np.loadtxt and form the array with whole-array numpy operations.  Only
 when that pass or a whole-array check fails do they rescan the lines, to
-name the first offending one.  The body rules:
+name the first offending one.  A file of SPLIT_BYTES or more, when
+forks.usable() (a fork, no other Python thread, a second CPU), is parsed in
+two parts at once: a child forked by forks.spawn, the helper behind every
+fork of gerk (also the solver's z-chain worker), parses the head while this
+process parses the tail, and the parts are joined in file order.  The array
+is the same bytes as the one pass gives, and when either part fails the
+read falls back to the one pass, so every error is the same too.  The body
+rules:
 
 - A number is what float() reads, written in ASCII without `_` separators.
   A coordinate index is an ASCII integer with an optional sign, and a size
@@ -37,6 +44,7 @@ import warnings
 
 import numpy as np
 
+from . import forks
 from .errors import ParseError
 from .linalg import as_matrix, as_vector
 
@@ -45,6 +53,11 @@ BAND_CSV_VERSION = "# gerk-band-csv v1"
 SPARSITY_CSV_VERSION = "# gerk-sparsity-csv v1"
 METRICS_CSV_VERSION = "# gerk-metrics-csv v1"
 CERTIFICATE_VERSION = "# gerk-certificate v1"
+
+SPLIT_BYTES = 1 << 20  # smaller files parse in one pass: a fork and join cost a few ms
+# the share of a split file's characters the child parses, set by measurement:
+# the parent skips those lines, at a small fraction of the cost of parsing one
+HEAD_SHARE = 0.55
 
 
 def atomic_write(path, text):
@@ -88,18 +101,41 @@ def _index(token):
     return int(token)
 
 
-def _comment_after_data(fh, comment):
-    """True if a line left in fh holds data before a `comment` character.
+_BLANK = re.compile(r"\n\s*\n")  # a blank or whitespace-only line after a line break
+_FIRST_BLANK = re.compile(r"\s*\n")  # the same at the start of a chunk
 
-    Only whole-line comments are allowed; np.loadtxt would drop a trailing one.
+
+def _scan(fh, comment, head_chars):
+    """Scan the lines left in fh in 1 MiB text-mode chunks: (trailing, head).
+
+    trailing is True if a line holds data before a `comment` character.
+    Only whole-line comments are allowed; np.loadtxt would drop a trailing
+    one.  head is the number of lines that start in the first head_chars
+    characters, counted as np.loadtxt counts lines (universal newlines), or
+    0 unless each of them holds data and a line follows them: np.loadtxt
+    skips blank, whitespace-only and comment lines, and its max_rows counts
+    data lines only.
     """
     c = re.escape(comment)
     trailing = re.compile(rf"^[^\S\n]*[^\s{c}][^\n{c}]*{c}", re.MULTILINE)
+    head, left, follows = 0, head_chars, False
     while chunk := fh.read(1 << 20):
         chunk += fh.readline()  # end each chunk at a line break
         if comment in chunk and trailing.search(chunk):
-            return True
-    return False
+            return True, 0
+        if left <= 0 or head is None:
+            follows = True
+            continue
+        # the head ends with the line that holds its last character
+        end = len(chunk) if left >= len(chunk) else chunk.find("\n", left - 1) + 1 or len(chunk)
+        if (chunk.find(comment, 0, end) >= 0 or _FIRST_BLANK.match(chunk, 0, end)
+                or _BLANK.search(chunk, 0, end)):
+            head = None
+        else:
+            head += chunk.count("\n", 0, end)
+        left -= len(chunk)
+        follows = end < len(chunk)
+    return False, head if head and follows else 0
 
 
 def _read_body(fh, path, skip, comment, delimiter, dtype):
@@ -108,19 +144,55 @@ def _read_body(fh, path, skip, comment, delimiter, dtype):
     fh is the open file, positioned after those lines.  Returns one record
     per data line (blank and `comment` lines are skipped), or None when a
     line does not parse as `dtype`; the caller then rescans the lines to
-    name the first bad one.  No Python object is made per line.
+    name the first bad one.  No Python object is made per line.  A large
+    body may be parsed in two parts at once (_split_load; module docstring).
     """
-    if _comment_after_data(fh, comment):
+    size = os.fstat(fh.fileno()).st_size
+    split = size >= SPLIT_BYTES and forks.usable()
+    trailing, head = _scan(fh, comment, int(HEAD_SHARE * size) if split else 0)
+    if trailing:
         return None
+    load = functools.partial(np.loadtxt, path, dtype=dtype, comments=comment,
+                             delimiter=delimiter, ndmin=1, encoding="utf-8")
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(
-                path, dtype=dtype, comments=comment, delimiter=delimiter, skiprows=skip, ndmin=1,
-                encoding="utf-8",
-            )
+            data = _split_load(load, skip, head) if head else None
+            return load(skiprows=skip) if data is None else data
     except ValueError:
         return None
+
+
+def _split_load(load, skip, head):
+    """load(skiprows=skip), its first `head` lines parsed in a forked child
+    while this process parses the rest; None when the fork, either part or
+    the child fails.
+
+    Every line of the head holds data (_scan), so the child's max_rows ends
+    it where the parent's skiprows starts.  The child writes its records
+    into a shared mmap, and the two parts are joined in file order.  The
+    child is reaped before this returns, and killed first unless the
+    parent's part parsed.
+    """
+    def child():
+        rows = load(skiprows=skip, max_rows=head)
+        if len(rows) != head:
+            raise ValueError("the head part ended early")
+        out[:] = rows
+
+    try:
+        out = forks.shared((head,), load.keywords["dtype"])
+        pid = forks.spawn(child)
+    except OSError:
+        return None
+    tail = None
+    try:
+        tail = load(skiprows=skip + head)
+    except ValueError:
+        pass
+    finally:
+        code = forks.reap(pid, kill=tail is None)
+    return None if tail is None or code else np.concatenate([out, tail])
 
 
 def _body_lines(path, skip, comment):

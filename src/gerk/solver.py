@@ -21,10 +21,11 @@ converging to the pseudoinverse solution.
 
 Exactly one z-draw then one x-draw is consumed per iteration, in that order,
 from RngStream(seed, stream), so runs with equal configs are bit-identical.
-The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices), into
-one buffer indexed by iteration: one random_array call consumes the same
-counters in the same order as the scalar draws would, and
-blocks.draw_blocks maps each uniform to its block.
+The draws are taken up to DRAW_CHUNK iterations ahead, over whole chunks of
+the run loop (below), into one buffer indexed by iteration: one
+random_array call per stream consumes the same counters in the same order
+as the scalar draws would (draw_indices), and one blocks.draw_blocks call
+per cumulative table maps the uniforms of every stream that draws from it.
 
 Session's z-half and x-half (below) are the single implementation of the
 update, and Session the single one of whole runs; run, init_state and
@@ -72,11 +73,12 @@ for each iteration, what its x-step adds to w: entry i of each preset's z*,
 or z*[block i] on the one-system block path.  The x-half then runs the
 chunk's x-steps on those records.  As the z-update reads neither x nor f,
 the z-half can run ahead: when checkpoints() drives a session with the
-z-update and single-index partitions, and _worker_pays (os.fork, no other
-Python thread, a second CPU in the affinity mask, FORK_ITERATIONS
-iterations or more to run and checkpoint intervals of MIN_CHUNK or more),
-one forked child, the worker, runs the z-half of each chunk while this
-process runs the x-half of the chunk before.  The draws go in and the
+z-update and single-index partitions, and _worker_pays (forks.usable: a
+fork, no other Python thread and a second CPU; FORK_ITERATIONS iterations
+or more to run and checkpoint intervals of MIN_CHUNK or more), one child
+forked by forks.spawn, the helper behind every fork of gerk (also the split
+file reads of fileio), runs the z-half of each chunk while this process
+runs the x-half of the chunk before.  The draws go in and the
 records come out through two slots of an anonymous shared mmap, with one
 pipe byte each way per chunk, and the worker's z* and z at each chunk's end
 are copied into state before any hook runs.  A worker that keeps this
@@ -89,20 +91,15 @@ so every iterate is bit-identical with the worker and without it.
 import collections
 import contextlib
 import functools
-import gc
 import itertools
-import math
-import mmap
 import os
-import signal
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import blocks
+from . import blocks, forks
 from .blocks import BlockPartition, draw_blocks
 from .errors import (
     DimensionMismatch,
@@ -411,6 +408,15 @@ class Session:
                     update()
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
+        # (cum, [(stream, axis), ...]): the streams' column (axis 0) and row
+        # (axis 1) draws by cumulative table, each table once
+        tables = {}
+        for s, c in enumerate(self._draw_cfgs):
+            for axis, part in enumerate((c.col_partition if c.z_update_enabled else None,
+                                         c.row_partition)):
+                if part is not None:
+                    tables.setdefault(part._cum.tobytes(), (part._cum, []))[1].append((s, axis))
+        self._tables = list(tables.values())
         self._buffer = (0, 0, None)  # draws of iterations start to stop: (start, stop, _draw's arrays)
         self._end = cfg.max_iterations  # indices are drawn past it only when asked for
         self._worker = None  # the z-chain worker of a forked checkpoints() run
@@ -418,12 +424,22 @@ class Session:
     def _draw(self, count, ahead=0):
         """Block indices, step sizes and b_i of `count` iterations, starting
         `ahead` iterations past state.k: (fj, tc, fi, tr, bi), each with a
-        leading (count,) axis; fj and tc are None without the z-update."""
+        leading (count,) axis; fj and tc are None without the z-update.
+
+        Bit-equal to draw_indices stream by stream, with one searchsorted
+        per cumulative table: the uniforms of every stream that draws from a
+        table are mapped in one draw_blocks call."""
+        us = []  # each stream's (column, row) uniforms, in draw_indices' order
         for rng, draws in zip(self._rngs, self._draws):
             rng.skip(ahead * draws)
-        drawn = [draw_indices(c, rng, count) for c, rng in zip(self._draw_cfgs, self._rngs)]
-        for rng, draws in zip(self._rngs, self._draws):
+            u = rng.random_array(draws * count)
+            us.append((u[0::2], u[1::2]) if draws == 2 else (None, u))
             rng.skip(-(ahead + count) * draws)  # the streams count the draws of iterations run only
+        drawn = [[None, None] for _ in us]
+        for cum, users in self._tables:
+            idx = draw_blocks(cum, _join([us[s][axis] for s, axis in users]))
+            for (s, axis), part in zip(users, idx.reshape(len(users), count)):
+                drawn[s][axis] = part
         batch, systems = self.batch, len(self.cfgs)
 
         def flat(group, k, axis_len):
@@ -449,13 +465,19 @@ class Session:
             tc = steps(self.t_col, fj)
         return fj, tc, fi, tr, self.b[fi]
 
-    def _take(self, k, count, horizon):
-        """_draw's arrays for iterations k to k + count, sliced from the draw
-        buffer, which is redrawn from k when it does not hold them all: for
-        DRAW_CHUNK iterations, none past `horizon`, and `count` at least."""
+    def _take(self, k, count, ends):
+        """_draw's arrays for iterations k to k + count, a chunk of the run's
+        schedule, sliced from the draw buffer.  A buffer that does not hold
+        them is drawn anew from k, over whole chunks up to DRAW_CHUNK
+        iterations (one at least): `ends` are the ends of the chunks from k,
+        so a buffer never splits a chunk nor draws one it drops."""
         start, stop, drawn = self._buffer
         if not start <= k <= k + count <= stop:
-            start, stop = k, k + max(count, min(DRAW_CHUNK, horizon - k))
+            start = stop = k
+            for e in ends:
+                if e - k > DRAW_CHUNK and stop > k:
+                    break
+                stop = e
             drawn = self._draw(stop - start, k - self.state.k)
             self._buffer = start, stop, drawn
         return [None if a is None else a[k - start:k - start + count] for a in drawn]
@@ -485,11 +507,12 @@ class Session:
         """
         state = self.state
         horizon = max(end, self._end)  # draws go no further unless asked for
+        k, stop = state.k, min(state.k + interval, end)  # the next chunk's start and checkpoint
         if (fork and self._zcfg is not None and self._trivial and state.k < end
                 and _worker_pays(end - state.k, interval)):
+            self._take(k, min(PIPE_CHUNK, stop - k), _ends(k, stop, interval, horizon))
             with contextlib.suppress(OSError):  # no fork to be had: the run goes on in-process
                 self._worker = _Worker(self)
-        k, stop = state.k, min(state.k + interval, end)  # the next chunk's start and checkpoint
         taken = collections.deque()  # (count, cut, fj, tc, fi, tr, bi) of the chunks taken ahead
         # over the worker's chunks past its first: seconds waited on it, its
         # CPU seconds, and their iterations
@@ -500,7 +523,7 @@ class Session:
             worker = self._worker if fork else None
             while k < end and len(taken) < (1 if worker is None else 2):
                 count = min(PIPE_CHUNK, stop - k)
-                fj, tc, fi, tr, bi = self._take(k, count, horizon)
+                fj, tc, fi, tr, bi = self._take(k, count, _ends(k, stop, interval, horizon))
                 if worker is not None:
                     worker.send(fj, tc, fi)
                 k += count
@@ -668,34 +691,23 @@ class Session:
         return "max_iterations"
 
 
+def _ends(k, stop, interval, end):
+    """The ends of the chunks of a run from iteration k to `end`, whose next
+    checkpoint is at `stop` and the later ones every `interval` iterations:
+    chunks of at most PIPE_CHUNK iterations, cut at every checkpoint."""
+    while k < end:
+        k = min(k + PIPE_CHUNK, stop)
+        yield k
+        if k == stop:
+            stop = min(k + interval, end)
+
+
 def _worker_pays(iterations, interval):
     """Whether a forked z-chain worker pays for itself over a run of
-    `iterations` with checkpoints every `interval`: it needs os.fork, no
-    other Python thread (which could hold a lock across the fork), a second
-    CPU to run on, a run long enough to pay for the fork (about 4 ms), and
+    `iterations` with checkpoints every `interval`: it needs a usable fork
+    (forks.usable), a run long enough to pay for the fork (about 4 ms), and
     chunks long enough to pay for their two pipe bytes (about 20 us)."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1
-            and iterations >= FORK_ITERATIONS and interval >= MIN_CHUNK)
-
-
-def _shared(shape, dtype):
-    """A zeroed array in an anonymous shared mmap, which a forked child
-    shares with its parent."""
-    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize),
-                         dtype).reshape(shape)
-
-
-@contextlib.contextmanager
-def _sigint_blocked():
-    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-
-
-_WORKER_FDS = set()  # pipe ends the live workers' parents hold; a new worker closes them
+    return iterations >= FORK_ITERATIONS and interval >= MIN_CHUNK and forks.usable()
 
 
 class _Worker:
@@ -705,48 +717,32 @@ class _Worker:
     indices and steps, its row indices, its count, the CPU seconds and the
     z-values of the child's z-half, and the child's z* and z at the chunk's
     end.  Each chunk costs one pipe byte each way: a request, then the reply
-    when its slot is full.  The child ignores SIGINT, touches no file, and
-    leaves with os._exit at the EOF of its request pipe, or at any error,
-    which the parent sees as the EOF of its reply pipe and raises as
-    WorkerDied.
+    when its slot is full.  The child (forks.spawn) touches no file, and
+    leaves at the EOF of its request pipe, or at any error, which the parent
+    sees as the EOF of its reply pipe and raises as WorkerDied.
     """
 
     def __init__(self, session):
-        fj, tc, fi, _, _ = session._draw(1)
+        fj, tc, fi, _, _ = session._buffer[2]  # the first chunk's draws size the slots
         state = session.state
         live = [state.zstar] + ([] if state.z is state.zstar else [state.z])
-        self.slots = [[_shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in (fj, tc, fi)]
-                      + [_shared((1,), np.int64), _shared((1,), np.float64),
-                         _shared((PIPE_CHUNK,) + session._zshape, session.b.dtype)]
-                      + [_shared(a.shape, a.dtype) for a in live] for _ in range(2)]
+        self.slots = [[forks.shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in (fj, tc, fi)]
+                      + [forks.shared((1,), np.int64), forks.shared((1,), np.float64),
+                         forks.shared((PIPE_CHUNK,) + session._zshape, session.b.dtype)]
+                      + [forks.shared(a.shape, a.dtype) for a in live] for _ in range(2)]
         self.sent = self.received = 0  # chunks
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
-        # SIGINT waits until the child has set it to ignored, so that no
-        # KeyboardInterrupt can reach the child outside its own try
-        with _sigint_blocked():
-            try:
-                self.pid = os.fork()
-            except OSError:
-                for fd in (req_r, req_w, rep_r, rep_w):
-                    os.close(fd)
-                raise
-            if self.pid == 0:
-                code = 1
-                try:
-                    signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-                    gc.disable()  # no finalizer of the parent's objects runs here
-                    for fd in _WORKER_FDS | {req_w, rep_r}:
-                        os.close(fd)  # else older workers never see their EOF
-                    self._serve(session, req_r, rep_w)
-                    code = 0
-                finally:
-                    os._exit(code)
+        try:
+            self.pid = forks.spawn(lambda: self._serve(session, req_r, rep_w), (req_w, rep_r))
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            raise
         os.close(req_r)
         os.close(rep_w)
         self.req, self.rep = req_w, rep_r
-        _WORKER_FDS.update((req_w, rep_r))
+        forks.LIVE_FDS.update((req_w, rep_r))
 
     def _serve(self, session, req, rep):
         state = session.state
@@ -783,20 +779,17 @@ class _Worker:
         return out, float(cpu[0]), snaps
 
     def _died(self):
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        raise WorkerDied("the z-chain worker died mid-run "
-                         f"(exit code {os.waitstatus_to_exitcode(status)})")
+        code, self.pid = forks.reap(self.pid), None
+        raise WorkerDied(f"the z-chain worker died mid-run (exit code {code})")
 
     def close(self):
         """Close both pipes and reap the child, which leaves at the EOF of its
         request pipe once it has finished the chunk it may be running."""
-        _WORKER_FDS.difference_update((self.req, self.rep))
+        forks.LIVE_FDS.difference_update((self.req, self.rep))
         os.close(self.req)
         os.close(self.rep)
         if self.pid is not None:
-            with _sigint_blocked():  # a KeyboardInterrupt waits for the reaping
-                os.waitpid(self.pid, 0)
+            forks.reap(self.pid)
             self.pid = None
 
 

@@ -805,3 +805,73 @@ def test_a_preset_shares_f_and_g_across_systems():
     # equal potentials built apart are one preset
     rebuilt = dataclasses.replace(cfgs["gerk_bd"][1], f=ElasticNet(0.5), g=HuberQuadMisfit(0.1, 0.05))
     Session(As, bs, [cfgs["gerk_bd"][0], rebuilt])
+
+
+@pytest.mark.parametrize("worker", [False, True])
+def test_draw_buffers_draw_each_iteration_once(worker, monkeypatch):
+    # checkpoints every 800 iterations cut chunks of at most 400 that a
+    # 1024-iteration buffer would split: each buffer ends at a chunk's end
+    # instead, so a run of 4000 iterations draws 4000, in-process and
+    # through the z-chain worker (which sizes its slots from the buffer)
+    monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: worker)
+    counts = []
+    draw = Session._draw
+
+    def counted(self, count, ahead=0):
+        counts.append(count)
+        return draw(self, count, ahead)
+
+    monkeypatch.setattr(Session, "_draw", counted)
+    As, bs, cfgs = shared_systems("real", 2, iters=4000, interval=800)
+    session = Session(As, bs, [cfgs["rk"], cfgs["gerk_bd"]])
+    ks = [states[0].k for states in session.checkpoints()]
+    assert ks == [0, 800, 1600, 2400, 3200, 4000]
+    assert counts == [800] * 5
+    # chunks of 400, 400 and 200 fill 1000 of a buffer's 1024 iterations
+    counts.clear()
+    cfg = dataclasses.replace(cfgs["gerk_bd"][0], checkpoint_interval=1000)
+    Session(As[0], bs[0], cfg).finish([()])
+    assert counts == [1000] * 4
+
+
+def test_draw_maps_each_cumulative_table_once(monkeypatch):
+    # _draw maps every stream of one cumulative table in one draw_blocks
+    # call, bit-equal to draw_indices stream by stream: T = 3 systems, the
+    # presets rk (no z-update) and gerk_bd (z-update) in one session, over
+    # the default uniform tables (shared) and norm-proportional ones (each
+    # system's own)
+    rng = RngStream(560)
+    T, m, n, count = 3, 12, 6, 50
+    As = [rng.gaussian_array(m * n, "real").reshape(m, n) for _ in range(T)]
+    bs = [rng.gaussian_array(m, "real") for _ in range(T)]
+    calls = []
+    monkeypatch.setattr(solver, "draw_blocks",
+                        lambda cum, u: calls.append(len(u)) or solver.blocks.draw_blocks(cum, u))
+    for proportional in (False, True):
+        def parts(A):
+            if not proportional:
+                return row_partition(A), column_partition(A)
+            rows, cols = (A * A).sum(axis=1), (A * A).sum(axis=0)
+            return (row_partition(A, probabilities=rows / rows.sum()),
+                    column_partition(A, probabilities=cols / cols.sum()))
+
+        presets = [[preset(name, A, **SHARED_KW, max_iterations=500, seed=80 + t,
+                           stream=2 * t + (name == "gerk_bd"), row_partition=parts(A)[0],
+                           col_partition=parts(A)[1]) for t, A in enumerate(As)]
+                   for name in ("rk", "gerk_bd")]
+        session = Session(As, bs, presets)
+        calls.clear()
+        fj, tc, fi, tr, bi = session._draw(count, ahead=7)
+        # one call per table: rows (both groups) and columns, per system when
+        # proportional; uniform tables are equal across the systems
+        assert calls == ([2 * count] * T + [count] * T if proportional
+                         else [2 * T * count, T * count])
+        for t in range(T):
+            for p, cfg in enumerate(c[t] for c in presets):
+                stream = RngStream(cfg.seed, cfg.stream)
+                stream.skip(7 * (2 if cfg.z_update_enabled else 1))
+                cols, rows = draw_indices(cfg, stream, count)
+                assert (fi[:, p, t] - t * m).tobytes() == rows.tobytes()
+                if cols is not None:
+                    assert (fj[:, t] - t * n).tobytes() == cols.tobytes()
+        assert all(r._counter == 0 for r in session._rngs)
