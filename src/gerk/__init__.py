@@ -85,6 +85,7 @@ from .solver import (
     SolverConfig,
     SolverReport,
     SolverState,
+    WorkerRecord,
     gerk_step,
     init_state,
     preset,

@@ -18,7 +18,9 @@ one solver session, in lockstep.  The presets without the z-update (rk, srk)
 share each trial's index draws, and so do those with it (rek, gerk_ad,
 gerk_bd); rek and gerk_ad, both of the quadratic misfit, run one z* chain;
 the presets of one regularizer are ordered side by side, so its gradient
-kernel runs once for all of them.  This changes no value: each preset on each
+kernel runs once for all of them, and where that allows it the presets of
+each draw group too, so that the z-chain worker can take the x-chains of
+those without the z-update.  This changes no value: each preset on each
 trial is bit-identical to a run on its own.  The quadratic presets' z_error
 target b - P_range(A) b comes from the instance (ProblemInstance.z_target):
 one SVD per instance, whichever presets ask for it.  Metrics are recorded
@@ -124,6 +126,13 @@ def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
     return A, x_hat, A @ x_hat
 
 
+def _finite_noise(value, noise_level):
+    """value, unless the noise it holds overflowed: ValueError naming noise_level."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"noise_level = {noise_level:g} makes the noise overflow; lower it")
+    return value
+
+
 def gen_experiment_i(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
     """Sparse ground truth plus nullspace noise of norm noise_level*||b_hat||.
 
@@ -137,8 +146,9 @@ def gen_experiment_i(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng
     if noise_level == 0.0:
         return ProblemInstance(A, b_hat.copy(), b_hat, x_hat, field, "nullspace", noise_level)
     range_basis, null_basis = left_singular_bases(A, True)
-    radius = noise_level * float(np.linalg.norm(b_hat))
-    b = b_hat + draw_in_span(null_basis, radius, field, rng)
+    radius = _finite_noise(noise_level * float(np.linalg.norm(b_hat)), noise_level)
+    with np.errstate(over="ignore"):
+        b = _finite_noise(b_hat + draw_in_span(null_basis, radius, field, rng), noise_level)
     return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", noise_level,
                            b_range=project_onto(range_basis, b))
 
@@ -151,13 +161,15 @@ def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rn
     if count > m:
         raise ValueError(f"cannot place {count} impulses into {m} rows")
     idx = rng.choice_without_replacement(m, count)
-    amp = noise_level * float(np.max(np.abs(b_hat)))
+    amp = _finite_noise(noise_level * float(np.max(np.abs(b_hat))), noise_level)
     b = b_hat.copy()
     if field == "complex":
         spikes = (rng.signs(count) + 1j * rng.signs(count)) / np.sqrt(2.0)
     else:
         spikes = rng.signs(count)
-    b[idx] += amp * spikes
+    with np.errstate(over="ignore"):
+        b[idx] += amp * spikes
+    _finite_noise(b, noise_level)
     return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level)
 
 
@@ -263,9 +275,17 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
         cols = [col if cfg.col_partition is None else cfg.col_partition
                 for cfg, col in zip(cfgs, cols)]
     # equal regularizers adjacent, so that the session runs one f-kernel over
-    # their slabs
+    # their slabs; the presets without the z-update first within a run, and
+    # the runs holding some first, so that each draw group is one slab where
+    # the runs allow it (its z-chain worker may then take their x-chains)
     regularizers = [cfgs[0].f for cfgs in configs.values()]
-    labels = sorted(configs, key=lambda label: regularizers.index(configs[label][0].f))
+    z_offs = [cfgs[0].f for cfgs in configs.values() if cfgs[0].g is None]
+
+    def order(label):
+        f, g = configs[label][0].f, configs[label][0].g
+        return f not in z_offs, regularizers.index(f), g is not None
+
+    labels = sorted(configs, key=order)
     recorders = []  # (label, recorder), preset by preset as the session orders its systems
     for label in labels:
         for inst, cfg in zip(instances, configs[label]):

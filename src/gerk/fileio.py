@@ -307,7 +307,13 @@ def read_matrix_market(path):
 
     if data is not None and len(data) == nnz and np.isfinite(data["v"]).all():
         v = data["v"]
-        vals = v[:, 0] + 1j * v[:, 1] if complex_field else v[:, 0]
+        vals = v[:, 0]
+        if complex_field:
+            # the (re, im) records in place, as complex: the signed zeros of
+            # re + 1j*im, which adds copysign(0, im) to re and 0 to im
+            vals += np.copysign(0.0, v[:, 1])
+            v[:, 1] += 0.0
+            vals = v.view(np.complex128)[:, 0]
         if layout == "array":  # column-major body
             return np.array(vals.reshape(n, m).T, order="C")
         i, j = data["i"], data["j"]

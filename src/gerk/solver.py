@@ -54,11 +54,11 @@ one draw group the index is the group's own, batch-shaped and shared by
 every preset.  The z-update reads neither x nor f, so presets with equal
 misfits g and equal column steps run one z* chain: z and z* hold one slab
 per distinct chain, with a leading chain axis only when there are several,
-and the x-step gathers each preset's z*_i through a map from preset to
-chain, in one indexing call.  A preset without the z-update maps to a slab of
-zeros past the chains; adding its +0.0 can only turn a w of -0.0 into +0.0,
-which leaves x* bit-equal because x* never holds -0.0 (it starts at +0.0,
-and exact differences round to +0.0).  Potentials are values, and each
+and each preset's z*_i comes from its chain's through a map from preset to
+chain, one indexing call per chunk.  A preset without the z-update maps to
+a slab of zeros past the chains; adding its +0.0 can only turn a w of -0.0
+into +0.0, which leaves x* bit-equal because x* never holds -0.0 (it starts
+at +0.0, and exact differences round to +0.0).  Potentials are values, and each
 gradient kernel runs once per run of adjacent equal ones, on their
 contiguous slab (a copy where the gradient is the identity): f over the
 presets, g over the chains.  The kernels are elementwise, or sum each row on
@@ -69,7 +69,7 @@ Session._run is the one run loop, of advance() and checkpoints().  It cuts
 the run into chunks of at most PIPE_CHUNK iterations that end at every
 checkpoint, each sliced whole from the draw buffer, and runs each chunk in
 two halves.  The z-half advances every z* chain over the chunk and records,
-for each iteration, what its x-step adds to w: entry i of each preset's z*,
+for each iteration, what its x-steps add to w: entry i of every z* slab,
 or z*[block i] on the one-system block path.  The x-half then runs the
 chunk's x-steps on those records.  As the z-update reads neither x nor f,
 the z-half can run ahead: when checkpoints() drives a session with the
@@ -78,14 +78,23 @@ fork, no other Python thread and a second CPU; FORK_ITERATIONS iterations
 or more to run and checkpoint intervals of MIN_CHUNK or more), one child
 forked by forks.spawn, the helper behind every fork of gerk (also the split
 file reads of fileio), runs the z-half of each chunk while this process
-runs the x-half of the chunk before.  The draws go in and the
-records come out through two slots of an anonymous shared mmap, with one
+runs the x-half of a chunk before.  The draws go in and the
+records come out through SLOTS slots of anonymous shared mmaps, with one
 pipe byte each way per chunk, and the worker's z* and z at each chunk's end
 are copied into state before any hook runs.  A worker that keeps this
 process waiting longer than it computes, as when another process holds its
 CPU, is stopped at a checkpoint, and the chunks already drawn run on
-in-process.  Both halves make the same IEEE operations in either process,
-so every iterate is bit-identical with the worker and without it.
+in-process.  The x-chains of the presets without the z-update read neither
+z nor the other presets.  So when the presets span both draw groups, each
+one contiguous slab of presets (the experiment harness orders them so), and
+_x_chains_pay says it pays for the session, the worker also takes those
+x-chains, from the x and x* it inherits at the fork: it runs their x-half,
+as a draw group of its own, after the z-half of each chunk, and their x and
+x* come back with z* and z, while this process runs the x-half of the
+presets with the z-update alone.  Whatever reaps the worker, the run goes
+on in-process from state.  Both halves make the same IEEE operations
+in either process, so every iterate is bit-identical with the worker and
+without it.
 """
 
 import collections
@@ -125,6 +134,7 @@ PIPE_CHUNK = 400  # most iterations in one chunk of the z-chain worker
 MIN_CHUNK = 64  # checkpoint intervals below this run in-process
 FORK_ITERATIONS = 2048  # shorter runs do not pay for a fork
 WAIT_SHARE = 1.0  # a worker stops once waits on it pass this share of its CPU time
+SLOTS = 3  # chunks sent ahead to the worker, each in a slot of its own
 
 
 @dataclass
@@ -156,11 +166,35 @@ class SolverState:
 
 
 @dataclass
+class WorkerRecord:
+    """What a session's z-chain worker did (_run).
+
+    forked_at is the iteration where it forked, and x_chains_at the same
+    iteration when it took the x-chains of the presets without the z-update
+    (each None when it did not).  Over its chunks: the seconds this process
+    waited on it, the CPU seconds of its z-halves and x-halves, and those of
+    this process's x-halves.  stop says why it stopped: "last checkpoint", "wait rule",
+    "close", "advance", "died" or "fork failed" (None while it runs, or
+    when none forked).
+    """
+
+    forked_at: Optional[int] = None
+    x_chains_at: Optional[int] = None
+    chunks: int = 0
+    wait_s: float = 0.0
+    worker_z_cpu_s: float = 0.0
+    worker_x_cpu_s: float = 0.0
+    parent_x_cpu_s: float = 0.0
+    stop: Optional[str] = None
+
+
+@dataclass
 class SolverReport:
     state: SolverState
     iterations: int
     wall_time: float
     stop_reason: str
+    worker: Optional[WorkerRecord] = None
 
 
 def validate_config(A, b, cfg):
@@ -267,6 +301,24 @@ def _kernels(potentials, shape, is_complex):
             for a, z in zip(starts, stops)]
 
 
+_Slab = collections.namedtuple("_Slab", "idx first x xstar f_update")
+
+
+def _slab(state, potentials, first, stop, is_complex):
+    """Presets first to stop of state, their f-kernels on their own: idx
+    indexes their slab along the preset axis, a lone preset without it."""
+    idx = first if stop - first == 1 else slice(first, stop)
+    xstar = state.xstar[idx]
+    x = xstar if state.x is state.xstar else state.x[idx]
+    kernels = _kernels(potentials, xstar.shape, is_complex)
+    return _Slab(idx, first, x, xstar, _gradient_update(kernels, xstar, x))
+
+
+def _arrays(dual, primal):
+    """The dual iterate, and the primal one when it is another array."""
+    return [dual] if primal is dual else [dual, primal]
+
+
 def _gradient_update(kernels, dual, primal):
     """A call that sets primal = grad(dual) by _kernels' runs; None when
     primal is dual.  An identity run's slabs are copied."""
@@ -366,16 +418,18 @@ class Session:
                 self._chains[p] = chains.index(key)
             firsts = [keys.index(key) for key in chains]
             zlead = (len(chains),) if len(chains) > 1 else ()
-            # the x-step gathers every preset's z*_i at once, through the chain
-            # map where presets share a chain, and a preset without the
+            # the z-half records z*_i of every slab, at the row index of the
+            # z-update's draw group (that of preset _zrow with two groups), and
+            # the x-half maps each preset to its slab once per chunk, through
+            # the chain map where presets share a chain; a preset without the
             # z-update reads a slab of zeros past the chains
             slabs = len(chains) + (len(groups) > 1)
             if slabs > 1:
-                self._zmap = np.reshape([len(chains) if c is None else c for c in self._chains],
-                                        lead + (1,) * len(batch))
+                self._zmap = np.array([len(chains) if c is None else c for c in self._chains])
+            self._zrow = zp[0] if len(groups) > 1 else None
             self.t_col = _stack([t_cols[k] for k in firsts])
-            # the shape of what the x-step adds to w: each preset's z*_i
-            self._zshape = batch if self._zmap is None else lead + batch
+            # the shape of the z-half's record of one iteration
+            self._zshape = batch if self._zmap is None else (slabs,) + batch
             g_kernels = _kernels([keys[k][0] for k in firsts], zlead + batch + (m,), is_complex)
             trivial = trivial and self._zcfg.col_partition.trivial
         if (lead or batch) and not trivial:
@@ -396,6 +450,15 @@ class Session:
             state = SolverState(0, x, xstar, z, zstar, rngs if len(rngs) > 1 else rngs[0])
         self.state = state
         self._f_update = _gradient_update(f_kernels, state.xstar, state.x)
+        # with two draw groups, each one contiguous slab of presets, the worker
+        # may take the x-chains of the presets without the z-update (_Worker):
+        # (without, with), each slab's x-half a draw group of its own
+        self._slabs = None
+        if len(groups) == 2 and sum(a != b for a, b in zip(z_ons, z_ons[1:])) == 1:
+            cut = z_ons.index(groups[1])
+            spans = [(0, cut), (cut, len(presets))]
+            self._slabs = tuple(_slab(state, [p[0].f for p in presets[a:z]], a, z, is_complex)
+                                for a, z in (spans[::-1] if groups[0] else spans))
         self._g_update = None
         if self._zcfg is not None:
             self._g_update = _gradient_update(g_kernels, state.zstar, state.z)
@@ -420,6 +483,7 @@ class Session:
         self._buffer = (0, 0, None)  # draws of iterations start to stop: (start, stop, _draw's arrays)
         self._end = cfg.max_iterations  # indices are drawn past it only when asked for
         self._worker = None  # the z-chain worker of a forked checkpoints() run
+        self.worker_record = WorkerRecord()
 
     def _draw(self, count, ahead=0):
         """Block indices, step sizes and b_i of `count` iterations, starting
@@ -492,18 +556,24 @@ class Session:
         """Run to iteration `end`, yielding states() after every `interval`
         iterations and at `end` (module docstring).
 
-        With `fork` the worker, while live, runs two chunks ahead: the next
-        chunk is sent before a checkpoint is yielded, so it runs through the
-        hooks.  It is reaped at the last checkpoint, before its hooks run, on
-        any exit, and by close().  It is also reaped at a checkpoint when,
-        over FORK_ITERATIONS iterations or more past its first chunk (which
-        fills the pipeline), this process has waited on it longer than
-        WAIT_SHARE times the CPU time it spent on their z-halves: another
-        process then holds its CPU, and the z-half costs less here.  The
-        horizon keeps a stall of a few ms from stopping it.  When advance()
-        moved state.k while a checkpoint was yielded, the chunks taken ahead
-        and the worker's chain are stale: they are dropped, and the next
-        checkpoint is counted from state.k.
+        With `fork` the worker, while live, runs up to SLOTS chunks ahead:
+        the next chunk is sent before a checkpoint is yielded, so it runs
+        through the hooks.  It is reaped at the last checkpoint, before its
+        hooks run, on any exit, and by close().  It is also reaped at a
+        checkpoint when, over FORK_ITERATIONS iterations or more past its
+        first chunk (which fills the pipeline), this process has waited on
+        it longer than WAIT_SHARE times the CPU time it spent on them:
+        another process then holds its CPU, and the work costs less here.
+        The horizon keeps a stall of a few ms from stopping it.  When
+        advance() moved state.k while a checkpoint was yielded, the chunks
+        taken ahead and the worker's chain are stale: they are dropped, and
+        the next checkpoint is counted from state.k.
+
+        A worker that took the x-chains (_Worker) runs the x-half of the
+        presets without the z-update: this process runs that of the presets
+        with it alone, and copies the worker's x and x* into state at each
+        chunk's end.  Whatever reaps the worker, the chunks taken ahead run
+        on in-process from state.
         """
         state = self.state
         horizon = max(end, self._end)  # draws go no further unless asked for
@@ -511,9 +581,14 @@ class Session:
         if (fork and self._zcfg is not None and self._trivial and state.k < end
                 and _worker_pays(end - state.k, interval)):
             self._take(k, min(PIPE_CHUNK, stop - k), _ends(k, stop, interval, horizon))
-            with contextlib.suppress(OSError):  # no fork to be had: the run goes on in-process
+            try:
                 self._worker = _Worker(self)
-        taken = collections.deque()  # (count, cut, fj, tc, fi, tr, bi) of the chunks taken ahead
+                self.worker_record = WorkerRecord(
+                    forked_at=state.k, x_chains_at=state.k if self._worker.x_chains else None)
+            except OSError:  # no fork to be had: the run goes on in-process
+                self.worker_record = WorkerRecord(stop="fork failed")
+        record = self.worker_record
+        taken = collections.deque()  # (count, cut, draws) of the chunks taken ahead
         # over the worker's chunks past its first: seconds waited on it, its
         # CPU seconds, and their iterations
         waited = spent = seen = 0
@@ -521,20 +596,20 @@ class Session:
         def take():
             nonlocal k, stop
             worker = self._worker if fork else None
-            while k < end and len(taken) < (1 if worker is None else 2):
+            while k < end and len(taken) < (1 if worker is None else SLOTS):
                 count = min(PIPE_CHUNK, stop - k)
-                fj, tc, fi, tr, bi = self._take(k, count, _ends(k, stop, interval, horizon))
+                drawn = self._take(k, count, _ends(k, stop, interval, horizon))
                 if worker is not None:
-                    worker.send(fj, tc, fi)
+                    worker.send(drawn)
                 k += count
-                taken.append((count, k == stop, fj, tc, fi, tr, bi))
+                taken.append((count, k == stop, drawn))
                 if k == stop:
                     stop = min(k + interval, end)
 
         try:
             take()
             while taken:
-                count, cut, fj, tc, fi, tr, bi = taken.popleft()
+                count, cut, (fj, tc, fi, tr, bi) = taken.popleft()
                 worker = self._worker if fork else None
                 if worker is None:
                     zvals = None if fj is None else self._z_half(fj, tc, fi, (
@@ -543,39 +618,53 @@ class Session:
                 else:
                     t0 = time.perf_counter()
                     zvals, cpu, snaps = worker.receive()
+                    wait = time.perf_counter() - t0
+                    record.chunks += 1
+                    record.wait_s += wait
+                    record.worker_z_cpu_s += cpu[0]
+                    record.worker_x_cpu_s += cpu[1]
                     if worker.received > 1:
-                        waited += time.perf_counter() - t0
-                        spent += cpu
+                        waited += wait
+                        spent += cpu[0] + cpu[1]
                         seen += count
                     zvals = zvals[:count]
-                    for a, snap in zip((state.zstar, state.z), snaps):
+                    for a, snap in zip(worker.live, snaps):
                         np.copyto(a, snap)
-                self._x_half(fi, tr, bi, zvals)
+                t0 = time.thread_time()
+                self._x_half(fi, tr, bi, zvals,
+                             self._slabs[1] if worker is not None and worker.x_chains else None)
+                if worker is not None:
+                    record.parent_x_cpu_s += time.thread_time() - t0
                 state.k += count  # the streams count the draws of iterations run
                 for rng, draws in zip(self._rngs, self._draws):
                     rng.skip(count * draws)
+                if cut and worker is not None:
+                    if not taken and k == end:
+                        self._reap("last checkpoint")
+                    elif seen >= FORK_ITERATIONS and waited > WAIT_SHARE * spent:
+                        self._reap("wait rule")
                 take()
                 if cut:
-                    if worker is not None and (not taken or (seen >= FORK_ITERATIONS
-                                                             and waited > WAIT_SHARE * spent)):
-                        self.close()
                     at = state.k
                     yield self.states()
                     if state.k != at:
                         taken.clear()
-                        self.close()
+                        self._reap("advance")
                         k, stop = state.k, min(state.k + interval, end)
                         take()
         finally:
             if fork:
-                self.close()
+                self._reap("close")
 
     def _z_half(self, fj, tc, fi, out):
         """Advance z* and z over a chunk's column draws, and return `out`
-        with out[k] set to what the x-step of the chunk's iteration k adds to
-        w: entry i of each preset's z*, or z*[block i] on the block path.
+        with out[k] set to what the x-steps of the chunk's iteration k add to
+        w: entry i of z*, of each slab with a chain map (_x_half maps them to
+        the presets), or z*[block i] on the block path.
 
         Reads neither x nor f, so it can run ahead of the x-half."""
+        if self._zrow is not None:  # the row index of the z-update's draw group
+            fi = fi[:, self._zrow]
         zstar, z = self.state.zstar, self.state.z
         zvec = zstar.ndim > 1
         # vdot and vecdot conjugate their first argument; vecdot reduces each
@@ -597,23 +686,31 @@ class Session:
             if not row_trivial:  # one system only
                 out[k] = zstar[row_blocks[i]]
             else:
-                out[k] = zrows[i] if zmap is None else zrows[zmap, i]
+                out[k] = zrows[i] if zmap is None else zrows[:, i]
         return out
 
-    def _x_half(self, fi, tr, bi, zvals):
+    def _x_half(self, fi, tr, bi, zvals, slab=None):
         """Advance x* and x over a chunk's row draws, adding zvals[k], the
-        z-half's record (None without the z-update), to iteration k's w."""
-        state = self.state
-        x, xstar = state.x, state.xstar
+        z-half's record (None without the z-update), to iteration k's w.
+
+        With a slab of _slabs, only its presets, as a draw group of its own:
+        on the group's row index, which broadcasts as with one draw group."""
+        if slab is None:
+            x, xstar, f_update, zmap = self.state.x, self.state.xstar, self._f_update, self._zmap
+        else:
+            x, xstar, f_update = slab.x, slab.xstar, slab.f_update
+            fi, tr, bi = fi[:, slab.first], tr[:, slab.idx], bi[:, slab.first]
+            zmap = self._zmap[slab.idx]
         vec = xstar.ndim > 1
         # a gathered row broadcasts over the presets
         dot = np.vecdot if vec else np.vdot
-        A_rm_conj, b, f_update = self.A_rm_conj, self.b, self._f_update
+        A_rm_conj, b = self.A_rm_conj, self.b
         row_blocks, row_trivial = self.cfg.row_partition.blocks, self.cfg.row_partition.trivial
         if zvals is None:
             zvals = itertools.repeat(None)
         elif not isinstance(zvals, list):
-            zvals = _loop(zvals)
+            # each preset's z*_i from the record of its slab
+            zvals = _loop(zvals if zmap is None else np.take(zvals, zmap, axis=1))
         for i, tr, bi, zv in zip(_loop(fi), _loop(tr), _loop(bi), zvals):
             if row_trivial:
                 row = A_rm_conj[i]
@@ -671,8 +768,12 @@ class Session:
     def close(self):
         """Reap the z-chain worker, if one runs.  The state stays whole, and a
         run that checkpoints() still drives goes on in-process."""
+        self._reap("close")
+
+    def _reap(self, reason):
         worker, self._worker = self._worker, None
         if worker is not None:
+            self.worker_record.stop = "died" if worker.pid is None else reason
             worker.close()
 
     def finish(self, hooks):
@@ -710,26 +811,48 @@ def _worker_pays(iterations, interval):
     return iterations >= FORK_ITERATIONS and interval >= MIN_CHUNK and forks.usable()
 
 
-class _Worker:
-    """A forked child that runs a session's z-half, one chunk ahead.
+def _x_chains_pay(batch):
+    """Whether the worker of a session with _slabs should also run the
+    x-chains of the presets without the z-update, given the session's trial
+    batch shape: on one system only.  There the x-half costs mostly per
+    call, not per preset: on the paper's experiment i (srk, rek, gerk_ad)
+    the worker's z-halves take about a third of this process's x-halves,
+    and with srk's x-half moved there each side is shorter than the three
+    presets' x-half here.  On a batch of trials the x-half costs per system,
+    and srk's over ten trials costs the worker about what the three cost
+    here in lockstep: the worker would become the longer side."""
+    return not batch
 
-    Two slots of shared mmaps alternate, each holding one chunk: its column
-    indices and steps, its row indices, its count, the CPU seconds and the
-    z-values of the child's z-half, and the child's z* and z at the chunk's
-    end.  Each chunk costs one pipe byte each way: a request, then the reply
-    when its slot is full.  The child (forks.spawn) touches no file, and
-    leaves at the EOF of its request pipe, or at any error, which the parent
-    sees as the EOF of its reply pipe and raises as WorkerDied.
+
+class _Worker:
+    """A forked child that runs a session's z-half, one chunk ahead, and
+    with x_chains the x-half of its presets without the z-update (_slabs and
+    _x_chains_pay), from the x and x* it inherits at the fork.
+
+    SLOTS slots of shared mmaps take turns, each holding one chunk: its draws
+    (_draw's arrays; the row draws only with x_chains), its count, the CPU
+    seconds of the child's z-half and x-half, the z-values of its z-half,
+    and at the chunk's end its arrays of `live`: z* and z, then with
+    x_chains x* and x of those presets.  Each chunk costs one pipe byte each
+    way: a request, then the reply when its slot is full.  The child
+    (forks.spawn) touches no file, and leaves at the EOF of its request
+    pipe, or at any error, which the parent sees as the EOF of its reply
+    pipe and raises as WorkerDied.
     """
 
     def __init__(self, session):
-        fj, tc, fi, _, _ = session._buffer[2]  # the first chunk's draws size the slots
-        state = session.state
-        live = [state.zstar] + ([] if state.z is state.zstar else [state.z])
-        self.slots = [[forks.shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in (fj, tc, fi)]
-                      + [forks.shared((1,), np.int64), forks.shared((1,), np.float64),
-                         forks.shared((PIPE_CHUNK,) + session._zshape, session.b.dtype)]
-                      + [forks.shared(a.shape, a.dtype) for a in live] for _ in range(2)]
+        state, slabs = session.state, session._slabs
+        self.x_chains = slabs is not None and _x_chains_pay(session.batch)
+        self.live = _arrays(state.zstar, state.z)
+        if self.x_chains:
+            self.live += _arrays(slabs[0].xstar, slabs[0].x)
+        # the first chunk's draws size the slots
+        drawn = session._buffer[2][:5 if self.x_chains else 3]
+        self.slots = [([forks.shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in drawn],
+                       forks.shared((1,), np.int64), forks.shared((2,), np.float64),
+                       forks.shared((PIPE_CHUNK,) + session._zshape, session.b.dtype),
+                       [forks.shared(a.shape, a.dtype) for a in self.live])
+                      for _ in range(SLOTS)]
         self.sent = self.received = 0  # chunks
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
@@ -745,24 +868,26 @@ class _Worker:
         forks.LIVE_FDS.update((req_w, rep_r))
 
     def _serve(self, session, req, rep):
-        state = session.state
         while os.read(req, 1):
-            fj, tc, fi, count, cpu, out, *snaps = self.slots[self.sent % 2]
-            n = int(count[0])
+            drawn, count, cpu, out, snaps = self.slots[self.sent % SLOTS]
+            fj, tc, fi, *rows = (a[:int(count[0])] for a in drawn)
             t0 = time.thread_time()
-            session._z_half(fj[:n], tc[:n], fi[:n], out)
-            cpu[0] = time.thread_time() - t0
-            for snap, live in zip(snaps, (state.zstar, state.z)):
+            session._z_half(fj, tc, fi, out)
+            t1 = time.thread_time()
+            if rows:
+                session._x_half(fi, *rows, None, session._slabs[0])
+            cpu[:] = t1 - t0, time.thread_time() - t1
+            for snap, live in zip(snaps, self.live):
                 np.copyto(snap, live)
             os.write(rep, b"\0")
             self.sent += 1
 
-    def send(self, fj, tc, fi):
-        """Ask for the z-half of the chunk with these draws."""
-        slot = self.slots[self.sent % 2]
-        for buf, a in zip(slot, (fj, tc, fi)):
+    def send(self, drawn):
+        """Ask for the chunk with these draws (_draw's arrays)."""
+        bufs, count = self.slots[self.sent % SLOTS][:2]
+        for buf, a in zip(bufs, drawn):
             buf[:len(a)] = a
-        slot[3][0] = len(fj)
+        count[0] = len(drawn[0])
         try:
             os.write(self.req, b"\0")
         except BrokenPipeError:
@@ -770,13 +895,13 @@ class _Worker:
         self.sent += 1
 
     def receive(self):
-        """The z-values, the CPU seconds of the z-half and the final z* (and
-        z) of the oldest chunk sent."""
+        """The z-values, the CPU seconds of the z-half and the x-half, and
+        the arrays of `live` at the end of the oldest chunk sent."""
         if not os.read(self.rep, 1):
             self._died()
-        _, _, _, _, cpu, out, *snaps = self.slots[self.received % 2]
+        _, _, cpu, out, snaps = self.slots[self.received % SLOTS]
         self.received += 1
-        return out, float(cpu[0]), snaps
+        return out, cpu.tolist(), snaps
 
     def _died(self):
         code, self.pid = forks.reap(self.pid), None
@@ -805,7 +930,8 @@ def run(A, b, cfg, hooks=()):
     t0 = time.perf_counter()
     session = Session(A, b, cfg)
     stop_reason = session.finish([hooks])
-    return SolverReport(session.state, session.state.k, time.perf_counter() - t0, stop_reason)
+    return SolverReport(session.state, session.state.k, time.perf_counter() - t0, stop_reason,
+                        session.worker_record)
 
 
 def init_state(A, b, cfg):

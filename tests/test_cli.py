@@ -692,3 +692,14 @@ def test_entry_point_exit_codes(tmp_path):
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert err in proc.stderr
+
+
+@pytest.mark.parametrize("which", ["i", "ii"])
+def test_experiment_noise_level_that_overflows_exit_code(tmp_path, capsys, which):
+    rc = main(["experiment", "--which", which, "--m", "10", "--n", "5", "--rank", "2",
+               "--sparsity", "1", "--trials", "1", "--epochs", "2", "--noise-level", "1e308",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "noise_level" in err
+    assert "Warning" not in err

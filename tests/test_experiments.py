@@ -411,3 +411,23 @@ def test_sparsity_rows_shape():
     assert [r[0] for r in rows] == ["srk", "rek", "gerk_ad"]
     for _, lo, med, hi in rows:
         assert lo <= med <= hi
+
+
+@pytest.mark.parametrize("which", ["i", "ii"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_noise_level_whose_noise_overflows_is_rejected(which, field):
+    # a finite level whose noise passes the largest double is named, and
+    # raised before numpy warns (pytest turns a RuntimeWarning into an error)
+    gen = gen_experiment_i if which == "i" else gen_experiment_ii
+
+    def instance(noise):
+        return gen(m=24, n=12, rank=6, sparsity=2, noise_level=noise, sv_lo=50.0, sv_hi=100.0,
+                   field=field, rng=RngStream(804))
+
+    assert np.max(np.abs(instance(0.0).b_hat)) > 2.0  # so 1e308 of it overflows
+    with pytest.raises(ValueError, match="noise_level"):
+        instance(1e308)
+    b = instance(1e300).b
+    assert np.isfinite(b).all()
+    assert np.max(np.abs(b)) > 1e299
+
