@@ -19,8 +19,10 @@ class BlockPartition:
     """Partition of one axis of a matrix into sampling blocks.
 
     kind is "row" or "column".  blocks is a list of int index arrays that are
-    disjoint, nonempty, and together cover range(axis length).  probabilities
-    are strictly positive and sum to 1 (uniform when omitted).
+    disjoint, nonempty, and together cover range(axis length).  A block whose
+    squared norm is 0 has probability 0 and is never drawn; probabilities are
+    positive on the other blocks and sum to 1 (uniform over them when
+    omitted).  ZeroMatrix when every block is zero.
     """
 
     def __init__(self, kind, axis_len, blocks, block_sq_norms, probabilities=None):
@@ -34,18 +36,22 @@ class BlockPartition:
         self.block_sq_norms = np.asarray(block_sq_norms, dtype=np.float64)
         if self.block_sq_norms.size != len(self.blocks):
             raise DimensionMismatch("need one squared norm per block")
-        if np.any(self.block_sq_norms <= 0.0):
-            raise ZeroMatrix(f"zero {kind} block rejected")
+        if np.any(self.block_sq_norms < 0.0):
+            raise ValueError("squared block norms must be >= 0")
+        nonzero = self.block_sq_norms != 0.0
+        if not nonzero.any():
+            raise ZeroMatrix(f"every {kind} block is zero")
 
         k = len(self.blocks)
         if probabilities is None:
-            p = np.full(k, 1.0 / k)
+            p = np.where(nonzero, 1.0 / np.count_nonzero(nonzero), 0.0)
         else:
             p = np.asarray(probabilities, dtype=np.float64)
             if p.size != k:
                 raise DimensionMismatch("need one probability per block")
-            if np.any(p <= 0.0):
-                raise ValueError("probabilities must be strictly positive")
+            if not (np.all(p[nonzero] > 0.0) and np.all(p[~nonzero] == 0.0)):
+                raise ValueError("probabilities must be positive on the nonzero blocks "
+                                 "and 0 on the zero ones")
             if abs(float(p.sum()) - 1.0) > 1e-12:
                 raise ValueError("probabilities must sum to 1 within 1e-12")
         self.probabilities = p
@@ -64,12 +70,13 @@ class BlockPartition:
 def draw_blocks(cum, u):
     """Block index of each uniform u in [0, 1): the first k with cum[k] > u.
 
-    cum holds the cumulative block probabilities.  Rounding can leave cum[-1]
-    just below 1, so indices are clamped to the last block.  This is the one
-    implementation of index sampling; it maps a whole array of uniforms at
-    once, and a scalar u gives a numpy integer.
+    cum holds the cumulative block probabilities, so a block of probability 0
+    is never drawn.  Rounding can leave cum[-1] just below 1, so indices are
+    clamped to the last block of positive probability (the last block when
+    none is zero).  This is the one implementation of index sampling; it maps
+    a whole array of uniforms at once, and a scalar u gives a numpy integer.
     """
-    return np.minimum(cum.searchsorted(u, side="right"), len(cum) - 1)
+    return np.minimum(cum.searchsorted(u, side="right"), cum.searchsorted(cum[-1]))
 
 
 def owners(blocks, n, noun="block"):
@@ -121,7 +128,8 @@ def _partition(kind, A, blocks, probabilities):
         raise ValueError(message) from None
     for k in np.flatnonzero(~((sq_norms >= np.finfo(float).tiny) & (sq_norms < math.inf))):
         block = lines[blocks[k]]
-        # a zero block raises ZeroMatrix below, a non-finite line NonFiniteInput in the solver
+        # a zero block is never drawn (BlockPartition), a non-finite line raises
+        # NonFiniteInput in the solver
         if block.any() and np.isfinite(block).all():
             raise ValueError(message)
     return BlockPartition(kind, axis_len, blocks, sq_norms, probabilities)

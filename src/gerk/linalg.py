@@ -58,15 +58,6 @@ def min_positive_singular(M):
     return float(keep[-1])
 
 
-def numeric_rank(M):
-    M = as_matrix(M)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    cutoff = rank_cutoff(M.shape, float(s[0]))
-    return int(np.count_nonzero(s > cutoff))
-
-
 def svd_pseudoinverse_apply(M, v):
     """Pseudoinverse application pinv(M) @ v via SVD with the rank cutoff."""
     M = as_matrix(M)

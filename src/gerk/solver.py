@@ -21,11 +21,12 @@ converging to the pseudoinverse solution.
 
 Exactly one z-draw then one x-draw is consumed per iteration, in that order,
 from RngStream(seed, stream), so runs with equal configs are bit-identical.
-The draws are taken up to DRAW_CHUNK iterations ahead, over whole chunks of
-the run loop (below), into one buffer indexed by iteration: one
-random_array call per stream consumes the same counters in the same order
-as the scalar draws would (draw_indices), and one blocks.draw_blocks call
-per cumulative table maps the uniforms of every stream that draws from it.
+The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices), into
+one window indexed by iteration: one random_array call per stream consumes
+the same counters in the same order as the scalar draws would, and
+blocks.draw_blocks maps each uniform to its block.  A chunk of the run loop
+(below) that the window does not hold whole is drawn again from its first
+iteration.
 
 Session's z-half and x-half (below) are the single implementation of the
 update, and Session the single one of whole runs; run, init_state and
@@ -67,7 +68,7 @@ are again bit-identical to a run on its own.
 
 Session._run is the one run loop, of advance() and checkpoints().  It cuts
 the run into chunks of at most PIPE_CHUNK iterations that end at every
-checkpoint, each sliced whole from the draw buffer, and runs each chunk in
+checkpoint, each sliced from the draw window, and runs each chunk in
 two halves.  The z-half advances every z* chain over the chunk and records,
 for each iteration, what its x-steps add to w: entry i of every z* slab,
 or z*[block i] on the one-system block path.  The x-half then runs the
@@ -275,6 +276,12 @@ def _join(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _steps(lipschitz, partition):
+    """1/(lipschitz * ||block||^2) per block; 0 on a zero block, never drawn."""
+    norms = partition.block_sq_norms
+    return np.divide(1.0, lipschitz * norms, out=np.zeros_like(norms), where=norms != 0)
+
+
 def _stack(arrays):
     """The one array itself, else the arrays stacked along a new leading axis."""
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
@@ -393,7 +400,7 @@ class Session:
         self.b = _join(bs)
         # preset p's step size on system t at [p, t*m + i], chain c's at [c, t*n + j]
         self.t_row = _stack([
-            _join([1.0 / (c.f.conj_lipschitz * c.row_partition.block_sq_norms) for c in p])
+            _join([_steps(c.f.conj_lipschitz, c.row_partition) for c in p])
             for p in presets])
         # with two draw groups each preset gathers its own rows: its step sizes
         # sit at p*T*m past the flat row index
@@ -410,8 +417,8 @@ class Session:
             self.A_cm = _stacked([A.T for A in As], False)
             # the z-update reads neither x nor f: presets of one misfit and one
             # column step run one z* chain, held once
-            t_cols = [_join([1.0 / (c.g.grad_lipschitz * c.col_partition.block_sq_norms)
-                             for c in presets[p]]) for p in zp]
+            t_cols = [_join([_steps(c.g.grad_lipschitz, c.col_partition) for c in presets[p]])
+                      for p in zp]
             keys = [(presets[p][0].g, t.tobytes()) for p, t in zip(zp, t_cols)]
             chains = list(dict.fromkeys(keys))
             for p, key in zip(zp, keys):
@@ -471,16 +478,7 @@ class Session:
                     update()
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
-        # (cum, [(stream, axis), ...]): the streams' column (axis 0) and row
-        # (axis 1) draws by cumulative table, each table once
-        tables = {}
-        for s, c in enumerate(self._draw_cfgs):
-            for axis, part in enumerate((c.col_partition if c.z_update_enabled else None,
-                                         c.row_partition)):
-                if part is not None:
-                    tables.setdefault(part._cum.tobytes(), (part._cum, []))[1].append((s, axis))
-        self._tables = list(tables.values())
-        self._buffer = (0, 0, None)  # draws of iterations start to stop: (start, stop, _draw's arrays)
+        self._window = (0, 0, None)  # (start, stop, _draw's arrays of iterations start to stop)
         self._end = cfg.max_iterations  # indices are drawn past it only when asked for
         self._worker = None  # the z-chain worker of a forked checkpoints() run
         self.worker_record = WorkerRecord()
@@ -488,22 +486,12 @@ class Session:
     def _draw(self, count, ahead=0):
         """Block indices, step sizes and b_i of `count` iterations, starting
         `ahead` iterations past state.k: (fj, tc, fi, tr, bi), each with a
-        leading (count,) axis; fj and tc are None without the z-update.
-
-        Bit-equal to draw_indices stream by stream, with one searchsorted
-        per cumulative table: the uniforms of every stream that draws from a
-        table are mapped in one draw_blocks call."""
-        us = []  # each stream's (column, row) uniforms, in draw_indices' order
+        leading (count,) axis; fj and tc are None without the z-update."""
         for rng, draws in zip(self._rngs, self._draws):
             rng.skip(ahead * draws)
-            u = rng.random_array(draws * count)
-            us.append((u[0::2], u[1::2]) if draws == 2 else (None, u))
+        drawn = [draw_indices(c, rng, count) for c, rng in zip(self._draw_cfgs, self._rngs)]
+        for rng, draws in zip(self._rngs, self._draws):
             rng.skip(-(ahead + count) * draws)  # the streams count the draws of iterations run only
-        drawn = [[None, None] for _ in us]
-        for cum, users in self._tables:
-            idx = draw_blocks(cum, _join([us[s][axis] for s, axis in users]))
-            for (s, axis), part in zip(users, idx.reshape(len(users), count)):
-                drawn[s][axis] = part
         batch, systems = self.batch, len(self.cfgs)
 
         def flat(group, k, axis_len):
@@ -529,21 +517,15 @@ class Session:
             tc = steps(self.t_col, fj)
         return fj, tc, fi, tr, self.b[fi]
 
-    def _take(self, k, count, ends):
-        """_draw's arrays for iterations k to k + count, a chunk of the run's
-        schedule, sliced from the draw buffer.  A buffer that does not hold
-        them is drawn anew from k, over whole chunks up to DRAW_CHUNK
-        iterations (one at least): `ends` are the ends of the chunks from k,
-        so a buffer never splits a chunk nor draws one it drops."""
-        start, stop, drawn = self._buffer
+    def _take(self, k, count, horizon):
+        """_draw's arrays for iterations k to k + count, sliced from the draw
+        window, which is redrawn from k when it does not hold them all: for
+        DRAW_CHUNK iterations, none past `horizon`, and `count` at least."""
+        start, stop, drawn = self._window
         if not start <= k <= k + count <= stop:
-            start = stop = k
-            for e in ends:
-                if e - k > DRAW_CHUNK and stop > k:
-                    break
-                stop = e
+            start, stop = k, k + max(count, min(DRAW_CHUNK, horizon - k))
             drawn = self._draw(stop - start, k - self.state.k)
-            self._buffer = start, stop, drawn
+            self._window = start, stop, drawn
         return [None if a is None else a[k - start:k - start + count] for a in drawn]
 
     def advance(self, steps):
@@ -580,7 +562,6 @@ class Session:
         k, stop = state.k, min(state.k + interval, end)  # the next chunk's start and checkpoint
         if (fork and self._zcfg is not None and self._trivial and state.k < end
                 and _worker_pays(end - state.k, interval)):
-            self._take(k, min(PIPE_CHUNK, stop - k), _ends(k, stop, interval, horizon))
             try:
                 self._worker = _Worker(self)
                 self.worker_record = WorkerRecord(
@@ -598,7 +579,7 @@ class Session:
             worker = self._worker if fork else None
             while k < end and len(taken) < (1 if worker is None else SLOTS):
                 count = min(PIPE_CHUNK, stop - k)
-                drawn = self._take(k, count, _ends(k, stop, interval, horizon))
+                drawn = self._take(k, count, horizon)
                 if worker is not None:
                     worker.send(drawn)
                 k += count
@@ -792,17 +773,6 @@ class Session:
         return "max_iterations"
 
 
-def _ends(k, stop, interval, end):
-    """The ends of the chunks of a run from iteration k to `end`, whose next
-    checkpoint is at `stop` and the later ones every `interval` iterations:
-    chunks of at most PIPE_CHUNK iterations, cut at every checkpoint."""
-    while k < end:
-        k = min(k + PIPE_CHUNK, stop)
-        yield k
-        if k == stop:
-            stop = min(k + interval, end)
-
-
 def _worker_pays(iterations, interval):
     """Whether a forked z-chain worker pays for itself over a run of
     `iterations` with checkpoints every `interval`: it needs a usable fork
@@ -846,8 +816,8 @@ class _Worker:
         self.live = _arrays(state.zstar, state.z)
         if self.x_chains:
             self.live += _arrays(slabs[0].xstar, slabs[0].x)
-        # the first chunk's draws size the slots
-        drawn = session._buffer[2][:5 if self.x_chains else 3]
+        # zero iterations' draws give the slots their shapes and dtypes
+        drawn = session._draw(0)[:5 if self.x_chains else 3]
         self.slots = [([forks.shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in drawn],
                        forks.shared((1,), np.int64), forks.shared((2,), np.float64),
                        forks.shared((PIPE_CHUNK,) + session._zshape, session.b.dtype),

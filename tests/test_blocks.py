@@ -80,12 +80,37 @@ def test_partition_validation():
 
 
 def test_zero_block_rejected():
-    A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ZeroMatrix):
-        row_partition(A)
-    # column 1 is zero too
-    with pytest.raises(ZeroMatrix):
-        column_partition(A)
+    # an axis whose every block is zero is rejected; a zero block among
+    # nonzero ones is never drawn instead (test_zero_block_never_drawn)
+    for blocks in (None, [np.array([0, 1])]):
+        with pytest.raises(ZeroMatrix):
+            row_partition(np.zeros((2, 2)), blocks=blocks)
+        with pytest.raises(ZeroMatrix):
+            column_partition(np.zeros((2, 2)), blocks=blocks)
+
+
+def test_zero_block_never_drawn():
+    # a zero block has probability 0, the default is uniform over the others,
+    # and even a uniform past the rounded total does not reach a zero block
+    A = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    rows, cols = row_partition(A), column_partition(A)
+    assert rows.probabilities.tolist() == [0.5, 0.0, 0.5, 0.0]
+    assert cols.probabilities.tolist() == [1.0, 0.0]
+    u = np.concatenate([RngStream(206).random_array(1000), [0.0, 0.5, 1.0 - 2.0 ** -53]])
+    assert set(draw_blocks(rows._cum, u).tolist()) == {0, 2}
+    assert set(draw_blocks(cols._cum, u).tolist()) == {0}
+    cum = np.cumsum([0.1] * 10 + [0.0])
+    assert cum[-1] < 1.0 and int(draw_blocks(cum, 1.0 - 2.0 ** -53)) == 9
+    # given probabilities: positive on the nonzero blocks, 0 on the zero ones
+    assert row_partition(A, probabilities=[0.25, 0.0, 0.75, 0.0]).probabilities[2] == 0.75
+    for p in ([0.25, 0.25, 0.5, 0.0], [0.5, 0.0, 0.5 - 1e-3, 1e-3], [1.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="positive on the nonzero blocks"):
+            row_partition(A, probabilities=p)
+    with pytest.raises(ValueError, match=">= 0"):
+        BlockPartition("row", 2, [[0], [1]], [1.0, -1.0])
+    # without a zero block the default probabilities are those of before
+    full = row_partition(np.eye(3) + 1.0)
+    assert full.probabilities.tobytes() == np.full(3, 1.0 / 3).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -98,12 +123,13 @@ def test_out_of_range_scale_rejected(scale, field):
         for blocks in (None, contiguous_blocks(length, 3)):
             with pytest.raises(ValueError, match=f"squared {kind} norms of A .* rescale A"):
                 partition(A, blocks=blocks)
-    # negative control: a zero block among normal ones is still ZeroMatrix
+    # negative control: a zero block among normal ones is no scale error, it
+    # has probability 0
     B = RngStream(204).gaussian_array(8 * 4, field).reshape(8, 4)
     B[2:4] = 0.0
     for blocks in (None, contiguous_blocks(8, 4)):
-        with pytest.raises(ZeroMatrix):
-            row_partition(B, blocks=blocks)
+        part = row_partition(B, blocks=blocks)
+        assert part.probabilities[1 if blocks else 2] == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

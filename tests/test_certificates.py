@@ -7,10 +7,10 @@ import gerk.certificates
 from gerk.certificates import gamma_hat, sigma_tilde_min, verify_error_bound
 from gerk.errors import OracleMismatch, TooManyColumns, ZeroMatrix
 from gerk.linalg import (
+    RANK_RTOL,
     embed_complex_as_real,
     make_rank_deficient,
     min_positive_singular,
-    numeric_rank,
     range_projector_apply,
 )
 from gerk.oracles import constrained_regularizer_min
@@ -146,7 +146,7 @@ def full_rank_cases():
         else:  # real embedding of a complex matrix: 2m x 2n
             k = 1 + case % 3
             A = embed_complex_as_real(rng.complex_normal_array(m * k).reshape(m, k))
-        if numeric_rank(A) == A.shape[1]:
+        if np.linalg.matrix_rank(A, rtol=max(A.shape) * RANK_RTOL) == A.shape[1]:
             yield A
 
 
@@ -185,7 +185,7 @@ def test_sigma_tilde_graded_rank_deficient_counterexample():
     # column sets of A are single columns (min 1e-13); but the last two columns
     # alone have a cutoff 10^12 times smaller and keep their sigma_2 ~ 7.07e-21
     A = np.array([[1.0, 1e-13, 1e-13], [0.0, 0.0, 1e-20]])
-    assert numeric_rank(A) == 1
+    assert np.linalg.matrix_rank(A, rtol=max(A.shape) * RANK_RTOL) == 1
     assert sigma_tilde_min(A) == brute_sigma_tilde(A)
     assert sigma_tilde_min(A) == pytest.approx(7.0710678118654755e-21, rel=1e-12)
 
@@ -210,7 +210,7 @@ def test_sigma_tilde_rank_deficient_matches_subset_loop_bit_for_bit(monkeypatch,
             A[:, 2] = A[:, 0] + A[:, 1]
         else:  # complex embedding of a rank-deficient matrix
             A = embed_complex_as_real(make_rank_deficient(4, 3, 2, 0.5, 2.0, "complex", rng))
-        assert numeric_rank(A) < A.shape[1]
+        assert np.linalg.matrix_rank(A, rtol=max(A.shape) * RANK_RTOL) < A.shape[1]
         assert sigma_tilde_min(A) == loop_sigma_tilde(A)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -344,6 +345,25 @@ def test_multi_block_partitions_converge():
     )
     report = run(A, b, cfg)
     assert np.linalg.norm(report.state.x - x_true) <= 1e-8 * np.linalg.norm(x_true)
+
+
+@pytest.mark.parametrize("name", ["rek", "gerk_ad"])
+def test_zero_row_is_never_drawn(name):
+    # a zero row, with b nonzero there, has probability 0 and is never drawn
+    # (it raised ZeroMatrix): x agrees with a run of the same seed on the
+    # system without that row, up to the rounding of the column dots, which
+    # have one more term
+    rng = RngStream(521)
+    A = rng.normal_array(12 * 6).reshape(12, 6)
+    A[11] = 0.0
+    b = rng.normal_array(12)
+    kw = dict(lam=0.5, max_iterations=3000, seed=9)
+    cfg = preset(name, A, **kw)
+    _, rows = draw_indices(cfg, RngStream(9), kw["max_iterations"])
+    assert 11 not in rows.tolist() and b[11] != 0.0
+    x = run(A, b, cfg).state.x
+    x_without = run(A[:11], b[:11], preset(name, A[:11], **kw)).state.x
+    assert np.linalg.norm(x - x_without) <= 1e-12 * np.linalg.norm(x_without)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -808,45 +828,62 @@ def test_a_preset_shares_f_and_g_across_systems():
 
 
 @pytest.mark.parametrize("worker", [False, True])
-def test_draw_buffers_draw_each_iteration_once(worker, monkeypatch):
+def test_draw_window_holds_each_chunk_whole(worker, monkeypatch):
     # checkpoints every 800 iterations cut chunks of at most 400 that a
-    # 1024-iteration buffer would split: each buffer ends at a chunk's end
-    # instead, so a run of 4000 iterations draws 4000, in-process and
-    # through the z-chain worker (which sizes its slots from the buffer)
+    # 1024-iteration window splits: the chunk it does not hold whole is
+    # drawn again from its first iteration, so every chunk is a slice of one
+    # _draw call's arrays, and no call draws past max_iterations, in-process
+    # and through the z-chain worker (which sizes its slots from _draw(0))
     monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: worker)
-    counts = []
-    draw = Session._draw
+    draws, chunks = [], []
+    draw, take = Session._draw, Session._take
 
-    def counted(self, count, ahead=0):
-        counts.append(count)
-        return draw(self, count, ahead)
+    def drawn(self, count, ahead=0):
+        arrays = draw(self, count, ahead)
+        draws.append((self.state.k + ahead, count, arrays))
+        return arrays
 
-    monkeypatch.setattr(Session, "_draw", counted)
+    def taken(self, k, count, horizon):
+        arrays = take(self, k, count, horizon)
+        start, length, whole = draws[-1]
+        assert start <= k and k + count <= start + length
+        assert all(a is None or np.shares_memory(a, w) and len(a) == count
+                   for a, w in zip(arrays, whole))
+        chunks.append((k, count))
+        return arrays
+
+    monkeypatch.setattr(Session, "_draw", drawn)
+    monkeypatch.setattr(Session, "_take", taken)
     As, bs, cfgs = shared_systems("real", 2, iters=4000, interval=800)
-    session = Session(As, bs, [cfgs["rk"], cfgs["gerk_bd"]])
-    ks = [states[0].k for states in session.checkpoints()]
-    assert ks == [0, 800, 1600, 2400, 3200, 4000]
-    assert counts == [800] * 5
-    # chunks of 400, 400 and 200 fill 1000 of a buffer's 1024 iterations
-    counts.clear()
-    cfg = dataclasses.replace(cfgs["gerk_bd"][0], checkpoint_interval=1000)
-    Session(As[0], bs[0], cfg).finish([()])
-    assert counts == [1000] * 4
+    at_1000 = [dataclasses.replace(c, checkpoint_interval=1000) for c in cfgs["gerk_bd"]]
+    for presets, interval, windows in (
+            ([cfgs["rk"], cfgs["gerk_bd"]], 800, [0, 800, 1600, 2400, 3200]),
+            # chunks of 400, 400 and 200 fill 1000 of a window's 1024 iterations
+            ([at_1000], 1000, [0, 1000, 2000, 3000])):
+        draws.clear()
+        chunks.clear()
+        session = Session(As, bs, presets)
+        ks = [states[0].k for states in session.checkpoints()]
+        assert ks == list(range(0, 4001, interval))
+        assert session.worker_record.forked_at == (0 if worker else None)
+        # the worker's slots are sized by a draw of zero iterations
+        assert [(k, count) for k, count, _ in draws] == [(0, 0)] * worker + [
+            (k, min(DRAW_CHUNK, 4000 - k)) for k in windows]
+        # the chunks run 0 to 4000 in order
+        starts = itertools.accumulate([count for _, count in chunks], initial=0)
+        assert [k for k, _ in chunks] + [4000] == list(starts)
+        assert max(count for _, count in chunks) == solver.PIPE_CHUNK
 
 
-def test_draw_maps_each_cumulative_table_once(monkeypatch):
-    # _draw maps every stream of one cumulative table in one draw_blocks
-    # call, bit-equal to draw_indices stream by stream: T = 3 systems, the
-    # presets rk (no z-update) and gerk_bd (z-update) in one session, over
-    # the default uniform tables (shared) and norm-proportional ones (each
-    # system's own)
+def test_draw_equals_draw_indices_stream_by_stream():
+    # _draw is draw_indices stream by stream, skipped `ahead` iterations and
+    # back: T = 3 systems, the presets rk (no z-update) and gerk_bd (z-update)
+    # in one session, over the default uniform tables and norm-proportional
+    # ones; every stream's counter is back at 0 after the call
     rng = RngStream(560)
     T, m, n, count = 3, 12, 6, 50
     As = [rng.gaussian_array(m * n, "real").reshape(m, n) for _ in range(T)]
     bs = [rng.gaussian_array(m, "real") for _ in range(T)]
-    calls = []
-    monkeypatch.setattr(solver, "draw_blocks",
-                        lambda cum, u: calls.append(len(u)) or solver.blocks.draw_blocks(cum, u))
     for proportional in (False, True):
         def parts(A):
             if not proportional:
@@ -860,12 +897,7 @@ def test_draw_maps_each_cumulative_table_once(monkeypatch):
                            col_partition=parts(A)[1]) for t, A in enumerate(As)]
                    for name in ("rk", "gerk_bd")]
         session = Session(As, bs, presets)
-        calls.clear()
         fj, tc, fi, tr, bi = session._draw(count, ahead=7)
-        # one call per table: rows (both groups) and columns, per system when
-        # proportional; uniform tables are equal across the systems
-        assert calls == ([2 * count] * T + [count] * T if proportional
-                         else [2 * T * count, T * count])
         for t in range(T):
             for p, cfg in enumerate(c[t] for c in presets):
                 stream = RngStream(cfg.seed, cfg.stream)
