@@ -5,8 +5,7 @@ Two instance families over a rank-deficient A = U diag(sv) V^H with
 
     experiment i   b = b_hat + noise in null(A^H), norm noise_level*||b_hat||
                    (direction uniform on the sphere), so the least-squares
-                   residual is pure nullspace noise; the full SVD that gives
-                   null(A^H) also gives P_range(A) b, kept on the instance
+                   residual is pure nullspace noise
     experiment ii  b = b_hat + impulsive noise: ceil(n/20) entries, drawn
                    without replacement from the m rows, each +-1 (complex:
                    (s+it)/sqrt(2)) times noise_level*||b_hat||_inf
@@ -22,8 +21,10 @@ kernel runs once for all of them, and where that allows it the presets of
 each draw group too, so that the z-chain worker can take the x-chains of
 those without the z-update.  This changes no value: each preset on each
 trial is bit-identical to a run on its own.  The quadratic presets' z_error
-target b - P_range(A) b comes from the instance (ProblemInstance.z_target):
-one SVD per instance, whichever presets ask for it.  Metrics are recorded
+target b - P_range(A) b comes from the instance (ProblemInstance.z_target).
+Both families take null(A^H) and P_range(A) from the orthonormal factor U
+that builds A (U diag(sv) V^H), so generating an instance and its target
+takes QR factorizations and no SVD.  Metrics are recorded
 every checkpoint_interval iterations and aggregated across trials into
 min/q25/median/q75/max bands.
 """
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, _fmt, atomic_write
-from .linalg import draw_in_span, left_singular_bases, make_rank_deficient, project_onto
+from .linalg import _rank_deficient, draw_off_span, project_onto
 from .oracles import range_projection_quadratic
 from .potentials import QuadraticMisfit, checked_nonneg
 from .rng import RngStream
@@ -71,8 +72,8 @@ class ProblemInstance:
     def z_target(self):
         """b - P_range(A) b, the limit of z* under the quadratic misfit.
 
-        P_range(A) b is kept in b_range: set by the generator where it takes
-        the SVD anyway, else computed by the oracle on first use.
+        P_range(A) b is kept in b_range: set by the generators from the
+        factor that builds A, else computed by the oracle on first use.
         """
         if self.b_range is None:
             self.b_range = range_projection_quadratic(self.A, self.b).value
@@ -119,11 +120,11 @@ def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
     if not 1 <= sparsity <= n:
         # x_hat = 0 would leave the relative metrics without a scale
         raise ValueError(f"sparsity must be between 1 and n = {n}, got {sparsity}")
-    A = make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)
+    A, U = _rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)
     support = rng.choice_without_replacement(n, sparsity)
     x_hat = np.zeros(n, dtype=A.dtype)
     x_hat[support] = rng.gaussian_array(sparsity, field)
-    return A, x_hat, A @ x_hat
+    return A, U, x_hat, A @ x_hat
 
 
 def _finite_noise(value, noise_level):
@@ -136,27 +137,26 @@ def _finite_noise(value, noise_level):
 def gen_experiment_i(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
     """Sparse ground truth plus nullspace noise of norm noise_level*||b_hat||.
 
-    The full SVD of A that gives null(A^H) also gives b_range = P_range(A) b.
-    It equals the oracle's projection, from the thin SVD, to rounding; bit
-    for bit where LAPACK rounds the leading singular vectors of both alike,
-    as at the profiles' shapes with one BLAS thread.
+    The noise is drawn off the span of the factor U that builds A, and
+    b_range = U (U^H b) is P_range(A) b; it equals the oracle's projection,
+    from the thin SVD, to rounding.
     """
     noise_level = checked_nonneg(noise_level, "noise_level")
-    A, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
-    if noise_level == 0.0:
-        return ProblemInstance(A, b_hat.copy(), b_hat, x_hat, field, "nullspace", noise_level)
-    range_basis, null_basis = left_singular_bases(A, True)
-    radius = _finite_noise(noise_level * float(np.linalg.norm(b_hat)), noise_level)
-    with np.errstate(over="ignore"):
-        b = _finite_noise(b_hat + draw_in_span(null_basis, radius, field, rng), noise_level)
+    A, U, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
+    b = b_hat.copy()
+    if noise_level != 0.0:
+        radius = _finite_noise(noise_level * float(np.linalg.norm(b_hat)), noise_level)
+        with np.errstate(over="ignore"):
+            b = _finite_noise(b_hat + draw_off_span(U, radius, field, rng), noise_level)
     return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", noise_level,
-                           b_range=project_onto(range_basis, b))
+                           b_range=project_onto(U, b))
 
 
 def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng):
-    """Sparse ground truth plus impulsive noise on ceil(n/20) of the m rows."""
+    """Sparse ground truth plus impulsive noise on ceil(n/20) of the m rows;
+    b_range as in gen_experiment_i."""
     noise_level = checked_nonneg(noise_level, "noise_level")
-    A, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
+    A, U, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
     count = math.ceil(n / 20)
     if count > m:
         raise ValueError(f"cannot place {count} impulses into {m} rows")
@@ -170,7 +170,8 @@ def gen_experiment_ii(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rn
     with np.errstate(over="ignore"):
         b[idx] += amp * spikes
     _finite_noise(b, noise_level)
-    return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level)
+    return ProblemInstance(A, b, b_hat, x_hat, field, "impulsive", noise_level,
+                           b_range=project_onto(U, b))
 
 
 # below this norm the squares of a vector's entries leave the normal range

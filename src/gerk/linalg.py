@@ -2,7 +2,8 @@
 
 Matrices and vectors are numpy ndarrays (float64 or complex128).  The numeric
 rank convention used everywhere: a singular value counts as zero when
-sigma <= max(m, n) * sigma_max * 1e-12.
+sigma <= max(m, n) * sigma_max * 1e-12.  A generated matrix needs no SVD:
+_rank_deficient also returns the orthonormal factor that spans its range.
 """
 
 import numpy as np
@@ -75,9 +76,7 @@ def left_singular_bases(M, full_matrices):
     of range(M), m x r, and the remaining columns, which span null(M*) when
     full_matrices is True.
 
-    Both are contiguous copies.  The range basis is taken by mask: where a
-    full and a thin SVD agree on the leading columns, projections onto either
-    round alike, which they would not onto a strided view of the full one's.
+    Both are contiguous copies.
     """
     M = as_matrix(M)
     u, s, _ = np.linalg.svd(M, full_matrices=full_matrices)
@@ -106,12 +105,9 @@ def nullspace_basis_adjoint(M):
     return left_singular_bases(M, True)[1]
 
 
-def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
-    """Random m x n matrix with exactly `rank` singular values in [sv_lo, sv_hi].
-
-    U and V come from QR factorizations of field-appropriate Gaussian
-    matrices; the singular values are uniform draws, sorted descending.
-    """
+def _rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
+    """make_rank_deficient's A = U diag(sv) V^H, with U: an orthonormal basis
+    of range(A) that keeps all `rank` columns, whatever the rank cutoff."""
     if not 1 <= rank < min(m, n):
         raise InvalidRank(f"rank must satisfy 1 <= rank < min(m, n)={min(m, n)}, got {rank}")
     if not 0 < sv_lo <= sv_hi < np.inf:
@@ -121,28 +117,38 @@ def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
     u, _ = np.linalg.qr(gu)
     v, _ = np.linalg.qr(gv)
     sv = np.sort(rng.uniform_array(sv_lo, sv_hi, rank))[::-1]
-    return (u * sv) @ v.conj().T
+    return (u * sv) @ v.conj().T, u
+
+
+def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
+    """Random m x n matrix with exactly `rank` singular values in [sv_lo, sv_hi].
+
+    U and V come from QR factorizations of field-appropriate Gaussian
+    matrices; the singular values are uniform draws, sorted descending.
+    """
+    return _rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)[0]
 
 
 def draw_nullspace_noise(M, radius, field, rng):
-    """Vector of norm `radius` in null(M*), i.e. orthogonal to range(M).
-
-    Direction is uniform on the sphere (normalized Gaussian).  Raises
-    DegenerateNullspace when M has full row rank.
-    """
-    return draw_in_span(nullspace_basis_adjoint(M), radius, field, rng)
-
-
-def draw_in_span(basis, radius, field, rng):
-    """draw_nullspace_noise given the null(M*) basis: basis @ g for a Gaussian g
-    scaled to norm `radius`."""
-    if basis.shape[1] == 0:
+    """Vector of norm `radius` in null(M*): draw_off_span over the thin SVD's
+    basis of range(M).  Raises DegenerateNullspace when M has full row rank."""
+    M = as_matrix(M)
+    basis = left_singular_bases(M, False)[0]
+    if basis.shape[1] == M.shape[0]:
         raise DegenerateNullspace("matrix has full row rank, adjoint nullspace is trivial")
-    g = rng.gaussian_array(basis.shape[1], field)
+    return draw_off_span(basis, radius, field, rng)
+
+
+def draw_off_span(basis, radius, field, rng):
+    """Vector of norm `radius` orthogonal to basis's orthonormal columns: a
+    Gaussian g minus basis @ (basis^H g), scaled.  The Gaussian is rotation
+    invariant, so the direction is uniform on the sphere of the complement."""
+    g = rng.gaussian_array(basis.shape[0], field)
+    g = g - project_onto(basis, g)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         raise ZeroMatrix("degenerate Gaussian draw")
-    return basis @ (g * (radius / norm))
+    return g * (radius / norm)
 
 
 def embed_complex_as_real(M):

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +7,7 @@ from gerk import blocks, experiments
 from gerk.experiments import (
     MetricRecorder,
     PresetSpec,
+    ProblemInstance,
     gen_experiment_i,
     gen_experiment_ii,
     run_trials,
@@ -18,7 +15,7 @@ from gerk.experiments import (
     sparsity_rows,
     write_experiment_csvs,
 )
-from gerk.linalg import range_projector_apply
+from gerk.linalg import make_rank_deficient, range_projector_apply
 from gerk.oracles import range_projection_quadratic
 from gerk.potentials import HuberQuadMisfit, QuadraticMisfit
 from gerk.rng import RngStream
@@ -257,41 +254,20 @@ def test_grouping_does_not_change_results(monkeypatch):
         assert_trials_equal(whole, t, grouped, t)
 
 
-# with one BLAS thread, LAPACK's full and thin SVDs round the leading left
-# singular vectors alike at these shapes, so the target kept from the full SVD
-# is the oracle's bit for bit; other shapes (60x40 real) or thread counts can
-# round them apart in the last bit
-ONE_SVD_BIT_EQUAL = """
-import numpy as np
-from gerk.experiments import gen_experiment_i
-from gerk.oracles import range_projection_quadratic
-from gerk.rng import RngStream
-for m, n, rank in ((200, 100, 50), (300, 290, 145)):
-    for field in ("real", "complex"):
-        inst = gen_experiment_i(m, n, rank, 5, 5.0, 0.1, 10.0, field, RngStream(830))
-        oracle = range_projection_quadratic(inst.A, inst.b).value
-        assert np.array_equal(inst.b_range, oracle), (m, n, field)
-"""
-
-
 def test_experiment_i_target_is_the_oracles_projection():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                     "MKL_NUM_THREADS")})
-    proc = subprocess.run([sys.executable, "-c", ONE_SVD_BIT_EQUAL], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    # at any shape it is the projection, to rounding, and z_target uses it
-    for m, n, field in ((60, 40, "real"), (24, 12, "complex")):
-        inst = gen_experiment_i(m, n, n // 2, 2, 5.0, 0.5, 2.0, field, RngStream(831))
-        oracle = range_projection_quadratic(inst.A, inst.b).value
-        assert np.linalg.norm(inst.b_range - oracle) <= 1e-13 * np.linalg.norm(inst.b)
-        assert np.array_equal(inst.z_target(), inst.b - inst.b_range)
+    # b_range comes from the factor that builds A, the oracle's from the thin
+    # SVD: the two agree to rounding, and z_target uses b_range
+    for m, n, rank in ((200, 100, 50), (300, 290, 145), (1000, 500, 250)):
+        for gen in (gen_experiment_i, gen_experiment_ii):
+            for field in ("real", "complex"):
+                inst = gen(m, n, rank, 5, 5.0, 0.1, 10.0, field, RngStream(830))
+                oracle = range_projection_quadratic(inst.A, inst.b).value
+                assert (np.linalg.norm(inst.b_range - oracle)
+                        <= 1e-13 * np.linalg.norm(inst.b)), (m, n, gen.__name__, field)
+                assert np.array_equal(inst.z_target(), inst.b - inst.b_range)
 
 
-def test_one_svd_per_experiment_i_instance(monkeypatch):
+def test_no_svd_generates_an_instance_or_its_target(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -301,19 +277,66 @@ def test_one_svd_per_experiment_i_instance(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     specs = [PresetSpec(name, lam=1.0) for name in ("srk", "rek", "gerk_ad")]
+    for which, noise in (("i", 2.0), ("i", 0.0), ("ii", 2.0)):
+        for field in ("real", "complex"):
+            run_trials(small_generator(which, field, noise), specs, trials=3, iterations=24,
+                       base_seed=920)
+            assert calls == [], (which, noise, field)
+    # an instance built without b_range takes the oracle's thin SVD on first
+    # use of the z-target, once
+    inst = small_generator("ii")(RngStream(921))
+    user = ProblemInstance(inst.A, inst.b, inst.b_hat, inst.x_hat, "real", "user", 0.0)
+    target = user.z_target()
+    assert np.array_equal(user.z_target(), target)
+    assert calls == [False]
+    assert np.array_equal(user.b_range, range_projection_quadratic(inst.A, inst.b).value)
+
+
+def planted_by_hand(m, n, rank, sparsity, field, seed, skip=0):
+    """make_rank_deficient plus the generators' draws of x_hat, on one stream;
+    skip draws that many Gaussians first."""
+    rng = RngStream(seed)
+    rng.gaussian_array(skip, field)
+    A = make_rank_deficient(m, n, rank, 0.1, 10.0, field, rng)
+    support = rng.choice_without_replacement(n, sparsity)
+    x_hat = np.zeros(n, dtype=A.dtype)
+    x_hat[support] = rng.gaussian_array(sparsity, field)
+    return A, x_hat, A @ x_hat
+
+
+def test_generators_plant_make_rank_deficient_bit_for_bit():
+    for gen in (gen_experiment_i, gen_experiment_ii):
+        for field in ("real", "complex"):
+            inst = gen(60, 40, 20, 4, 5.0, 0.1, 10.0, field, RngStream(840))
+            for want, got in zip(planted_by_hand(60, 40, 20, 4, field, 840),
+                                 (inst.A, inst.x_hat, inst.b_hat)):
+                assert np.array_equal(want, got), (gen.__name__, field)
+            # negative control: one draw more on the stream changes every array
+            for want, got in zip(planted_by_hand(60, 40, 20, 4, field, 840, skip=1),
+                                 (inst.A, inst.x_hat, inst.b_hat)):
+                assert not np.array_equal(want, got)
+
+
+def adjoint_share(A, noise):
+    """||A^H noise|| / (sigma_max(A) ||noise||)."""
+    return np.linalg.norm(A.conj().T @ noise) / (np.linalg.norm(A, 2) * np.linalg.norm(noise))
+
+
+def test_experiment_i_noise_is_orthogonal_to_range_and_of_the_radius():
     for field in ("real", "complex"):
-        calls.clear()
-        run_trials(small_generator("i", field), specs, trials=3, iterations=24, base_seed=920)
-        assert calls == [True] * 3  # the full SVD of the noise; the z-target comes with it
-    # without the noise there is no SVD to share: the oracle's thin one runs on
-    # first use of the z-target, once per instance, as for experiment ii
-    for which, noise in (("i", 0.0), ("ii", 2.0)):
-        inst = small_generator(which, noise=noise)(RngStream(921))
-        calls.clear()
-        target = inst.z_target()
-        assert np.array_equal(inst.z_target(), target)
-        assert calls == [False]
-        assert np.array_equal(inst.b_range, range_projection_quadratic(inst.A, inst.b).value)
+        inst = gen_experiment_i(1000, 500, 250, 25, 5.0, 0.001, 100.0, field, RngStream(850))
+        noise = inst.b - inst.b_hat
+        radius = 5.0 * np.linalg.norm(inst.b_hat)
+        assert adjoint_share(inst.A, noise) <= 1e-12
+        assert abs(np.linalg.norm(noise) - radius) <= 1e-12 * radius
+        # negative controls: a Gaussian without the projection leaves range(A)'s
+        # share in, and one scaled before the projection falls short of the radius
+        rng = RngStream(851)
+        g = rng.gaussian_array(1000, field)
+        assert adjoint_share(inst.A, g) > 1e-12
+        g *= radius / np.linalg.norm(g)
+        short = g - range_projector_apply(inst.A, g)
+        assert abs(np.linalg.norm(short) - radius) > 1e-12 * radius
 
 
 def test_partitions_built_once_per_trial(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 import gerk.solver as solver
 from gerk.blocks import BlockPartition, column_partition, contiguous_blocks, row_partition
+from gerk.certificates import gamma_hat
 from gerk.errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
 from gerk.experiments import gen_experiment_i
 from gerk.linalg import (
@@ -809,6 +810,47 @@ def test_rek_z_chain_meets_the_expected_rate():
     assert worst_ratio(sv[9]) <= 1.0
     # negative control: the largest singular value in place of the least
     assert worst_ratio(sv[0]) > 1.0
+
+
+def test_rk_and_srk_bregman_distance_meets_the_expected_rate():
+    # Schopfer & Lorenz 2019: on a consistent system with solution x_hat,
+    # E D_{k+1} <= q E D_k with gamma from the error bound at x_hat
+    # (certificates.gamma_hat) and q = 1 - 1/(2 gamma m max_i ||a_i||^2) under
+    # uniform rows, q = 1 - 1/(2 gamma ||A||_F^2) under p_i ~ ||a_i||^2
+    # (Strohmer & Vershynin 2009); the mean of D_k over seeds is then at most
+    # q^k D_0.  200 seeds in lockstep, on the system of the per-step descent test
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 12)) * rng.uniform(0.2, 3.0, (30, 1))
+    x_hat = np.zeros(12)
+    x_hat[rng.choice(12, 3, replace=False)] = rng.standard_normal(3)
+    b = A @ x_hat
+    sq_norms = np.sum(A * A, axis=1)
+    trials, steps = 200, 400
+    # negative controls: gamma / 1000, and for rk gamma / 100, whose q is the
+    # one in (0, 1) of the two (at gamma / 1000 it is negative)
+    for name, lam, divisors in (("rk", None, (100, 1000)), ("srk", 0.5, (1000,))):
+        gamma = gamma_hat(A, x_hat, lam or 0.0).gamma
+        for probs, scale in ((None, 30 * sq_norms.max()),
+                             (sq_norms / sq_norms.sum(), sq_norms.sum())):
+            rows = row_partition(A, probabilities=probs)
+            cfgs = [preset(name, A, lam=lam, max_iterations=steps, seed=s, row_partition=rows)
+                    for s in range(trials)]
+            session = Session([A] * trials, [b] * trials, cfgs)
+            f_hat = cfgs[0].f.value(x_hat)
+            mean_d = []
+            for _ in range(steps + 1):
+                x, xstar = session.state.x, session.state.xstar
+                mean_d.append(np.mean(0.5 * np.sum(x * x, axis=1) - xstar @ x_hat) + f_hat)
+                session.advance(1)
+            mean_d = np.array(mean_d)
+
+            def exceeds(g):
+                q = 1.0 - 1.0 / (2.0 * g * scale)
+                return np.any(mean_d > q ** np.arange(steps + 1) * mean_d[0])
+
+            assert not exceeds(gamma), (name, probs is None)
+            for divisor in divisors:
+                assert exceeds(gamma / divisor), (name, probs is None, divisor)
 
 
 def test_a_preset_shares_f_and_g_across_systems():
