@@ -251,6 +251,17 @@ def write_matrix_market(path, M, comment="written by gerk"):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _as_complex(v):
+    """The (re, im) records of an (N, 2) float view in place, as N complex values.
+
+    The signed zeros are those of re + 1j*im, which adds copysign(0, im) to re
+    and 0 to im, without its temporaries.
+    """
+    v[:, 0] += np.copysign(0.0, v[:, 1])
+    v[:, 1] += 0.0
+    return v.view(np.complex128)[:, 0]
+
+
 @_names_undecodable_line
 def read_matrix_market(path):
     """Read a MatrixMarket file (array or coordinate, real/integer/complex)."""
@@ -307,13 +318,7 @@ def read_matrix_market(path):
 
     if data is not None and len(data) == nnz and np.isfinite(data["v"]).all():
         v = data["v"]
-        vals = v[:, 0]
-        if complex_field:
-            # the (re, im) records in place, as complex: the signed zeros of
-            # re + 1j*im, which adds copysign(0, im) to re and 0 to im
-            vals += np.copysign(0.0, v[:, 1])
-            v[:, 1] += 0.0
-            vals = v.view(np.complex128)[:, 0]
+        vals = _as_complex(v) if complex_field else v[:, 0]
         if layout == "array":  # column-major body
             return np.array(vals.reshape(n, m).T, order="C")
         i, j = data["i"], data["j"]
@@ -430,7 +435,7 @@ def read_vector_csv(path):
         v = data["v"]
         if not len(v):
             raise ParseError(path, header_no, "vector has no entries")
-        return v[:, 0] + 1j * v[:, 1] if complex_field else v[:, 0].copy()
+        return _as_complex(v) if complex_field else v[:, 0].copy()
     _rescan_vector_csv(path, header_no, per_entry)
     # not reached: the rescan applies np.loadtxt's number syntax
     raise ParseError(path, header_no + 1, "body rejected by the number parser")

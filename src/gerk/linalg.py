@@ -37,12 +37,17 @@ def rank_cutoff(shape, sigma_max):
     return max(shape) * sigma_max * RANK_RTOL
 
 
-def spectral_norm(M):
-    """Largest singular value (0.0 for the zero matrix)."""
+def singular_values(M):
+    """Singular values, largest first ([0.0] for the zero matrix)."""
     M = as_matrix(M)
     if M.size == 0 or not np.any(M):
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+        return np.zeros(1)
+    return np.linalg.svd(M, compute_uv=False)
+
+
+def spectral_norm(M):
+    """Largest singular value (0.0 for the zero matrix)."""
+    return float(singular_values(M)[0])
 
 
 def min_positive_singular(M):

@@ -8,7 +8,10 @@ huber misfit, whose grad_lipschitz is 1/eps + tau, in a workable iteration
 count; the momentum variant is still a deterministic full-gradient method
 with the same stepsize and stopping rule).  constrained_regularizer_min is
 the deterministic analog of the sparse Kaczmarz iteration: a dual gradient
-step followed by the conjugate gradient map.
+step followed by the conjugate gradient map.  For the real elastic net it
+finishes exactly on the support the iteration has settled on: x_hat is then
+exact on its support and exactly zero off it, not a dual iterate whose zeros
+are entries of order 1e-11.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged
-from .linalg import as_matrix, as_vector, range_projector_apply, spectral_norm
+from .linalg import (
+    as_matrix,
+    as_vector,
+    range_projector_apply,
+    rank_cutoff,
+    singular_values,
+    spectral_norm,
+    svd_pseudoinverse_apply,
+)
+from .potentials import ElasticNet
+
+FINISH_AFTER = 5  # steps a sign pattern of x must hold before the elastic-net finish tries it
 
 
 @dataclass
@@ -82,11 +96,17 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
 
     Stops when ||A x - y_hat|| <= tol * ||y_hat|| and the successive change
     ||x_{k+1} - x_k|| is <= tol.  Raises NotConverged with the best iterate.
+
+    For the real ElasticNet with lam > 0, once the sign pattern of x has held
+    for FINISH_AFTER steps, the optimality conditions are solved on its
+    support (_finish_on_support, once per pattern); an accepted finish is the
+    result, otherwise the iteration goes on unchanged.
     """
     A = as_matrix(A)
     y_hat = as_vector(y_hat, A.shape[0])
     ynorm = float(np.linalg.norm(y_hat))
-    step = 1.0 / (f.conj_lipschitz * spectral_norm(A) ** 2)
+    sv = singular_values(A)
+    step = 1.0 / (f.conj_lipschitz * float(sv[0]) ** 2)
     Ah = A.conj().T
     xstar = np.zeros(A.shape[1], dtype=A.dtype)
     x = f.conjugate_gradient(xstar)
@@ -94,6 +114,12 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     if res <= tol * ynorm:
         return OracleSolution(value=x, residual=res, iterations=0, converged=True)
     best_x, best_res = x, res
+    finishing = type(f) is ElasticNet and f.lam > 0.0 and not np.iscomplexobj(A)
+    if finishing:
+        n = A.shape[1]
+        # x is the only feasible point when A has full column rank
+        full_rank = n <= sv.size and sv[n - 1] > rank_cutoff(A.shape, sv[0])
+        signs, held, tried = np.sign(x), 0, set()
     for it in range(1, max_iter + 1):
         xstar -= step * (Ah @ (A @ x - y_hat))
         x_next = f.conjugate_gradient(xstar)
@@ -102,6 +128,16 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
         x = x_next
         if res < best_res:
             best_x, best_res = x, res
+        if finishing:
+            pattern = np.sign(x)
+            held = held + 1 if np.array_equal(pattern, signs) else 0
+            signs = pattern
+            if held == FINISH_AFTER and (key := signs.tobytes()) not in tried:
+                tried.add(key)
+                done = _finish_on_support(A, y_hat, f.lam, signs, full_rank, tol, ynorm)
+                if done is not None:
+                    return OracleSolution(value=done[0], residual=done[1], iterations=it,
+                                          converged=True)
         if res <= tol * ynorm and delta <= tol:
             return OracleSolution(value=x, residual=res, iterations=it, converged=True)
     raise NotConverged(
@@ -109,3 +145,33 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
         best=best_x,
         residual=best_res,
     )
+
+
+def _finish_on_support(A, y_hat, lam, signs, full_rank, tol, ynorm):
+    """(x, ||A x - y_hat||) for the elastic-net minimizer with the sign pattern signs, or None.
+
+    On the support S, x_S = u - lam*s with u the min-norm solution of
+    A_S u = y_hat + lam*A_S s, so u = A_S^T w for some w: x + lam*s = A^T w on S.
+    A coordinate whose sign flips, or that is at most tol * max |x_S| (its sign
+    is then the solve's rounding), is dropped and S solved again.  x is accepted
+    when ||A x - y_hat|| <= tol * ynorm and either A has full column rank (x is
+    then the only feasible point) or |A_j^T w| <= lam off S (the dual certificate).
+    """
+    on = signs != 0
+    while on.any():
+        A_S, s = A[:, on], signs[on]
+        u = svd_pseudoinverse_apply(A_S, y_hat + lam * (A_S @ s))
+        x_S = u - lam * s
+        drop = (np.sign(x_S) != s) | (np.abs(x_S) <= tol * np.abs(x_S).max())
+        if drop.any():
+            on[np.flatnonzero(on)[drop]] = False
+            continue
+        x = np.zeros(A.shape[1])
+        x[on] = x_S
+        res = float(np.linalg.norm(A @ x - y_hat))
+        if res > tol * ynorm:
+            return None
+        if full_rank or np.all(np.abs(A[:, ~on].T @ svd_pseudoinverse_apply(A_S.T, u)) <= lam):
+            return x, res
+        return None
+    return None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gerk.cli
+import gerk.oracles
 from gerk.cli import main
 from gerk.errors import (
     DegenerateNullspace,
@@ -289,6 +290,36 @@ def test_certify_rhs_route(tmp_path):
                "--samples", "50", "--out", str(tmp_path / "cert.txt")])
     assert rc == 0
     assert "violations = 0" in (tmp_path / "cert.txt").read_text()
+
+
+def test_certify_rhs_xhat_is_exact_on_its_support(tmp_path, monkeypatch):
+    # a 30x12 full-column-rank system with a 3-sparse planted x_hat, which is then
+    # the only feasible point: the certified x_hat is the plant, whose smallest
+    # nonzero sets gamma, not an entry of order 1e-11 where the plant is 0
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 12)) * rng.uniform(0.2, 3.0, (30, 1))
+    x_hat = np.zeros(12)
+    x_hat[rng.choice(12, 3, replace=False)] = rng.standard_normal(3)
+    write_matrix_market(tmp_path / "A.mtx", A)
+    write_vector_csv(tmp_path / "b.csv", A @ x_hat)
+    planted = np.abs(x_hat[x_hat != 0.0]).min()
+
+    def certify():
+        assert main(["certify", "--matrix", str(tmp_path / "A.mtx"),
+                     "--rhs", str(tmp_path / "b.csv"), "--lambda", "0.5",
+                     "--samples", "200", "--out", str(tmp_path / "cert.txt")]) == 0
+        record = dict(line.split(" = ") for line in
+                      (tmp_path / "cert.txt").read_text().splitlines()[1:])
+        assert record["violations"] == "0"
+        return float(record["xhat_min_abs"]), float(record["gamma"])
+
+    def exact(min_abs, gamma):
+        return abs(min_abs - planted) <= 1e-12 * planted and gamma < 10.0
+
+    assert exact(*certify())
+    # negative control: without the support finish the oracle's near-zeros set gamma
+    monkeypatch.setattr(gerk.oracles, "FINISH_AFTER", 10**7)
+    assert not exact(*certify())
 
 
 def test_certify_complex_embeds(tmp_path):

@@ -315,15 +315,21 @@ def test_vector_blank_and_comment_lines(tmp_path):
     assert np.array_equal(read_vector_csv(path), [1.0 + 2.0j])
 
 
-@pytest.mark.parametrize("layout", ["array", "coordinate"])
+@pytest.mark.parametrize("layout", ["array", "coordinate", "vector"])
 def test_complex_entries_keep_the_signed_zeros_of_re_plus_1j_im(tmp_path, layout):
     # every pair of these parts, and random ones, read bit-equal to
-    # re + 1j*im of the parsed parts, the expression the reader once used
+    # re + 1j*im of the parsed parts, the expression the readers once used
     special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
     pairs = [(re, im) for re in special for im in special]
     rng = RngStream(320)
     pairs += list(zip(rng.normal_array(36).tolist(), rng.normal_array(36).tolist()))
     parts = np.array(pairs)
+    expected = parts[:, 0] + 1j * parts[:, 1]
+    if layout == "vector":
+        path = tmp_path / "z.csv"
+        path.write_text("re,im\n" + "".join(f"{re!r},{im!r}\n" for re, im in pairs))
+        assert read_vector_csv(path).tobytes() == expected.tobytes()
+        return
     m, n = 10, len(pairs) // 10
     lines = [f"{re!r} {im!r}" for re, im in pairs]
     if layout == "coordinate":
@@ -334,5 +340,5 @@ def test_complex_entries_keep_the_signed_zeros_of_re_plus_1j_im(tmp_path, layout
     path = tmp_path / "z.mtx"
     path.write_text(f"%%MatrixMarket matrix {layout} complex general\n{size}\n"
                     + "\n".join(lines) + "\n")
-    expected = (parts[:, 0] + 1j * parts[:, 1]).reshape(n, m).T
+    expected = expected.reshape(n, m).T
     assert read_matrix_market(path).tobytes() == np.ascontiguousarray(expected).tobytes()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import gerk.oracles
 from gerk.errors import NotConverged
 from gerk.linalg import (
     draw_nullspace_noise,
+    embed_complex_as_real,
+    embed_vec,
     make_rank_deficient,
     range_projector_apply,
+    spectral_norm,
     svd_pseudoinverse_apply,
 )
 from gerk.oracles import (
@@ -16,6 +20,7 @@ from gerk.oracles import (
 from gerk.potentials import (
     ComplexElasticNet,
     ElasticNet,
+    GroupElasticNet,
     HuberQuadMisfit,
     Quadratic,
     QuadraticMisfit,
@@ -169,3 +174,81 @@ def test_oracle_consistency_on_noisy_instance():
     # strong convexity: unique minimizer; verify via an independent rerun from
     # a perturbed target that we are at a stable point
     assert np.linalg.norm(A @ sol.value - b_hat) <= 1e-8 * np.linalg.norm(b_hat)
+
+
+def plain_dual_loop(A, y_hat, f, tol=1e-10, max_iter=10**6):
+    """(x, iterations) of the dual gradient iteration without the support finish."""
+    step = 1.0 / (f.conj_lipschitz * spectral_norm(A) ** 2)
+    Ah = A.conj().T
+    xstar = np.zeros(A.shape[1], dtype=A.dtype)
+    x = f.conjugate_gradient(xstar)
+    bound = tol * float(np.linalg.norm(y_hat))
+    if float(np.linalg.norm(A @ x - y_hat)) <= bound:
+        return x, 0
+    for it in range(1, max_iter + 1):
+        xstar -= step * (Ah @ (A @ x - y_hat))
+        x_next = f.conjugate_gradient(xstar)
+        res = float(np.linalg.norm(A @ x_next - y_hat))
+        delta = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if res <= bound and delta <= tol:
+            return x, it
+    raise AssertionError("the plain loop did not converge")
+
+
+def test_constrained_min_without_the_finish_is_the_plain_loop_bit_for_bit(monkeypatch):
+    # only the real elastic net with lam > 0 finishes on its support; every other
+    # regularizer, and the elastic net whose finish never runs, is the plain loop
+    rng = RngStream(610)
+    real = make_rank_deficient(14, 8, 6, 0.8, 2.0, "real", rng)
+    cplx = make_rank_deficient(14, 8, 6, 0.8, 2.0, "complex", rng)
+    groups = [np.arange(0, 3), np.arange(3, 8)]
+    for A, f in ((real, Quadratic()), (cplx, Quadratic()), (cplx, ComplexElasticNet(0.5)),
+                 (real, GroupElasticNet(0.5, groups)), (real, ElasticNet(0.0))):
+        y_hat = A @ rng.gaussian_array(8, "complex" if np.iscomplexobj(A) else "real")
+        sol = constrained_regularizer_min(A, y_hat, f)
+        x, its = plain_dual_loop(A, y_hat, f)
+        assert sol.iterations == its
+        assert sol.value.tobytes() == x.tobytes()
+    monkeypatch.setattr(gerk.oracles, "FINISH_AFTER", 10**7)
+    y_hat = real @ rng.normal_array(8)
+    sol = constrained_regularizer_min(real, y_hat, ElasticNet(0.5))
+    x, its = plain_dual_loop(real, y_hat, ElasticNet(0.5))
+    assert (sol.iterations, sol.value.tobytes()) == (its, x.tobytes())
+
+
+def test_constrained_min_finish_is_exact_on_the_support_of_a_rank_deficient_system(monkeypatch):
+    # without full column rank the finish needs the dual certificate |A_j^T w| <= lam
+    # off the support; it agrees with the plain loop run to tol 1e-13, whose
+    # zeros are entries below 1e-9 where the finish's are exact
+    rng = RngStream(611)
+    lam = 1.0
+    A = make_rank_deficient(30, 16, 10, 0.8, 2.0, "real", rng)
+    x_plant = np.zeros(16)
+    x_plant[rng.choice_without_replacement(16, 3)] = 5.0 * rng.signs(3)
+    y_hat = A @ x_plant
+    sol = constrained_regularizer_min(A, y_hat, ElasticNet(lam))
+    assert sol.converged and sol.iterations < 100
+    assert np.linalg.norm(A @ sol.value - y_hat) <= 1e-10 * np.linalg.norm(y_hat)
+    monkeypatch.setattr(gerk.oracles, "FINISH_AFTER", 10**7)
+    loop = constrained_regularizer_min(A, y_hat, ElasticNet(lam), tol=1e-13).value
+    zero = sol.value == 0.0
+    assert zero.any() and np.all(np.abs(loop[zero]) < 1e-9)
+    assert np.linalg.norm(sol.value - loop) <= 1e-8 * np.linalg.norm(loop)
+
+
+def test_constrained_min_embedded_real_solution_has_an_exactly_zero_imaginary_half():
+    # the real embedding of a full-column-rank complex system whose solution is
+    # real: the loop leaves entries of order 1e-11 in the imaginary half, and
+    # re-solving on its support leaves rounding-level ones of either sign; the
+    # finish drops each whose sign flips or that is at rounding level, so the
+    # imaginary half is exactly zero
+    rng = RngStream(612)
+    for _ in range(5):
+        A = embed_complex_as_real(rng.complex_normal_array(24 * 7).reshape(24, 7))
+        x_real = rng.signs(7) * rng.uniform_array(1.0, 2.0, 7)
+        y_hat = A @ embed_vec(x_real.astype(complex))
+        sol = constrained_regularizer_min(A, y_hat, ElasticNet(1.0))
+        assert sol.iterations < 100
+        assert np.array_equal(sol.value[7:], np.zeros(7))
+        assert np.linalg.norm(sol.value[:7] - x_real) <= 1e-10 * np.linalg.norm(x_real)
