@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, ZeroMatrix
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix, row_sq_norms, spectral_norm
 
 
 class BlockPartition:
@@ -118,7 +118,7 @@ def _partition(kind, A, blocks, probabilities):
     try:
         with np.errstate(over="ignore"):
             # spectral norm of a single row/column is its euclidean norm
-            line_sq_norms = _line_sq_norms(lines) if any(blk.size == 1 for blk in blocks) else None
+            line_sq_norms = row_sq_norms(lines) if any(blk.size == 1 for blk in blocks) else None
             sq_norms = np.array([
                 line_sq_norms[blk[0]] if blk.size == 1
                 else _spectral_sq_norm(A[blk, :] if kind == "row" else A[:, blk])
@@ -140,21 +140,6 @@ def _spectral_sq_norm(block):
     if not np.isfinite(block).all():
         raise NonFiniteInput("A must hold finite values only")
     return spectral_norm(block) ** 2
-
-
-def _line_sq_norms(M):
-    """Squared euclidean norm of each row of M, bit-equal to float(np.linalg.norm(row)) ** 2.
-
-    One stacked matmul per part reduces every row of one C-contiguous copy
-    as np.linalg.norm reduces a contiguous vector: one BLAS dot of a real
-    row, or the dot of its real parts plus the dot of its imaginary parts.
-    The square is a Python float's (libm pow), as in float(norm) ** 2: numpy's
-    own square differs from it in the last bit on about 1 value in 1,000.
-    """
-    M = np.ascontiguousarray(M)
-    parts = (M.real, M.imag) if np.iscomplexobj(M) else (M,)
-    dots = sum((P[:, None, :] @ P[:, :, None])[:, 0, 0] for P in parts)
-    return [r**2 for r in np.sqrt(dots).tolist()]
 
 
 def row_partition(A, blocks=None, probabilities=None):

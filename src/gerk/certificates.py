@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import OracleMismatch, TooManyColumns, ZeroMatrix
-from .linalg import as_matrix, as_vector, min_positive_singular, rank_cutoff
+from .linalg import (as_matrix, as_vector, min_positive_singular, rank_cutoff, row_dots,
+                     row_sq_norms)
 from .potentials import ElasticNet, checked_nonneg
 from .rng import RngStream
 
@@ -51,11 +52,6 @@ class VerificationReport:
     samples: int
     violations: int
     max_ratio: float
-
-
-def _dots(P, Q):
-    """Row-wise <P_i, Q_i>, each by the BLAS dot np.vdot uses."""
-    return (P[:, None, :] @ Q[..., None])[:, 0, 0]
 
 
 def _checked_count(value, name, least):
@@ -152,10 +148,9 @@ def verify_error_bound(A, x_hat, y_hat, lam, n_samples, seed, max_cols=15, gamma
         u = scale[:, None] * rng.normal_array(k * m).reshape(k, m)
         xstar = (u[:, None, :] @ A)[:, 0]  # stacked: one gemv per sample, as A.T @ u
         x = f.conjugate_gradient(xstar)
-        dist = 0.5 * _dots(x, x) - _dots(xstar, x_hat) + f.value(x_hat)
+        dist = 0.5 * row_dots(x, x) - row_dots(xstar, x_hat) + f.value(x_hat)
         resid = (A @ x[:, :, None])[:, :, 0] - y_hat  # one gemv per sample, as A @ x
-        # float ** 2 is libm pow, as in the per-sample float(norm) ** 2
-        resid_sq = np.array([r**2 for r in np.sqrt(_dots(resid, resid)).tolist()])
+        resid_sq = row_sq_norms(resid)  # each the per-sample float(norm) ** 2
         violations += int(np.count_nonzero(dist > g * resid_sq + BOUND_SLACK * (1.0 + dist)))
         keep = resid_sq > 1e-300
         max_ratio = float(np.fmax.reduce(dist[keep] / resid_sq[keep], initial=max_ratio))

@@ -44,7 +44,8 @@ from .experiments import (
     MetricRecorder,
     PresetSpec,
     ProblemInstance,
-    make_generator,
+    gen_experiment_i,
+    gen_experiment_ii,
     run_trials,
     sparsity_table,
     write_experiment_csvs,
@@ -52,11 +53,12 @@ from .experiments import (
 from .fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
-    _fmt,
     _names_undecodable_line,
     atomic_write,
+    format_record,
     read_matrix_market,
     read_vector_csv,
+    write_csv,
     write_vector_csv,
 )
 from .linalg import embed_complex_as_real, embed_vec
@@ -159,12 +161,10 @@ def cmd_solve(args):
     report = run(A, b, cfg, hooks=(recorder,))
     write_vector_csv(os.path.join(args.out, "solution.csv"), report.state.x)
     rows = recorder.rows
-    lines = [METRICS_CSV_VERSION, "iteration,rel_residual,rel_grad_quadratic,rel_grad_misfit,sparsity"]
-    for k, res, gq, gm, sp in zip(recorder.checkpoints, rows["rel_residual"],
-                                  rows["rel_grad_quadratic"], rows["rel_grad_misfit"],
-                                  rows["sparsity"]):
-        lines.append(f"{k},{_fmt(res)},{_fmt(gq)},{_fmt(gm)},{int(sp)}")
-    atomic_write(os.path.join(args.out, "metrics.csv"), "\n".join(lines) + "\n")
+    names = ("rel_residual", "rel_grad_quadratic", "rel_grad_misfit")
+    write_csv(os.path.join(args.out, "metrics.csv"), METRICS_CSV_VERSION,
+              ("iteration",) + names + ("sparsity",),
+              zip(recorder.checkpoints, *map(rows.get, names), map(int, rows["sparsity"])))
     print(f"{args.preset}: {report.iterations} iterations, stop reason {report.stop_reason}")
     print(f"final rel residual {rows['rel_residual'][-1]:.3e}, "
           f"sparsity {int(rows['sparsity'][-1])}")
@@ -175,8 +175,10 @@ def cmd_experiment(args):
     names = DEFAULT_PRESETS[args.which] if args.presets is None else args.presets
     specs = [PresetSpec(name=name, lam=args.lam, eps=args.eps, tau=args.tau) for name in names]
     interval = args.m if args.checkpoint_interval is None else args.checkpoint_interval
+    gen = gen_experiment_i if args.which == "i" else gen_experiment_ii
     result = run_trials(
-        make_generator(args.which, vars(args), args.field),
+        lambda rng: gen(args.m, args.n, args.rank, args.sparsity, args.noise_level, args.sv_lo,
+                        args.sv_hi, args.field, rng),
         specs,
         trials=args.trials,
         iterations=args.epochs * args.m,
@@ -211,20 +213,13 @@ def cmd_certify(args):
         A, x_hat, y_hat, args.lam, n_samples=args.samples, seed=args.seed, max_cols=args.max_cols
     )
     cert = report.certificate
-    lines = [
-        CERTIFICATE_VERSION,
-        f"n = {cert.n}",
-        f"lam = {_fmt(cert.lam)}",
-        f"embedded = {'true' if embedded else 'false'}",
-        f"sigma_tilde_min = {_fmt(cert.sigma_tilde_min)}",
-        f"sigma_min_positive = {_fmt(cert.sigma_min_positive)}",
-        f"xhat_min_abs = {'none' if cert.xhat_min_abs is None else _fmt(cert.xhat_min_abs)}",
-        f"gamma = {_fmt(cert.gamma)}",
-        f"samples = {report.samples}",
-        f"violations = {report.violations}",
-        f"max_ratio = {_fmt(report.max_ratio)}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = format_record(CERTIFICATE_VERSION, [
+        ("n", cert.n), ("lam", cert.lam), ("embedded", "true" if embedded else "false"),
+        ("sigma_tilde_min", cert.sigma_tilde_min), ("sigma_min_positive", cert.sigma_min_positive),
+        ("xhat_min_abs", "none" if cert.xhat_min_abs is None else cert.xhat_min_abs),
+        ("gamma", cert.gamma), ("samples", report.samples), ("violations", report.violations),
+        ("max_ratio", report.max_ratio),
+    ])
     if args.out:
         atomic_write(args.out, text)
     print(text, end="")

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, _fmt, atomic_write
+from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, write_csv
 from .linalg import _rank_deficient, draw_off_span, project_onto
 from .oracles import range_projection_quadratic
 from .potentials import QuadraticMisfit, checked_nonneg
@@ -404,25 +404,13 @@ def write_experiment_csvs(result, out_dir, experiment_name):
     written = []
     for label in result.preset_labels:
         for name, band in result.bands[label].items():
-            lines = [BAND_CSV_VERSION, "iteration,min,q25,median,q75,max"]
-            for idx, k in enumerate(band.checkpoints):
-                lines.append(
-                    ",".join(
-                        [str(int(k))]
-                        + [
-                            _fmt(arr[idx])
-                            for arr in (band.min, band.q25, band.median, band.q75, band.max)
-                        ]
-                    )
-                )
             path = os.path.join(base, label, f"{name}.csv")
-            atomic_write(path, "\n".join(lines) + "\n")
+            columns = (band.checkpoints, band.min, band.q25, band.median, band.q75, band.max)
+            write_csv(path, BAND_CSV_VERSION, ("iteration", "min", "q25", "median", "q75", "max"),
+                      zip(*(c.tolist() for c in columns)))
             written.append(path)
-    lines = [SPARSITY_CSV_VERSION, "preset,min,median,max"]
-    for label, lo, med, hi in sparsity_rows(result):
-        lines.append(f"{label},{lo},{_fmt(med)},{hi}")
     path = os.path.join(base, "sparsity.csv")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, SPARSITY_CSV_VERSION, ("preset", "min", "median", "max"), sparsity_rows(result))
     written.append(path)
     return written
 
@@ -456,22 +444,3 @@ DEFAULT_PRESETS = {
     "i": ("srk", "rek", "gerk_ad"),
     "ii": ("srk", "rek", "gerk_ad", "gerk_bd"),
 }
-
-
-def make_generator(which, params, field):
-    gen = gen_experiment_i if which == "i" else gen_experiment_ii
-
-    def generator(rng):
-        return gen(
-            m=params["m"],
-            n=params["n"],
-            rank=params["rank"],
-            sparsity=params["sparsity"],
-            noise_level=params["noise_level"],
-            sv_lo=params["sv_lo"],
-            sv_hi=params["sv_hi"],
-            field=field,
-            rng=rng,
-        )
-
-    return generator

@@ -2,8 +2,10 @@
 
 Files are read as UTF-8.  Parse failures, a byte that is not UTF-8
 included, raise ParseError whose message names the file and the 1-based
-line number.  All writers go through atomic_write (temp file in the target
-directory, then rename), and every CSV starts with a version comment line.
+line number.  Every output file is formatted here and written by atomic_write
+(temp file in the target directory, then rename).  write_csv is the one table
+writer: a version comment line, a header row, then integers in decimal and
+floats by repr, which round-trips.  format_record formats a record alike.
 
 Matrix files use the MatrixMarket array or coordinate format, real, integer
 or complex, symmetry qualifier `general` only.  Vector CSVs have one header
@@ -79,6 +81,33 @@ def atomic_write(path, text):
 def _fmt(x):
     # repr of a float round-trips and is platform-stable for IEEE doubles
     return repr(float(x))
+
+
+def _cell(v):
+    """A value as written: text as is, an integer in decimal, else a float by _fmt."""
+    if isinstance(v, float) or not isinstance(v, (str, int, np.integer)):  # most cells are floats
+        return _fmt(v)
+    return v if isinstance(v, str) else str(int(v))
+
+
+def write_csv(path, version, header, rows):
+    """Write a table: its version comment line, the header's names, then the rows' _cells."""
+    lines = [version, ",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def format_record(version, fields):
+    """A record's text: its version comment line, then `name = _cell(value)` per field."""
+    return "\n".join([version] + [f"{name} = {_cell(v)}" for name, v in fields]) + "\n"
+
+
+def _open(path):
+    """path opened for reading as UTF-8; ParseError naming it when it cannot be."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
 
 
 # ------------------------------------------------------------------ body parse
@@ -236,18 +265,13 @@ def _names_undecodable_line(read):
 def write_matrix_market(path, M, comment="written by gerk"):
     """Write a dense matrix in MatrixMarket array format (column-major body)."""
     M = as_matrix(M)
-    complex_field = np.iscomplexobj(M)
-    field = "complex" if complex_field else "real"
-    lines = [f"%%MatrixMarket matrix array {field} general", f"% {comment}"]
-    m, n = M.shape
-    lines.append(f"{m} {n}")
-    for j in range(n):
-        for i in range(m):
-            v = M[i, j]
-            if complex_field:
-                lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-            else:
-                lines.append(_fmt(v))
+    field = "complex" if np.iscomplexobj(M) else "real"
+    lines = [f"%%MatrixMarket matrix array {field} general", f"% {comment}", "%d %d" % M.shape]
+    body = M.T.reshape(-1).tolist()  # column-major
+    if field == "complex":
+        lines.extend(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in body)
+    else:
+        lines.extend(map(_fmt, body))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -266,11 +290,7 @@ def _as_complex(v):
 def read_matrix_market(path):
     """Read a MatrixMarket file (array or coordinate, real/integer/complex)."""
     path = os.fspath(path)
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
-    with fh:
+    with _open(path) as fh:
         first = fh.readline()
         if not first:
             raise ParseError(path, 1, "empty file, expected a MatrixMarket header")
@@ -392,25 +412,15 @@ def _rescan_matrix_market(path, size_line, layout, per_entry, m, n, nnz):
 def write_vector_csv(path, v):
     """Write a vector as CSV: header `value` (real) or `re,im` (complex)."""
     v = as_vector(v)
-    lines = [VECTOR_CSV_VERSION]
-    if np.iscomplexobj(v):
-        lines.append("re,im")
-        lines.extend(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in v)
-    else:
-        lines.append("value")
-        lines.extend(_fmt(x) for x in v)
-    atomic_write(path, "\n".join(lines) + "\n")
+    header, columns = (("re", "im"), (v.real, v.imag)) if np.iscomplexobj(v) else (("value",), (v,))
+    write_csv(path, VECTOR_CSV_VERSION, header, zip(*(c.tolist() for c in columns)))
 
 
 @_names_undecodable_line
 def read_vector_csv(path):
     """Read a vector CSV written by write_vector_csv (header `value` or `re,im`)."""
     path = os.fspath(path)
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from exc
-    with fh:
+    with _open(path) as fh:
         # the header is the first line that is neither blank nor a comment
         for header_no, line in enumerate(iter(fh.readline, ""), 1):
             header = line.strip()

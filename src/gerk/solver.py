@@ -104,7 +104,7 @@ import functools
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -277,9 +277,15 @@ def _join(arrays):
 
 
 def _steps(lipschitz, partition):
-    """1/(lipschitz * ||block||^2) per block; 0 on a zero block, never drawn."""
+    """1/(lipschitz * ||block||^2) per block; 0 on a zero block, never drawn.
+    ValueError naming the axis and lipschitz where the product under- or overflows."""
     norms = partition.block_sq_norms
-    return np.divide(1.0, lipschitz * norms, out=np.zeros_like(norms), where=norms != 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        steps = np.divide(1.0, lipschitz * norms, out=np.zeros_like(norms), where=norms != 0)
+    if not ((steps > 0) & (steps < np.inf) | (norms == 0)).all():
+        raise ValueError(f"a {partition.kind} step size 1/(L ||block||^2) at L = {lipschitz:g} "
+                         "is not finite and positive; rescale A or the parameters")
+    return steps
 
 
 def _stack(arrays):
@@ -361,13 +367,15 @@ class Session:
 
     Validation, matrix copies, step sizes and updaters are built once.  The
     session owns `state`: the initial state (x*_0 = 0, so x_0 = 0, and
-    z*_0 = b), or the given `state` of one system to continue.
+    z*_0 = b), or the given `state` of one preset to continue.
     """
 
     def __init__(self, A, b, cfg, state=None):
         if isinstance(cfg, SolverConfig):
             A, b, cfg = [A], [b], [cfg]
         presets = [tuple(cfg)] if isinstance(cfg[0], SolverConfig) else [tuple(c) for c in cfg]
+        if state is not None and len(presets) > 1:
+            raise ValueError(f"state continues a session of one preset, not {len(presets)}")
         self.cfgs = cfgs = presets[0]
         As, bs = zip(*map(validate_config, A, b, cfgs))
         self.cfg = cfg = cfgs[0]
@@ -479,7 +487,6 @@ class Session:
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
         self._window = (0, 0, None)  # (start, stop, _draw's arrays of iterations start to stop)
-        self._end = cfg.max_iterations  # indices are drawn past it only when asked for
         self._worker = None  # the z-chain worker of a forked checkpoints() run
         self.worker_record = WorkerRecord()
 
@@ -558,7 +565,7 @@ class Session:
         on in-process from state.
         """
         state = self.state
-        horizon = max(end, self._end)  # draws go no further unless asked for
+        horizon = max(end, self.cfg.max_iterations)  # draws go no further unless asked for
         k, stop = state.k, min(state.k + interval, end)  # the next chunk's start and checkpoint
         if (fork and self._zcfg is not None and self._trivial and state.k < end
                 and _worker_pays(end - state.k, interval)):
@@ -911,9 +918,8 @@ def init_state(A, b, cfg):
 
 def gerk_step(state, A, b, cfg):
     """Advance the state by exactly one iteration (two index draws when z is on)."""
-    session = Session(A, b, cfg, state)
-    session._end = state.k + 1  # the session ends with this step: draw nothing ahead
-    return session.advance(1)
+    # a session that ends with this step draws nothing ahead
+    return Session(A, b, replace(cfg, max_iterations=state.k + 1), state).advance(1)
 
 
 def _sparse_regularizer(lam, is_complex, name):

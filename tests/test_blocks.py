@@ -218,3 +218,9 @@ def test_embedded_pair_norms_match_complex():
     for j in range(3):
         expected = float(np.real(np.vdot(A[:, j], A[:, j])))
         assert abs(cols.block_sq_norms[j] - expected) <= 1e-10
+
+
+def test_partition_needs_one_squared_norm_per_block():
+    with pytest.raises(DimensionMismatch, match="need one squared norm per block"):
+        BlockPartition("row", 3, [[0], [1], [2]], [1.0, 1.0])
+    BlockPartition("row", 3, [[0], [1], [2]], [1.0, 1.0, 1.0])  # positive control

@@ -23,7 +23,7 @@ from gerk.errors import (
     TooManyColumns,
     ZeroMatrix,
 )
-from gerk.experiments import make_generator
+from gerk.experiments import gen_experiment_i, gen_experiment_ii
 from gerk.fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
@@ -254,7 +254,8 @@ def test_experiment_generator_parameter_exit_code(tmp_path, capsys, which, flag,
     params = dict(m=16, n=8, rank=4, sparsity=2, noise_level=5.0, sv_lo=0.1, sv_hi=10.0)
     params[name] = float(text)
     with pytest.raises(ValueError) as info:
-        make_generator(which, params, "real")(RngStream(0))
+        (gen_experiment_i if which == "i" else gen_experiment_ii)(**params, field="real",
+                                                                  rng=RngStream(0))
     assert f"gerk: error: {info.value}" in err
 
 
@@ -734,3 +735,49 @@ def test_experiment_noise_level_that_overflows_exit_code(tmp_path, capsys, which
     err = capsys.readouterr().err
     assert "noise_level" in err
     assert "Warning" not in err
+
+
+def test_unusable_step_size_exit_code(tmp_path, capsys):
+    # L_g ||a_j||^2 = 2e-200 * ||a_j||^2 underflows to 0 on A x 1e-100: the run
+    # exited 0 with solution.csv all NaN after 5 iterations
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = A @ rng.standard_normal(4)
+    argv = ["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+            "--preset", "gerk_bd", "--lambda", "1", "--eps", "1e200", "--tau", "1e-200"]
+    for scale, code in ((1e-100, 2), (1.0, 0)):  # the unscaled system is the positive control
+        write_matrix_market(tmp_path / "A.mtx", scale * A)
+        write_vector_csv(tmp_path / "b.csv", scale * b)
+        out = tmp_path / f"out-{scale}"
+        assert main(argv + ["--iterations", "2000", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == ("gerk: error: a column step size 1/(L ||block||^2) at L = 2e-200 is not "
+                   "finite and positive; rescale A or the parameters\n")
+    assert not (tmp_path / "out-1e-100").exists()
+    assert np.isfinite(read_vector_csv(tmp_path / "out-1.0" / "solution.csv")).all()
+
+
+def test_solve_needs_a_preset(tmp_path, capsys):
+    write_system(tmp_path, m=4, n=2)
+    rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "gerk: error: solve needs --preset\n"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("list", ":1: config must be a JSON object"),
+    ("missing", ":0: cannot read config: No such file or directory"),
+    ("directory", ":0: cannot read config: Is a directory"),
+])
+def test_config_that_is_not_a_readable_object_exit_code(tmp_path, capsys, kind, message):
+    write_system(tmp_path, m=4, n=2)
+    cfg = tmp_path / "cfg.json"
+    if kind == "list":
+        cfg.write_text('["preset", "rk"]')
+    elif kind == "directory":
+        cfg.mkdir()
+    rc = main(["solve", "--config", str(cfg), "--matrix", str(tmp_path / "A.mtx"),
+               "--rhs", str(tmp_path / "b.csv"), "--preset", "rk", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gerk: error: {cfg}{message}\n"

@@ -454,3 +454,11 @@ def test_noise_level_whose_noise_overflows_is_rejected(which, field):
     assert np.isfinite(b).all()
     assert np.max(np.abs(b)) > 1e299
 
+
+
+def test_impulses_need_as_many_rows():
+    # n = 41 asks for ceil(41 / 20) = 3 impulses; m = 2 rows cannot hold them
+    kw = dict(n=41, rank=1, sparsity=1, noise_level=1.0, sv_lo=1.0, sv_hi=2.0, field="real")
+    with pytest.raises(ValueError, match="cannot place 3 impulses into 2 rows"):
+        gen_experiment_ii(m=2, rng=RngStream(0), **kw)
+    assert gen_experiment_ii(m=3, rng=RngStream(0), **kw).b.shape == (3,)

@@ -342,3 +342,27 @@ def test_complex_entries_keep_the_signed_zeros_of_re_plus_1j_im(tmp_path, layout
                     + "\n".join(lines) + "\n")
     expected = expected.reshape(n, m).T
     assert read_matrix_market(path).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "empty file, expected a MatrixMarket header"),
+    ("%%MatrixMarket vector array real general\n1 1\n0\n", 1, "unsupported object 'vector'"),
+    ("%%MatrixMarket matrix list real general\n1 1\n0\n", 1, "unsupported format 'list'"),
+    ("%%MatrixMarket matrix array pattern general\n1 1\n0\n", 1, "unsupported field 'pattern'"),
+    ("%%MatrixMarket matrix array real general\n% a comment\n\n", 3, "missing size line"),
+    ("%%MatrixMarket matrix array real general\n0 3\n", 2, "dimensions must be positive"),
+])
+def test_matrix_header_and_size_line_errors(tmp_path, text, line, message):
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_atomic_write_onto_a_directory_raises_and_leaves_no_tempfile(tmp_path):
+    (tmp_path / "out").mkdir()
+    with pytest.raises(OSError):
+        atomic_write(tmp_path / "out", "text\n")
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(tmp_path / "out") == []

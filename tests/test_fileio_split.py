@@ -248,3 +248,19 @@ def test_split_reads_match_one_pass_reads(kind, tmp_path, forked, monkeypatch):
         splits += len(forked) > before
     assert_no_child()
     assert splits >= 60, splits
+
+
+def test_a_fork_that_fails_sends_the_read_back_to_one_pass(tmp_path, forked, two_cpus,
+                                                           monkeypatch):
+    A = big_matrix(tmp_path / "A.mtx")
+    spawned = []
+
+    def spawn(*args):
+        spawned.append(args)
+        raise OSError("no fork to be had")
+
+    monkeypatch.setattr(forks, "spawn", spawn)
+    got = read_matrix_market(tmp_path / "A.mtx")
+    assert len(spawned) == 1 and forked == []
+    assert got.tobytes() == A.tobytes()
+    assert same(got, one_pass(read_matrix_market, tmp_path / "A.mtx", monkeypatch))

@@ -949,3 +949,64 @@ def test_draw_equals_draw_indices_stream_by_stream():
                 if cols is not None:
                     assert (fj[:, t] - t * n).tobytes() == cols.tobytes()
         assert all(r._counter == 0 for r in session._rngs)
+
+
+def test_state_continues_a_session_of_one_preset():
+    # state= with several presets raised UnboundLocalError ('zbuf'): only the
+    # fresh state built the z-slab of the presets without the z-update
+    rng = np.random.default_rng(0)
+    A, b = rng.standard_normal((8, 4)), rng.standard_normal(8)
+    cfgs = [[preset(name, A, lam=0.5, max_iterations=10, seed=0)]
+            for name in ("rek", "gerk_ad", "rk")]
+    state = Session(A, b, cfgs[0][0]).state
+    with pytest.raises(ValueError, match="state continues a session of one preset, not 3"):
+        Session([A], [b], cfgs, state=state)
+    # one preset over several systems continues: 4 then 6 iterations equal 10
+    As, bs, shared = shared_systems("real", 3, iters=10)
+    for name in ("rk", "gerk_bd"):
+        whole = Session(As, bs, shared[name]).advance(10)
+        part = Session(As, bs, shared[name]).advance(4)
+        continued = Session(As, bs, shared[name], state=part).advance(6)
+        assert continued.k == whole.k == 10
+        for a, w in ((continued.x, whole.x), (continued.zstar, whole.zstar)):
+            assert (a is None and w is None) or np.array_equal(a, w)
+
+
+@pytest.mark.parametrize("scale, eps, tau", [
+    (1e-100, 1e200, 1e-200),  # L_g ||a_j||^2 = 2e-200 * ||a_j||^2 underflows: the step was inf
+    (1e5, 1e-300, 1.0),  # L_g ||a_j||^2 = 1e300 * ||a_j||^2 overflows: the step was 0
+])
+def test_a_step_size_that_is_not_finite_and_positive_is_refused(scale, eps, tau):
+    # the underflow case gave x all NaN after 5 iterations, with stop reason max_iterations
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = scale * (A @ rng.standard_normal(4))
+    A = scale * A
+    cfg = preset("gerk_bd", A, lam=1.0, eps=eps, tau=tau, max_iterations=5, seed=0)
+    L = HuberQuadMisfit(eps, tau).grad_lipschitz
+    with pytest.raises(ValueError) as info:
+        run(A, b, cfg)
+    assert str(info.value).startswith(f"a column step size 1/(L ||block||^2) at L = {L:g} is not")
+    # positive control: the same parameters on the unscaled system
+    report = run(A / scale, b / scale, preset("gerk_bd", A / scale, lam=1.0, eps=eps, tau=tau,
+                                                max_iterations=5, seed=0))
+    assert np.isfinite(report.state.x).all()
+
+
+def test_config_checks_of_a_session():
+    rng = RngStream(570)
+    A, A2 = (rng.normal_array(8 * 4).reshape(8, 4) for _ in range(2))
+    b, b2 = rng.normal_array(8), rng.normal_array(8)
+
+    def blocked(M):
+        return SolverConfig(f=Quadratic(), g=None, max_iterations=5, seed=0, col_partition=None,
+                            row_partition=row_partition(M, blocks=contiguous_blocks(8, 3)))
+
+    with pytest.raises(ValueError, match="lockstep need single-index partitions"):
+        Session([A, A2], [b, b2], [blocked(A), blocked(A2)])
+    Session(A, b, blocked(A)).advance(5)  # positive control: one system on blocks runs
+    wrong = preset("rek", A, max_iterations=5, seed=0, col_partition=column_partition(A[:, :3]))
+    with pytest.raises(DimensionMismatch, match="column partition must cover 4 columns"):
+        run(A, b, wrong)
+    with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+        run(A, b, preset("rk", A, max_iterations=-1, seed=0))
