@@ -16,7 +16,6 @@ from .certificates import (
     verify_error_bound,
 )
 from .errors import (
-    DegenerateNullspace,
     DimensionMismatch,
     FieldMismatch,
     GerkError,

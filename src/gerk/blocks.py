@@ -4,7 +4,7 @@ A partition splits the row (or column) index range of a matrix into disjoint
 nonempty index sets.  Single-index partitions are the common case; arbitrary
 index sets are allowed so that, e.g., rows {i, m+i} of an embedded complex
 matrix can form one block.  Each block carries its squared spectral norm,
-computed once at construction.
+computed once at construction, and a partition draws its own blocks (draw).
 """
 
 import math
@@ -62,9 +62,13 @@ class BlockPartition:
     def __len__(self):
         return len(self.blocks)
 
+    def draw(self, u):
+        """draw_blocks over this partition's cumulative probabilities."""
+        return draw_blocks(self._cum, u)
+
     def sample(self, rng):
         """Draw one block index using one uniform."""
-        return int(draw_blocks(self._cum, rng.random()))
+        return int(self.draw(rng.random()))
 
 
 def draw_blocks(cum, u):

@@ -19,7 +19,6 @@ invocations produce byte-identical files.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,7 +27,6 @@ import numpy as np
 
 from .certificates import verify_error_bound
 from .errors import (
-    DegenerateNullspace,
     DimensionMismatch,
     FieldMismatch,
     GerkError,
@@ -53,9 +51,9 @@ from .experiments import (
 from .fileio import (
     CERTIFICATE_VERSION,
     METRICS_CSV_VERSION,
-    _names_undecodable_line,
     atomic_write,
     format_record,
+    read_config,
     read_matrix_market,
     read_vector_csv,
     write_csv,
@@ -73,19 +71,9 @@ EXIT_DEGENERATE = 4
 EXIT_ENUMERATION = 5
 
 
-@_names_undecodable_line
 def _load_config(path):
-    """Read the JSON config object: keys spelled as flags, numbers kept as their text."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read config: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(path, 1, "config must be a JSON object")
-    out = {str(k).replace("-", "_"): v for k, v in data.items()}
+    """The config file's object (fileio.read_config), its keys spelled as dests."""
+    out = {str(k).replace("-", "_"): v for k, v in read_config(path).items()}
     if "lambda" in out:  # the flag is spelled --lambda, keep config files consistent
         out.setdefault("lam", out.pop("lambda"))
     return out
@@ -300,7 +288,7 @@ def build_parser():
 EXIT_CODES = (
     ((ParseError, MissingParameter, OSError, ValueError), EXIT_PARSE),
     ((DimensionMismatch, FieldMismatch), EXIT_DIMENSION),
-    ((InvalidRank, DegenerateNullspace, ZeroMatrix), EXIT_DEGENERATE),
+    ((InvalidRank, ZeroMatrix), EXIT_DEGENERATE),
     (TooManyColumns, EXIT_ENUMERATION),
     (GerkError, 1),
 )

@@ -41,10 +41,6 @@ class MissingParameter(GerkError):
     """A preset or command needs a parameter that was not supplied."""
 
 
-class DegenerateNullspace(GerkError):
-    """The adjoint nullspace is trivial, so nullspace noise cannot be drawn."""
-
-
 class NotConverged(GerkError):
     """An iterative oracle hit its iteration cap.
 

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import BAND_CSV_VERSION, SPARSITY_CSV_VERSION, write_csv
-from .linalg import _rank_deficient, draw_off_span, project_onto
+from .linalg import draw_off_span, project_onto, rank_deficient_with_range
 from .oracles import range_projection_quadratic
 from .potentials import QuadraticMisfit, checked_nonneg
 from .rng import RngStream
@@ -120,7 +120,7 @@ def _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng):
     if not 1 <= sparsity <= n:
         # x_hat = 0 would leave the relative metrics without a scale
         raise ValueError(f"sparsity must be between 1 and n = {n}, got {sparsity}")
-    A, U = _rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)
+    A, U = rank_deficient_with_range(m, n, rank, sv_lo, sv_hi, field, rng)
     support = rng.choice_without_replacement(n, sparsity)
     x_hat = np.zeros(n, dtype=A.dtype)
     x_hat[support] = rng.gaussian_array(sparsity, field)
@@ -145,8 +145,8 @@ def gen_experiment_i(m, n, rank, sparsity, noise_level, sv_lo, sv_hi, field, rng
     A, U, x_hat, b_hat = _planted_instance(m, n, rank, sparsity, sv_lo, sv_hi, field, rng)
     b = b_hat.copy()
     if noise_level != 0.0:
-        radius = _finite_noise(noise_level * float(np.linalg.norm(b_hat)), noise_level)
         with np.errstate(over="ignore"):
+            radius = _finite_noise(noise_level * _norm(b_hat), noise_level)
             b = _finite_noise(b_hat + draw_off_span(U, radius, field, rng), noise_level)
     return ProblemInstance(A, b, b_hat, x_hat, field, "nullspace", noise_level,
                            b_range=project_onto(U, b))

@@ -1,4 +1,4 @@
-"""File formats: MatrixMarket matrices, CSV vectors, atomic writes.
+"""File formats: MatrixMarket matrices, CSV vectors, JSON configs, atomic writes.
 
 Files are read as UTF-8.  Parse failures, a byte that is not UTF-8
 included, raise ParseError whose message names the file and the 1-based
@@ -9,10 +9,10 @@ floats by repr, which round-trips.  format_record formats a record alike.
 
 Matrix files use the MatrixMarket array or coordinate format, real, integer
 or complex, symmetry qualifier `general` only.  Vector CSVs have one header
-row: `value` for real data or `re,im` for complex data.
+row: `value` for real data or `re,im` for complex data.  A config is a JSON object.
 
-Both readers parse the body (the lines after the header) in one C-level pass
-of np.loadtxt and form the array with whole-array numpy operations.  Only
+The array readers parse the body (the lines after the header) in one C-level
+pass of np.loadtxt and form the array with whole-array numpy operations.  Only
 when that pass or a whole-array check fails do they rescan the lines, to
 name the first offending one.  A file of SPLIT_BYTES or more, when
 forks.usable() (a fork, no other Python thread, a second CPU), is parsed in
@@ -38,6 +38,7 @@ rules:
 
 import functools
 import itertools
+import json
 import math
 import os
 import re
@@ -259,14 +260,27 @@ def _names_undecodable_line(read):
     return reader
 
 
+@_names_undecodable_line
+def read_config(path):
+    """A JSON config file's object, its numbers kept as their text."""
+    with _open(path) as fh:
+        try:
+            data = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(path, 1, "config must be a JSON object")
+    return data
+
+
 # ---------------------------------------------------------------- MatrixMarket
 
 
-def write_matrix_market(path, M, comment="written by gerk"):
+def write_matrix_market(path, M):
     """Write a dense matrix in MatrixMarket array format (column-major body)."""
     M = as_matrix(M)
     field = "complex" if np.iscomplexobj(M) else "real"
-    lines = [f"%%MatrixMarket matrix array {field} general", f"% {comment}", "%d %d" % M.shape]
+    lines = [f"%%MatrixMarket matrix array {field} general", "% written by gerk", "%d %d" % M.shape]
     body = M.T.reshape(-1).tolist()  # column-major
     if field == "complex":
         lines.extend(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in body)

@@ -3,12 +3,12 @@
 Matrices and vectors are numpy ndarrays (float64 or complex128).  The numeric
 rank convention used everywhere: a singular value counts as zero when
 sigma <= max(m, n) * sigma_max * 1e-12.  A generated matrix needs no SVD:
-_rank_deficient also returns the orthonormal factor that spans its range.
+rank_deficient_with_range also returns the orthonormal factor of its range.
 """
 
 import numpy as np
 
-from .errors import DegenerateNullspace, DimensionMismatch, InvalidRank, ZeroMatrix
+from .errors import DimensionMismatch, InvalidRank, ZeroMatrix
 
 RANK_RTOL = 1e-12
 
@@ -119,13 +119,12 @@ def range_projector_apply(M, v):
 def nullspace_basis_adjoint(M):
     """Orthonormal basis of null(M*), returned as the columns of an m x (m-r) array.
 
-    Full row rank yields a basis with zero columns; callers that need noise in
-    the adjoint nullspace must treat that as degenerate.
+    Full row rank yields a basis with zero columns.
     """
     return left_singular_bases(M, True)[1]
 
 
-def _rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
+def rank_deficient_with_range(m, n, rank, sv_lo, sv_hi, field, rng):
     """make_rank_deficient's A = U diag(sv) V^H, with U: an orthonormal basis
     of range(A) that keeps all `rank` columns, whatever the rank cutoff."""
     if not 1 <= rank < min(m, n):
@@ -146,17 +145,7 @@ def make_rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng):
     U and V come from QR factorizations of field-appropriate Gaussian
     matrices; the singular values are uniform draws, sorted descending.
     """
-    return _rank_deficient(m, n, rank, sv_lo, sv_hi, field, rng)[0]
-
-
-def draw_nullspace_noise(M, radius, field, rng):
-    """Vector of norm `radius` in null(M*): draw_off_span over the thin SVD's
-    basis of range(M).  Raises DegenerateNullspace when M has full row rank."""
-    M = as_matrix(M)
-    basis = left_singular_bases(M, False)[0]
-    if basis.shape[1] == M.shape[0]:
-        raise DegenerateNullspace("matrix has full row rank, adjoint nullspace is trivial")
-    return draw_off_span(basis, radius, field, rng)
+    return rank_deficient_with_range(m, n, rank, sv_lo, sv_hi, field, rng)[0]
 
 
 def draw_off_span(basis, radius, field, rng):

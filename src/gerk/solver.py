@@ -23,8 +23,8 @@ Exactly one z-draw then one x-draw is consumed per iteration, in that order,
 from RngStream(seed, stream), so runs with equal configs are bit-identical.
 The draws are taken up to DRAW_CHUNK iterations ahead (draw_indices), into
 one window indexed by iteration: one random_array call per stream consumes
-the same counters in the same order as the scalar draws would, and
-blocks.draw_blocks maps each uniform to its block.  A chunk of the run loop
+the same counters in the same order as the scalar draws would, and the
+partition's draw maps each uniform to its block.  A chunk of the run loop
 (below) that the window does not hold whole is drawn again from its first
 iteration.
 
@@ -110,7 +110,7 @@ from typing import Optional
 import numpy as np
 
 from . import blocks, forks
-from .blocks import BlockPartition, draw_blocks
+from .blocks import BlockPartition
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -231,16 +231,16 @@ def _shared_fields(cfg, draws=True):
     """What fixes a config's checkpoints and, with draws, its index draws, by
     field name.
 
-    A partition enters by its cumulative probabilities, the only part of it
-    the draws read; the column partition only when the z-update is on.
+    A partition enters by its probabilities, the only part of it the draws
+    read; the column partition only when the z-update is on.
     """
     fields = {"max_iterations": cfg.max_iterations,
               "checkpoint_interval": cfg.checkpoint_interval}
     if draws:
         fields.update(
             z_update_enabled=cfg.z_update_enabled,
-            row_partition=cfg.row_partition._cum.tobytes(),
-            col_partition=cfg.col_partition._cum.tobytes() if cfg.z_update_enabled else None,
+            row_partition=cfg.row_partition.probabilities.tobytes(),
+            col_partition=cfg.col_partition.probabilities.tobytes() if cfg.z_update_enabled else None,
             seed=cfg.seed,
             stream=cfg.stream,
         )
@@ -255,10 +255,9 @@ def draw_indices(cfg, rng, count):
     otherwise (the column blocks are then None).
     """
     if not cfg.z_update_enabled:
-        return None, draw_blocks(cfg.row_partition._cum, rng.random_array(count))
+        return None, cfg.row_partition.draw(rng.random_array(count))
     u = rng.random_array(2 * count)
-    return (draw_blocks(cfg.col_partition._cum, u[0::2]),
-            draw_blocks(cfg.row_partition._cum, u[1::2]))
+    return cfg.col_partition.draw(u[0::2]), cfg.row_partition.draw(u[1::2])
 
 
 def _stacked(mats, conj):
@@ -464,7 +463,10 @@ class Session:
             rngs = tuple(RngStream(c.seed, c.stream) for c in self._draw_cfgs)
             state = SolverState(0, x, xstar, z, zstar, rngs if len(rngs) > 1 else rngs[0])
         self.state = state
-        self._f_update = _gradient_update(f_kernels, state.xstar, state.x)
+        self._whole = _Slab(..., ..., state.x, state.xstar,  # all presets: ... selects all
+                            _gradient_update(f_kernels, state.xstar, state.x))
+        if fresh and self._whole.f_update is not None:
+            self._whole.f_update()
         # with two draw groups, each one contiguous slab of presets, the worker
         # may take the x-chains of the presets without the z-update (_Worker):
         # (without, with), each slab's x-half a draw group of its own
@@ -480,10 +482,13 @@ class Session:
             # entry i of system t's z* at [t*m + i], of every slab at [:, t*m + i]
             self._zrows = (state.zstar.reshape(-1) if self._zmap is None
                            else zbuf.reshape(slabs, -1))
-        if fresh:
-            for update in (self._f_update, self._g_update):
-                if update is not None:
-                    update()
+            if fresh and self._g_update is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # z_0 is checked below
+                    self._g_update()
+                for k, z0 in zip(firsts, state.z if zlead else [state.z]):
+                    if not np.isfinite(z0).all():
+                        raise ValueError(f"z_0 = grad g*(b) of the {keys[k][0].name} misfit "
+                                         "overflows; rescale b or the misfit's parameters")
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
         self._window = (0, 0, None)  # (start, stop, _draw's arrays of iterations start to stop)
@@ -619,8 +624,8 @@ class Session:
                     for a, snap in zip(worker.live, snaps):
                         np.copyto(a, snap)
                 t0 = time.thread_time()
-                self._x_half(fi, tr, bi, zvals,
-                             self._slabs[1] if worker is not None and worker.x_chains else None)
+                slab = self._slabs[1] if worker is not None and worker.x_chains else self._whole
+                self._x_half(fi, tr, bi, zvals, slab)
                 if worker is not None:
                     record.parent_x_cpu_s += time.thread_time() - t0
                 state.k += count  # the streams count the draws of iterations run
@@ -677,18 +682,15 @@ class Session:
                 out[k] = zrows[i] if zmap is None else zrows[:, i]
         return out
 
-    def _x_half(self, fi, tr, bi, zvals, slab=None):
-        """Advance x* and x over a chunk's row draws, adding zvals[k], the
-        z-half's record (None without the z-update), to iteration k's w.
+    def _x_half(self, fi, tr, bi, zvals, slab):
+        """Advance x* and x of a slab over a chunk's row draws, adding zvals[k],
+        the z-half's record (None without the z-update), to iteration k's w.
 
-        With a slab of _slabs, only its presets, as a draw group of its own:
-        on the group's row index, which broadcasts as with one draw group."""
-        if slab is None:
-            x, xstar, f_update, zmap = self.state.x, self.state.xstar, self._f_update, self._zmap
-        else:
-            x, xstar, f_update = slab.x, slab.xstar, slab.f_update
-            fi, tr, bi = fi[:, slab.first], tr[:, slab.idx], bi[:, slab.first]
-            zmap = self._zmap[slab.idx]
+        The slab is _whole or one of _slabs, whose presets run as a draw group
+        of their own: on its row index, which broadcasts as with one group."""
+        x, xstar, f_update = slab.x, slab.xstar, slab.f_update
+        fi, tr, bi = fi[:, slab.first], tr[:, slab.idx], bi[:, slab.first]
+        zmap = None if self._zmap is None else self._zmap[slab.idx]
         vec = xstar.ndim > 1
         # a gathered row broadcasts over the presets
         dot = np.vecdot if vec else np.vdot

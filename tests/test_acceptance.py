@@ -19,9 +19,10 @@ from gerk.experiments import (
     write_experiment_csvs,
 )
 from gerk.linalg import (
-    draw_nullspace_noise,
+    draw_off_span,
     embed_complex_as_real,
     embed_vec,
+    left_singular_bases,
     make_rank_deficient,
     range_projector_apply,
     spectral_norm,
@@ -53,7 +54,8 @@ def test_extended_kaczmarz_reaches_pseudoinverse_solution():
         rng = RngStream(1000 + seed, 0)
         A = make_rank_deficient(100, 50, 25, 1.0, 3.0, "real", rng)
         b_hat = A @ rng.normal_array(50)
-        b = b_hat + draw_nullspace_noise(A, 5.0 * np.linalg.norm(b_hat), "real", rng)
+        noise_basis = left_singular_bases(A, False)[0]
+        b = b_hat + draw_off_span(noise_basis, 5.0 * np.linalg.norm(b_hat), "real", rng)
         cfg = preset("rek", A, max_iterations=20000, seed=1000 + seed, stream=1)
         report = run(A, b, cfg)
         x_ref = svd_pseudoinverse_apply(A, b)

@@ -6,6 +6,7 @@ from gerk.blocks import (
     column_partition,
     contiguous_blocks,
     draw_blocks,
+    owners,
     paired_blocks,
     row_partition,
 )
@@ -102,8 +103,8 @@ def test_zero_block_never_drawn():
     assert rows.probabilities.tolist() == [0.5, 0.0, 0.5, 0.0]
     assert cols.probabilities.tolist() == [1.0, 0.0]
     u = np.concatenate([RngStream(206).random_array(1000), [0.0, 0.5, 1.0 - 2.0 ** -53]])
-    assert set(draw_blocks(rows._cum, u).tolist()) == {0, 2}
-    assert set(draw_blocks(cols._cum, u).tolist()) == {0}
+    assert set(rows.draw(u).tolist()) == {0, 2}
+    assert set(cols.draw(u).tolist()) == {0}
     cum = np.cumsum([0.1] * 10 + [0.0])
     assert cum[-1] < 1.0 and int(draw_blocks(cum, 1.0 - 2.0 ** -53)) == 9
     # given probabilities: positive on the nonzero blocks, 0 on the zero ones
@@ -182,7 +183,7 @@ def test_draw_blocks_vectorised_and_clamped():
     part = row_partition(np.eye(3), probabilities=[0.2, 0.3, 0.5])
     a, b = RngStream(204), RngStream(204)
     drawn = [part.sample(a) for _ in range(500)]
-    assert drawn == draw_blocks(part._cum, b.random_array(500)).tolist()
+    assert drawn == part.draw(b.random_array(500)).tolist()
     assert a.next_u64() == b.next_u64()
 
 
@@ -224,3 +225,9 @@ def test_partition_needs_one_squared_norm_per_block():
     with pytest.raises(DimensionMismatch, match="need one squared norm per block"):
         BlockPartition("row", 3, [[0], [1], [2]], [1.0, 1.0])
     BlockPartition("row", 3, [[0], [1], [2]], [1.0, 1.0, 1.0])  # positive control
+
+
+def test_owners_needs_at_least_one_block():
+    with pytest.raises(ValueError, match="need at least one block"):
+        owners([], 3)
+    assert owners([np.arange(3)], 3).tolist() == [0, 0, 0]  # positive control

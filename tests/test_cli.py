@@ -12,7 +12,6 @@ import gerk.cli
 import gerk.oracles
 from gerk.cli import main
 from gerk.errors import (
-    DegenerateNullspace,
     DimensionMismatch,
     FieldMismatch,
     InvalidRank,
@@ -494,7 +493,6 @@ def test_config_preset_bypassing_choices_still_fails_cleanly(tmp_path):
     (DimensionMismatch("3 rows, 4 entries"), 3),
     (FieldMismatch("real and complex"), 3),
     (InvalidRank("rank 0"), 4),
-    (DegenerateNullspace("trivial nullspace"), 4),
     (ZeroMatrix("zero row"), 4),
     (TooManyColumns("16 > 15 columns"), 5),
     (NonFiniteInput("nan in A"), 1),
@@ -757,6 +755,37 @@ def test_unusable_step_size_exit_code(tmp_path, capsys):
     assert np.isfinite(read_vector_csv(tmp_path / "out-1.0" / "solution.csv")).all()
 
 
+def test_misfit_gradient_of_b_that_overflows_exit_code(tmp_path, capsys):
+    # z_0 = (1/max(eps, |b_i|) + tau) b_i overflows at tau = 1e300 on b x 1e10:
+    # the run exited 0 with solution.csv all NaN
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = A @ rng.standard_normal(4)
+    write_matrix_market(tmp_path / "A.mtx", A)
+    argv = ["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+            "--preset", "gerk_bd", "--lambda", "1", "--eps", "0.1", "--tau", "1e300"]
+    for scale, code in ((1e10, 2), (1.0, 0)):  # the unscaled system is the positive control
+        write_vector_csv(tmp_path / "b.csv", scale * b)
+        out = tmp_path / f"out-{scale:g}"
+        assert main(argv + ["--iterations", "2000", "--out", str(out)]) == code
+    assert capsys.readouterr().err == ("gerk: error: z_0 = grad g*(b) of the huber_quad misfit "
+                                       "overflows; rescale b or the misfit's parameters\n")
+    assert not (tmp_path / "out-1e+10").exists()
+    x = read_vector_csv(tmp_path / "out-1" / "solution.csv")
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_experiment_singular_values_whose_norms_overflow_exit_code(tmp_path, capsys):
+    # ||b_hat|| overflowed on a finite b_hat: numpy warned, and the error blamed
+    # noise_level; the scaled norm leaves the check of A's row norms to refuse it
+    argv = ["experiment", "--which", "i", "--m", "20", "--n", "10", "--rank", "5",
+            "--sparsity", "2", "--trials", "1", "--epochs", "2"]
+    assert main(argv + ["--sv-lo", "1e200", "--sv-hi", "1e200", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("gerk: error: the squared row norms of A overflow or "
+                                       "underflow; rescale A\n")
+    assert main(argv + ["--out", str(tmp_path)]) == 0  # positive control: the desk values
+
+
 def test_solve_needs_a_preset(tmp_path, capsys):
     write_system(tmp_path, m=4, n=2)
     rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
@@ -767,8 +796,8 @@ def test_solve_needs_a_preset(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, message", [
     ("list", ":1: config must be a JSON object"),
-    ("missing", ":0: cannot read config: No such file or directory"),
-    ("directory", ":0: cannot read config: Is a directory"),
+    ("missing", ":0: cannot read file: No such file or directory"),
+    ("directory", ":0: cannot read file: Is a directory"),
 ])
 def test_config_that_is_not_a_readable_object_exit_code(tmp_path, capsys, kind, message):
     write_system(tmp_path, m=4, n=2)

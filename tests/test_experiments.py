@@ -455,6 +455,19 @@ def test_noise_level_whose_noise_overflows_is_rejected(which, field):
     assert np.max(np.abs(b)) > 1e299
 
 
+def test_noise_radius_of_a_b_hat_whose_norm_overflows():
+    # every entry of b_hat finite, ||b_hat|| past the largest double: the radius
+    # is the scaled norm, where np.linalg.norm warned and the error blamed noise_level
+    def instance(sv):
+        return gen_experiment_i(m=20, n=10, rank=5, sparsity=2, noise_level=5.0, sv_lo=sv,
+                                sv_hi=sv, field="real", rng=RngStream(0))
+
+    for sv in (1.0, 1e200):  # 1.0 is the control, whose norms do not overflow
+        inst = instance(sv)
+        assert np.isfinite(inst.b).all()
+        noise = np.linalg.norm((inst.b - inst.b_hat) / sv)
+        assert abs(noise - 5.0 * np.linalg.norm(inst.b_hat / sv)) <= 1e-12 * noise
+
 
 def test_impulses_need_as_many_rows():
     # n = 41 asks for ceil(41 / 20) = 3 impulses; m = 2 rows cannot hold them

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from gerk.errors import DegenerateNullspace, DimensionMismatch, InvalidRank, ZeroMatrix
+from gerk.errors import DimensionMismatch, InvalidRank, ZeroMatrix
 from gerk.linalg import (
     RANK_RTOL,
     as_matrix,
     as_vector,
-    draw_nullspace_noise,
+    draw_off_span,
     embed_complex_as_real,
     embed_vec,
     extract_vec,
+    left_singular_bases,
     make_rank_deficient,
     min_positive_singular,
     nullspace_basis_adjoint,
@@ -100,6 +101,12 @@ def test_pseudoinverse_apply_rank_deficient():
     assert np.linalg.norm(x - svd_pseudoinverse_apply(M, M @ x)) <= 1e-9
 
 
+def test_pseudoinverse_apply_needs_one_entry_per_row():
+    with pytest.raises(DimensionMismatch, match="matrix has 3 rows, vector has length 2"):
+        svd_pseudoinverse_apply(np.eye(3), np.ones(2))
+    assert svd_pseudoinverse_apply(np.eye(3), np.ones(3)).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_range_projector_idempotent_and_exact():
     rng = RngStream(105)
     for case in range(40):
@@ -156,16 +163,9 @@ def test_nullspace_noise_norm_and_orthogonality():
     rng = RngStream(110)
     for field in ("real", "complex"):
         M = make_rank_deficient(10, 6, 3, 0.5, 2.0, field, rng)
-        noise = draw_nullspace_noise(M, 2.5, field, rng)
+        noise = draw_off_span(left_singular_bases(M, False)[0], 2.5, field, rng)
         assert abs(np.linalg.norm(noise) - 2.5) <= 1e-10
         assert np.linalg.norm(M.conj().T @ noise) <= 1e-9
-
-
-def test_nullspace_noise_degenerate():
-    rng = RngStream(111)
-    M = random_matrix(rng, 3, 8, "real")
-    with pytest.raises(DegenerateNullspace):
-        draw_nullspace_noise(M, 1.0, "real", rng)
 
 
 def test_embedding_matvec_identity():

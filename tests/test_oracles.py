@@ -4,9 +4,10 @@ import pytest
 import gerk.oracles
 from gerk.errors import NotConverged
 from gerk.linalg import (
-    draw_nullspace_noise,
+    draw_off_span,
     embed_complex_as_real,
     embed_vec,
+    left_singular_bases,
     make_rank_deficient,
     range_projector_apply,
     spectral_norm,
@@ -166,7 +167,8 @@ def test_oracle_consistency_on_noisy_instance():
     support = rng.choice_without_replacement(18, 3)
     x_hat[support] = 10.0 * rng.signs(3)
     b_hat = A @ x_hat
-    noise = draw_nullspace_noise(A, 5.0 * np.linalg.norm(b_hat), "real", rng)
+    noise = draw_off_span(left_singular_bases(A, False)[0], 5.0 * np.linalg.norm(b_hat), "real",
+                          rng)
     b = b_hat + noise
     y_proj = range_projection_quadratic(A, b).value
     assert np.linalg.norm(y_proj - b_hat) <= 1e-8 * np.linalg.norm(b_hat)

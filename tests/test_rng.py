@@ -139,3 +139,9 @@ def test_sample_index_validation():
 def test_uniform_array_interval():
     u = RngStream(4).uniform_array(2.0, 5.0, 1000)
     assert u.min() >= 2.0 and u.max() < 5.0
+
+
+def test_gaussian_array_needs_a_known_field():
+    with pytest.raises(ValueError, match="unknown field 'quaternion'"):
+        RngStream(0).gaussian_array(3, "quaternion")
+    assert RngStream(0).gaussian_array(3, "complex").dtype == np.complex128  # positive control

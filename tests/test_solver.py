@@ -993,6 +993,26 @@ def test_a_step_size_that_is_not_finite_and_positive_is_refused(scale, eps, tau)
     assert np.isfinite(report.state.x).all()
 
 
+def test_a_misfit_gradient_of_b_that_overflows_is_refused():
+    # z_0 = (1/max(eps, |b_i|) + tau) b_i overflows at tau = 1e300 on b x 1e10: x was
+    # all NaN after 20 iterations, with stop reason max_iterations
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = A @ rng.standard_normal(4)
+
+    def presets(*names):
+        return [[preset(name, A, lam=1.0, eps=0.1, tau=1e300, max_iterations=2000, seed=0)]
+                for name in names]
+
+    message = r"^z_0 = grad g\*\(b\) of the huber_quad misfit overflows"
+    for names in (["gerk_bd"], ["rek", "gerk_bd"]):  # the misfit named is the chain's own
+        with pytest.raises(ValueError, match=message):
+            Session([A], [1e10 * b], presets(*names))
+    # positive control: the unscaled system converges
+    x = Session(A, b, presets("gerk_bd")[0][0]).advance(2000).x
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_config_checks_of_a_session():
     rng = RngStream(570)
     A, A2 = (rng.normal_array(8 * 4).reshape(8, 4) for _ in range(2))
