@@ -8,9 +8,11 @@ Three subcommands:
                      a sparsity summary, print the sparsity table
     gerk certify     compute and sample-check an error-bound certificate
 
-Every option is declared once, in build_parser.  main resolves each value
-once: the flag, then the JSON config file (--config), whose values are parsed
-like flag text, then the profile (experiment only), then the built-in
+Every option is declared once, in build_parser.  The parser is built once per
+process and never written to, so main may be called repeatedly and no state
+carries from one call to the next.  Each call parses argv once, then fills
+each value no flag gave from the JSON config file (--config), whose values are
+parsed like flag text, then the profile (experiment only), then the built-in
 default.  Exit codes: 0 success, 2 I/O or parse failure (message names file
 and line), 3 dimension mismatch, 4 degenerate problem (generator degeneracy,
 zero matrix, zero right-hand side), 5 enumeration cap exceeded.  All outputs
@@ -19,6 +21,7 @@ invocations produce byte-identical files.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -98,21 +101,22 @@ def _config_value(path, action, value):
     return parsed
 
 
-def _resolve_options(parser, args, argv):
-    """Re-parse argv so each option takes the flag, then the config file, then
-    the profile (experiment only), then the built-in default."""
-    options = parser.options[args.command]
+def _resolve_options(args):
+    """Fill each option no flag gave from the config file, then the profile
+    (experiment only), then the built-in default."""
+    options = build_parser().options[args.command]
     config = {}
     if args.config is not None:
         for key, value in _load_config(args.config).items():
             if key in options and value is not None:
-                config[key] = options[key].default = _config_value(args.config, options[key], value)
-        args = parser.parse_args(argv)
+                config[key] = _config_value(args.config, options[key][0], value)
+    profile = {}
     if args.command == "experiment":
-        for key, value in PROFILES[(args.profile, args.which)].items():
-            options[key].default = config.get(key, value)
-        args = parser.parse_args(argv)
-    return args
+        args.profile = args.profile or config.get("profile", options["profile"][1])
+        profile = PROFILES[(args.profile, args.which)]
+    for dest, (_, default) in options.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, config.get(dest, profile.get(dest, default)))
 
 
 def _preset_names(text):
@@ -214,12 +218,14 @@ def cmd_certify(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     """Declare every option once: its flag, type, choices and built-in default.
 
-    parser.options[command] maps the dest of each option a config file may
-    also set to its argparse action.  --matrix, --rhs, --xhat, --out, --which
-    and --config are flag-only.
+    Built once per process, never written to.  parser.options[command] maps the
+    dest of each option a config file may also set to its argparse action, whose
+    default None means not given, and its built-in default.  --matrix, --rhs,
+    --xhat, --out, --which and --config are flag-only.
     """
     parser = argparse.ArgumentParser(
         prog="gerk",
@@ -228,20 +234,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     parser.options = {}
 
-    def command(name, func, summary):
+    def command(name, summary):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override it")
         options = parser.options[name] = {}
 
-        def option(*flags, **kwargs):
+        def option(*flags, default=None, **kwargs):
             action = p.add_argument(*flags, **kwargs)
-            options[action.dest] = action
+            options[action.dest] = action, default
 
         option("--seed", type=int, default=0)
         return p, option
 
-    p, option = command("solve", cmd_solve, "run one preset on a MatrixMarket system")
+    p, option = command("solve", "run one preset on a MatrixMarket system")
     p.add_argument("--matrix", required=True, help="MatrixMarket matrix file")
     p.add_argument("--rhs", required=True, help="right-hand side vector CSV")
     p.add_argument("--out", required=True, help="output directory")
@@ -252,7 +257,7 @@ def build_parser():
     option("--iterations", type=int, help="default: 200 per row of the matrix")
     option("--checkpoint-interval", type=int)
 
-    p, option = command("experiment", cmd_experiment, "run the reproducible trial harness")
+    p, option = command("experiment", "run the reproducible trial harness")
     p.add_argument("--which", choices=("i", "ii"), required=True)
     p.add_argument("--out", required=True, help="output directory")
     option("--profile", choices=("desk", "paper"), default="desk")
@@ -272,7 +277,7 @@ def build_parser():
     option("--epochs", type=int)
     option("--checkpoint-interval", type=int, help="default: one epoch")
 
-    p, option = command("certify", cmd_certify, "error-bound certificate for a system")
+    p, option = command("certify", "error-bound certificate for a system")
     p.add_argument("--matrix", required=True)
     p.add_argument("--xhat", help="planted solution vector CSV")
     p.add_argument("--rhs", help="derive x_hat from this rhs instead")
@@ -295,11 +300,10 @@ EXIT_CODES = (
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _resolve_options(parser, args, argv)
-        return args.func(args)
+        _resolve_options(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (GerkError, OSError, ValueError) as exc:
         print(f"gerk: error: {exc}", file=sys.stderr)
         return next(code for types, code in EXIT_CODES if isinstance(exc, types))

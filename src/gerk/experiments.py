@@ -301,6 +301,20 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
         final_x[label].append(state.x.copy())
 
 
+def _quantiles(stacked):
+    """min, q25, median, q75 and max of each column: numpy's linear interpolation,
+    except that a quantile on an order statistic, or between two equal ones, is
+    that value, and one between a finite value and inf is inf.  np.quantile
+    gives nan for both once a metric is inf, as it is past the largest double."""
+    q = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    ordered = np.sort(stacked, axis=0)
+    h = (len(ordered) - 1) * q
+    lo, hi = ordered[np.floor(h).astype(int)], ordered[np.ceil(h).astype(int)]
+    with np.errstate(invalid="ignore"):  # inf - inf inside np.quantile
+        qs = np.quantile(ordered, q, axis=0)
+    return np.where(lo == hi, lo, np.where(hi == np.inf, np.inf, qs))
+
+
 def run_trials(
     generator,
     preset_specs,
@@ -348,8 +362,7 @@ def run_trials(
         for name in METRIC_NAMES:
             if name not in traces[label][0].metrics:
                 continue
-            stacked = np.vstack([tr.metrics[name] for tr in traces[label]])
-            qs = np.quantile(stacked, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+            qs = _quantiles(np.vstack([tr.metrics[name] for tr in traces[label]]))
             bands[label][name] = AggregateBand(
                 checkpoints=checkpoints,
                 min=qs[0],

@@ -156,6 +156,9 @@ def _finish_on_support(A, y_hat, lam, signs, full_rank, tol, ynorm):
     is then the solve's rounding), is dropped and S solved again.  x is accepted
     when ||A x - y_hat|| <= tol * ynorm and either A has full column rank (x is
     then the only feasible point) or |A_j^T w| <= lam off S (the dual certificate).
+    When A has full column rank and this x is not accepted, or the pattern leaves
+    no support (a lam so large that x stays 0), the least-squares solution
+    A^+ y_hat is that only feasible point, accepted under the same residual check.
     """
     on = signs != 0
     while on.any():
@@ -169,9 +172,14 @@ def _finish_on_support(A, y_hat, lam, signs, full_rank, tol, ynorm):
         x = np.zeros(A.shape[1])
         x[on] = x_S
         res = float(np.linalg.norm(A @ x - y_hat))
-        if res > tol * ynorm:
-            return None
-        if full_rank or np.all(np.abs(A[:, ~on].T @ svd_pseudoinverse_apply(A_S.T, u)) <= lam):
+        if res <= tol * ynorm and (
+            full_rank or np.all(np.abs(A[:, ~on].T @ svd_pseudoinverse_apply(A_S.T, u)) <= lam)
+        ):
             return x, res
-        return None
+        break
+    if full_rank:
+        x = svd_pseudoinverse_apply(A, y_hat)
+        res = float(np.linalg.norm(A @ x - y_hat))
+        if res <= tol * ynorm:
+            return x, res
     return None

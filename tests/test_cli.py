@@ -810,3 +810,68 @@ def test_config_that_is_not_a_readable_object_exit_code(tmp_path, capsys, kind, 
                "--rhs", str(tmp_path / "b.csv"), "--preset", "rk", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"gerk: error: {cfg}{message}\n"
+
+
+def test_three_calls_build_the_parser_once(tmp_path):
+    # a fresh process counts the parsers named gerk that three main calls construct
+    write_matrix_market(tmp_path / "I.mtx", np.eye(2))
+    write_vector_csv(tmp_path / "x.csv", np.array([1.0, 0.0]))
+    argv = ["certify", "--matrix", str(tmp_path / "I.mtx"), "--xhat", str(tmp_path / "x.csv"),
+            "--lambda", "1", "--samples", "10"]
+    code = ("import argparse, sys\n"
+            "import gerk.cli\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "assert [gerk.cli.main(sys.argv[1:]) for _ in range(3)] == [0, 0, 0]\n"
+            "print(built.count('gerk'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_no_option_carries_over_to_the_next_call(monkeypatch, tmp_path):
+    # a call whose config sets the profile and lambda leaves nothing behind: the
+    # next call resolves the desk profile and the built-in defaults, as a fresh
+    # process does
+    experiment = BASE_ARGV["experiment"]
+    args = resolved_args(monkeypatch, experiment, {"profile": "paper", "lambda": 0.5}, tmp_path)
+    assert (args.profile, args.m, args.lam) == ("paper", 1000, 0.5)
+    fresh = dict(command="experiment", config=None, which="ii", out="out", profile="desk",
+                 field="real", presets=None, seed=0, checkpoint_interval=None,
+                 **gerk.cli.PROFILES[("desk", "ii")])
+    for argv in (experiment, experiment + ["--profile", "desk"]):
+        assert vars(resolved_args(monkeypatch, argv)) == fresh
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, tmp_path, capsys):
+    write_matrix_market(tmp_path / "I.mtx", np.eye(2))
+    write_vector_csv(tmp_path / "x.csv", np.array([1.0, 0.0]))
+    argv = ["certify", "--matrix", str(tmp_path / "I.mtx"), "--xhat", str(tmp_path / "x.csv"),
+            "--lambda", "1", "--samples", "10"]
+    assert main(argv) == 0
+    given = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["gerk"] + argv)
+    assert main() == 0
+    assert capsys.readouterr().out == given
+    assert "violations = 0" in given
+
+
+def test_experiment_band_of_a_metric_past_the_largest_double_reads_inf(tmp_path):
+    # srk's residual norm passes the largest double; np.quantile wrote its
+    # bands as nan and warned, which pytest turns into a failure
+    rc = main(["experiment", "--which", "ii", "--m", "20", "--n", "10", "--rank", "5",
+               "--sparsity", "2", "--trials", "1", "--epochs", "1", "--noise-level", "1e308",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    for name in ("rel_residual", "rel_grad_quadratic", "rel_grad_misfit"):
+        lines = (tmp_path / "o" / "ii" / "srk" / f"{name}.csv").read_text().splitlines()
+        assert lines[-1] == "20,inf,inf,inf,inf,inf"
+    assert not any("nan" in p.read_text() for p in (tmp_path / "o").rglob("*.csv"))

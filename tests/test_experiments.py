@@ -223,6 +223,55 @@ def test_band_quantile_ordering():
     assert "z_error" in result.bands["gerk_ad"]
 
 
+def run_with_one_overflowing_trial(trials):
+    # trial 0 has impulses of 1e308 times ||b_hat||_inf: srk's residual norm
+    # passes the largest double and reads inf, while the other trials stay finite
+    levels = iter([1e308] + [5.0] * (trials - 1))
+
+    def generator(rng):
+        return gen_experiment_ii(m=20, n=10, rank=5, sparsity=2, noise_level=next(levels),
+                                 sv_lo=0.1, sv_hi=10.0, field="real", rng=rng)
+
+    return run_trials(generator, [PresetSpec("srk", lam=10.0)], trials=trials, iterations=20,
+                      base_seed=0)
+
+
+OVERFLOWING = ("rel_residual", "rel_grad_quadratic", "rel_grad_misfit")
+
+
+def test_band_of_one_trial_past_the_largest_double_is_inf():
+    # np.quantile read each band of a one-trial inf as nan, and warned
+    result = run_with_one_overflowing_trial(1)
+    for name in OVERFLOWING:
+        trace = result.traces["srk"][0].metrics[name]
+        assert trace[-1] == np.inf
+        band = result.bands["srk"][name]
+        for quantile in (band.min, band.q25, band.median, band.q75, band.max):
+            assert np.array_equal(quantile, trace)
+
+
+@pytest.mark.parametrize("trials", [4, 5])
+def test_band_beside_an_inf_trial(trials):
+    # at 5 trials each quantile is an order statistic; at 4, q25 and the median
+    # interpolate between finite values and q75 between a finite value and inf.
+    # np.quantile gave nan on the inf order statistic and beside it
+    result = run_with_one_overflowing_trial(trials)
+    for name, band in result.bands["srk"].items():
+        stacked = np.vstack([tr.metrics[name] for tr in result.traces["srk"]])
+        got = np.array([band.min, band.q25, band.median, band.q75, band.max])
+        with np.errstate(invalid="ignore"):
+            numpy = np.quantile(stacked, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+        finite = np.isfinite(stacked).all(axis=0)
+        assert np.array_equal(got[:, finite], numpy[:, finite])  # bit for bit
+        assert not np.isnan(got).any()
+        if name in OVERFLOWING:
+            assert list(finite) == [True] * (len(finite) - 1) + [False]
+            last = np.sort(stacked[:, -1])
+            assert last[-1] == np.inf
+            want = last if trials == 5 else [*numpy[:3, -1], np.inf, np.inf]
+            assert np.array_equal(got[:, -1], want)
+
+
 def test_batched_equals_one_at_a_time():
     batched = run_small(trials=4)
     for t in range(4):

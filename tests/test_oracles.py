@@ -254,3 +254,21 @@ def test_constrained_min_embedded_real_solution_has_an_exactly_zero_imaginary_ha
         assert sol.iterations < 100
         assert np.array_equal(sol.value[7:], np.zeros(7))
         assert np.linalg.norm(sol.value[:7] - x_real) <= 1e-10 * np.linalg.norm(x_real)
+
+
+def test_constrained_min_full_column_rank_with_a_lam_that_keeps_x_zero():
+    # at lam = 1e300, x = S_lam(A^T w) stays 0: the held all-zero pattern left the
+    # finish no support, and the loop ran to max_iter.  With full column rank x is
+    # the only feasible point, the least-squares solution
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    y_hat = A @ rng.standard_normal(4)
+    sol = constrained_regularizer_min(A, y_hat, ElasticNet(1e300), max_iter=1000)
+    assert sol.converged
+    assert sol.iterations == gerk.oracles.FINISH_AFTER
+    assert np.array_equal(sol.value, svd_pseudoinverse_apply(A, y_hat))
+    assert sol.residual <= 1e-10 * np.linalg.norm(y_hat)
+    # negative control: a rank-deficient A has no single feasible point to fall back on
+    A = make_rank_deficient(8, 4, 3, 0.5, 2.0, "real", RngStream(0))
+    with pytest.raises(NotConverged):
+        constrained_regularizer_min(A, A @ np.ones(4), ElasticNet(1e300), max_iter=1000)
