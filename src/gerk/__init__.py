@@ -22,6 +22,7 @@ from .errors import (
     InvalidRank,
     MissingParameter,
     NonFiniteInput,
+    NonFiniteIterate,
     NotASubgradient,
     NotConverged,
     OracleMismatch,
@@ -74,11 +75,8 @@ from .potentials import (
     Quadratic,
     QuadraticMisfit,
     bregman_distance,
-    complex_shrinkage,
-    group_shrinkage,
-    soft_shrinkage,
 )
-from .rng import RngStream, sample_index
+from .rng import RngStream
 from .solver import (
     Session,
     SolverConfig,

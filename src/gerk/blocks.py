@@ -63,24 +63,18 @@ class BlockPartition:
         return len(self.blocks)
 
     def draw(self, u):
-        """draw_blocks over this partition's cumulative probabilities."""
-        return draw_blocks(self._cum, u)
+        """Block index of each uniform u in [0, 1): the first k with cum[k] > u,
+        cum the cumulative block probabilities, so a block of probability 0 is
+        never drawn.  Rounding can leave cum[-1] just below 1, so indices are
+        clamped to the last block of positive probability.  The one
+        implementation of index sampling: an array of u at once, or a scalar u
+        giving a numpy integer."""
+        cum = self._cum
+        return np.minimum(cum.searchsorted(u, side="right"), cum.searchsorted(cum[-1]))
 
     def sample(self, rng):
         """Draw one block index using one uniform."""
         return int(self.draw(rng.random()))
-
-
-def draw_blocks(cum, u):
-    """Block index of each uniform u in [0, 1): the first k with cum[k] > u.
-
-    cum holds the cumulative block probabilities, so a block of probability 0
-    is never drawn.  Rounding can leave cum[-1] just below 1, so indices are
-    clamped to the last block of positive probability (the last block when
-    none is zero).  This is the one implementation of index sampling; it maps
-    a whole array of uniforms at once, and a scalar u gives a numpy integer.
-    """
-    return np.minimum(cum.searchsorted(u, side="right"), cum.searchsorted(cum[-1]))
 
 
 def owners(blocks, n, noun="block"):

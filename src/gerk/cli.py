@@ -14,10 +14,12 @@ carries from one call to the next.  Each call parses argv once, then fills
 each value no flag gave from the JSON config file (--config), whose values are
 parsed like flag text, then the profile (experiment only), then the built-in
 default.  Exit codes: 0 success, 2 I/O or parse failure (message names file
-and line), 3 dimension mismatch, 4 degenerate problem (generator degeneracy,
-zero matrix, zero right-hand side), 5 enumeration cap exceeded.  All outputs
-are written atomically and contain no timestamps, so repeated identical
-invocations produce byte-identical files.
+and line) or an input to rescale (norms past the doubles, an iterate that
+goes non-finite mid-run: NonFiniteIterate), 3 dimension mismatch, 4
+degenerate problem (generator degeneracy, zero matrix, zero right-hand
+side), 5 enumeration cap exceeded.  All outputs are written atomically and
+contain no timestamps, so repeated identical invocations produce
+byte-identical files.
 """
 
 import argparse
@@ -35,6 +37,7 @@ from .errors import (
     GerkError,
     InvalidRank,
     MissingParameter,
+    NonFiniteIterate,
     ParseError,
     TooManyColumns,
     ZeroMatrix,
@@ -289,9 +292,9 @@ def build_parser():
 
 
 # exit code of each error type, first match wins; a ValueError is an option
-# value the library rejects, such as --trials 0
+# value the library rejects, such as --trials 0; NonFiniteIterate asks to rescale
 EXIT_CODES = (
-    ((ParseError, MissingParameter, OSError, ValueError), EXIT_PARSE),
+    ((ParseError, MissingParameter, NonFiniteIterate, OSError, ValueError), EXIT_PARSE),
     ((DimensionMismatch, FieldMismatch), EXIT_DIMENSION),
     ((InvalidRank, ZeroMatrix), EXIT_DEGENERATE),
     (TooManyColumns, EXIT_ENUMERATION),

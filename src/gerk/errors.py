@@ -54,6 +54,10 @@ class NotConverged(GerkError):
         self.residual = residual
 
 
+class NonFiniteIterate(GerkError):
+    """A solver iterate went NaN or infinite mid-run, past what the doubles hold."""
+
+
 class WorkerDied(GerkError):
     """The forked worker running a session's z-chain ahead died mid-run."""
 

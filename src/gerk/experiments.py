@@ -185,10 +185,16 @@ def _norm(v):
     try."""
     norm = float(np.linalg.norm(v))
     if not NORM_MIN <= norm < math.inf and np.isfinite(v).all():
-        scale = float(np.max(np.abs(v)))
+        scale = _max_abs(v)
         if scale > 0.0:
             norm = scale * float(np.linalg.norm(v / scale))
     return norm
+
+
+def _max_abs(v):
+    """max|v_j|; where a complex modulus overflows, the largest |real| or |imaginary| part."""
+    scale = float(np.max(np.abs(v)))
+    return scale if scale < math.inf else float(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))
 
 
 def sparsity_count(x):
@@ -232,17 +238,27 @@ class MetricRecorder:
         anti_residual = self.b - Ax
         self.checkpoints.append(state.k)
         self.rows["rel_residual"].append(_norm(Ax - self.b_hat) / self.b_hat_norm)
-        grad = self.Ah @ anti_residual
-        self.rows["rel_grad_quadratic"].append(_norm(grad) / self.b_norm)
+        rel = self._rel_grad(anti_residual)
+        self.rows["rel_grad_quadratic"].append(rel)
         if not self.g_identity:
-            grad = self.Ah @ self.g.gradient(anti_residual)
-        self.rows["rel_grad_misfit"].append(_norm(grad) / self.b_norm)
+            rel = self._rel_grad(self.g.gradient(anti_residual))
+        self.rows["rel_grad_misfit"].append(rel)
         if self.x_hat is not None:
             self.rows["rel_error"].append(_norm(x - self.x_hat) / self.x_hat_norm)
         if self.z_target is not None and state.zstar is not None:
             self.rows["z_error"].append(_norm(state.zstar - self.z_target))
         self.rows["sparsity"].append(float(sparsity_count(x)))
         return False
+
+    @np.errstate(invalid="ignore")
+    def _rel_grad(self, r):
+        """||A^H r|| / ||b||; where A^H r holds a nan (inf - inf) for finite r,
+        from A^H (r / max|r|) with max|r| / ||b|| folded back in."""
+        grad = self.Ah @ r
+        if not np.isnan(grad).any() or not np.isfinite(r).all():
+            return _norm(grad) / self.b_norm
+        scale = _max_abs(r)
+        return _norm(self.Ah @ (r / scale)) * (scale / self.b_norm)
 
     def trace(self):
         metrics = {

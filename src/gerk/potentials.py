@@ -5,7 +5,7 @@ gradient (conj_lipschitz = 1 for every variant here).  The solver only ever
 touches f through f* and its gradient:
 
     quadratic      f(x) = 0.5*||x||^2              grad f*(y) = y
-    elastic net    f(x) = lam*||x||_1 + 0.5*||x||^2    grad f*(y) = soft_shrinkage(y, lam)
+    elastic net    f(x) = lam*||x||_1 + 0.5*||x||^2    grad f*(y) = S_lam(y)
     group          f(x) = lam*sum_g ||x_g|| + 0.5*||x||^2
     complex        f(x) = lam*sum_j |x_j| + 0.5*||x||^2 (moduli)
 
@@ -31,8 +31,8 @@ one type with equal parameters, so the solver can run one kernel over the
 slabs of several presets of one potential.
 
 The allocating forms, conjugate_gradient (regularizers) and gradient
-(misfits), are derived from the kernel in one place (_allocating), and the
-shrinkage functions are aliases of them.
+(misfits), are derived from the kernel in one place (_allocating); a
+regularizer's conjugate_gradient is its shrinkage map.
 """
 
 import math
@@ -239,21 +239,6 @@ class ComplexElasticNet(_Regularizer):
             np.multiply(xstar, scale, out=out)
 
         return apply
-
-
-def soft_shrinkage(x, lam):
-    """Componentwise max(|x_j| - lam, 0) * sign(x_j), with sign(0) = 0."""
-    return ElasticNet(lam).conjugate_gradient(x)
-
-
-def complex_shrinkage(x, lam):
-    """Componentwise max(|x_j| - lam, 0) * x_j/|x_j|, with 0 at x_j = 0."""
-    return ComplexElasticNet(lam).conjugate_gradient(x)
-
-
-def group_shrinkage(x, lam, groups):
-    """Scale each group x_g by max(0, 1 - lam/||x_g||); the groups must cover x."""
-    return GroupElasticNet(lam, groups).conjugate_gradient(x)
 
 
 class QuadraticMisfit(_Misfit):

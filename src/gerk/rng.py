@@ -20,8 +20,6 @@ platform.
 
 import numpy as np
 
-from .blocks import draw_blocks
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -120,17 +118,3 @@ class RngStream:
         out.sort()
         return np.asarray(out, dtype=np.intp)
 
-
-def sample_index(probabilities, rng):
-    """Draw an index with the given probabilities using one uniform.
-
-    probabilities must be strictly positive and sum to 1 within 1e-12.
-    """
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a nonempty 1-d array")
-    if np.any(p <= 0.0):
-        raise ValueError("probabilities must be strictly positive")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to 1 within 1e-12")
-    return int(draw_blocks(np.cumsum(p), rng.random()))

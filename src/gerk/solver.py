@@ -116,6 +116,7 @@ from .errors import (
     FieldMismatch,
     MissingParameter,
     NonFiniteInput,
+    NonFiniteIterate,
     WorkerDied,
 )
 from .linalg import as_matrix, as_vector
@@ -380,6 +381,11 @@ class Session:
         self.cfg = cfg = cfgs[0]
         m, n = self.shape = As[0].shape
         is_complex = np.iscomplexobj(As[0])
+        for t, A_t in enumerate(As):
+            if A_t.shape != self.shape:
+                raise DimensionMismatch(f"system {t} has shape {A_t.shape}, system 0 {self.shape}")
+            if np.iscomplexobj(A_t) != is_complex:
+                raise FieldMismatch(f"system {t} and system 0 must both be real or both be complex")
         # draw groups, in order of first use: the presets without the z-update
         # and those with it, each drawing as its first preset's configs do
         z_ons = [p[0].z_update_enabled for p in presets]
@@ -567,7 +573,8 @@ class Session:
         presets without the z-update: this process runs that of the presets
         with it alone, and copies the worker's x and x* into state at each
         chunk's end.  Whatever reaps the worker, the chunks taken ahead run
-        on in-process from state.
+        on in-process from state.  At each chunk's end, with state whole, a
+        non-finite z* or x* raises NonFiniteIterate.
         """
         state = self.state
         horizon = max(end, self.cfg.max_iterations)  # draws go no further unless asked for
@@ -631,6 +638,10 @@ class Session:
                 state.k += count  # the streams count the draws of iterations run
                 for rng, draws in zip(self._rngs, self._draws):
                     rng.skip(count * draws)
+                for name, a in (("z*", state.zstar), ("x*", state.xstar)):
+                    if a is not None and not np.isfinite(a).all():
+                        raise NonFiniteIterate(f"the iterate {name} is not finite at iteration "
+                                               f"{state.k}; rescale A, b or the parameters")
                 if cut and worker is not None:
                     if not taken and k == end:
                         self._reap("last checkpoint")
@@ -649,6 +660,7 @@ class Session:
             if fork:
                 self._reap("close")
 
+    @np.errstate(over="ignore", invalid="ignore")  # _run checks the iterates
     def _z_half(self, fj, tc, fi, out):
         """Advance z* and z over a chunk's column draws, and return `out`
         with out[k] set to what the x-steps of the chunk's iteration k add to
@@ -682,6 +694,7 @@ class Session:
                 out[k] = zrows[i] if zmap is None else zrows[:, i]
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")  # _run checks the iterates
     def _x_half(self, fi, tr, bi, zvals, slab):
         """Advance x* and x of a slab over a chunk's row draws, adding zvals[k],
         the z-half's record (None without the z-update), to iteration k's w.

@@ -36,10 +36,7 @@ from gerk.potentials import (
     Quadratic,
     QuadraticMisfit,
     bregman_distance,
-    complex_shrinkage,
-    group_shrinkage,
     real_inner,
-    soft_shrinkage,
 )
 from gerk.rng import RngStream
 from gerk.solver import SolverConfig, preset, run
@@ -217,12 +214,13 @@ def test_randomized_property_suites_hold():
     for case in range(100):
         lam = 0.1 + rng.random()
         z = rng.complex_normal_array(n)
-        lhs = embed_vec(complex_shrinkage(z, lam))
-        rhs = group_shrinkage(embed_vec(z), lam, groups)
+        lhs = embed_vec(ComplexElasticNet(lam).conjugate_gradient(z))
+        rhs = GroupElasticNet(lam, groups).conjugate_gradient(embed_vec(z))
         assert np.linalg.norm(lhs - rhs) <= 1e-13
         xr = rng.normal_array(n)
         assert np.linalg.norm(
-            complex_shrinkage(xr.astype(complex), lam) - soft_shrinkage(xr, lam)
+            ComplexElasticNet(lam).conjugate_gradient(xr.astype(complex))
+            - ElasticNet(lam).conjugate_gradient(xr)
         ) <= 1e-13
 
     # 3) Bregman distance chain: alpha/2 ||x-y||^2 <= D <= <x*-y*, x-y>

@@ -5,7 +5,6 @@ from gerk.blocks import (
     BlockPartition,
     column_partition,
     contiguous_blocks,
-    draw_blocks,
     owners,
     paired_blocks,
     row_partition,
@@ -105,8 +104,10 @@ def test_zero_block_never_drawn():
     u = np.concatenate([RngStream(206).random_array(1000), [0.0, 0.5, 1.0 - 2.0 ** -53]])
     assert set(rows.draw(u).tolist()) == {0, 2}
     assert set(cols.draw(u).tolist()) == {0}
-    cum = np.cumsum([0.1] * 10 + [0.0])
-    assert cum[-1] < 1.0 and int(draw_blocks(cum, 1.0 - 2.0 ** -53)) == 9
+    # ten rows of probability 0.1 sum to just below 1: the last nonzero row is drawn
+    tenth = row_partition(np.concatenate([np.ones((10, 1)), np.zeros((1, 1))]))
+    assert tenth.probabilities.tolist() == [0.1] * 10 + [0.0]
+    assert np.cumsum(tenth.probabilities)[-1] < 1.0 and int(tenth.draw(1.0 - 2.0 ** -53)) == 9
     # given probabilities: positive on the nonzero blocks, 0 on the zero ones
     assert row_partition(A, probabilities=[0.25, 0.0, 0.75, 0.0]).probabilities[2] == 0.75
     for p in ([0.25, 0.25, 0.5, 0.0], [0.5, 0.0, 0.5 - 1e-3, 1e-3], [1.0, 0.0, 0.0, 0.0]):
@@ -175,10 +176,11 @@ def test_sampling_follows_probabilities():
 
 def test_draw_blocks_vectorised_and_clamped():
     # cum[-1] short of 1 by rounding: uniforms beyond it land in the last block
-    cum = np.array([0.25, 0.5, 1.0 - 1e-13])
+    short = row_partition(np.eye(3), probabilities=[0.25, 0.25, 0.5 - 1e-13])
+    assert np.cumsum(short.probabilities)[-1] < 1.0
     u = np.array([0.0, 0.25, 0.3, 0.5, 0.9, 1.0 - 1e-14])
-    assert draw_blocks(cum, u).tolist() == [0, 1, 1, 2, 2, 2]
-    assert int(draw_blocks(cum, 0.3)) == 1
+    assert short.draw(u).tolist() == [0, 1, 1, 2, 2, 2]
+    assert int(short.draw(0.3)) == 1
     # the scalar samplers consume one uniform and agree with the array map
     part = row_partition(np.eye(3), probabilities=[0.2, 0.3, 0.5])
     a, b = RngStream(204), RngStream(204)

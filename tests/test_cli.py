@@ -775,6 +775,30 @@ def test_misfit_gradient_of_b_that_overflows_exit_code(tmp_path, capsys):
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_iterate_that_goes_non_finite_exit_code(tmp_path, capsys):
+    # A x 1e126 and b x 1e238 more: a_j^H z overflows in rek's and gerk_ad's
+    # z-step, and the run exited 0 with solution.csv all NaN
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = A @ rng.standard_normal(4)
+    argv = ["--lambda", "1", "--iterations", "200"]
+    # the unscaled system is the positive control
+    for a_scale, b_scale, code in ((1e126, 1e238, 2), (1.0, 1.0, 0)):
+        write_matrix_market(tmp_path / "A.mtx", a_scale * A)
+        write_vector_csv(tmp_path / "b.csv", b_scale * b)
+        for name in ("rek", "gerk_ad"):
+            out = tmp_path / f"out-{name}-{code}"
+            assert main(["solve", "--matrix", str(tmp_path / "A.mtx"), "--rhs",
+                         str(tmp_path / "b.csv"), "--preset", name, "--out", str(out)] + argv) == code
+            err = capsys.readouterr().err
+            if code:
+                assert re.fullmatch(r"gerk: error: the iterate z\* is not finite at iteration \d+; "
+                                    r"rescale A, b or the parameters\n", err)
+                assert not out.exists()
+            else:
+                assert err == "" and (out / "solution.csv").exists()
+
+
 def test_experiment_singular_values_whose_norms_overflow_exit_code(tmp_path, capsys):
     # ||b_hat|| overflowed on a finite b_hat: numpy warned, and the error blamed
     # noise_level; the scaled norm leaves the check of A's row norms to refuse it

@@ -159,6 +159,34 @@ def test_recorder_norms_survive_overflow():
         assert metrics[name] == pytest.approx(want, rel=1e-12)
 
 
+def test_recorder_gradient_of_a_product_past_the_largest_double():
+    # A x 1e126 and b = A x0 x 1e238: A^T b holds entries past the largest
+    # double of both signs, so A^T r read nan (inf - inf) at every checkpoint
+    # of a converging rk run, and numpy warned; the recorder takes A^T (r / max|r|)
+    rng = np.random.default_rng(0)
+    A0 = rng.standard_normal((8, 4))
+    b0 = A0 @ rng.standard_normal(4)
+    A, b = 1e126 * A0, 1e238 * b0
+    system = experiments.ProblemInstance(A, b, b, None, "real", "none", 0.0)
+    recorder = MetricRecorder(system, QuadraticMisfit())
+    xs = []
+    run(A, b, preset("rk", A, max_iterations=200, seed=0, checkpoint_interval=8),
+        hooks=(recorder, lambda s: xs.append(s.x.copy())))
+    metrics = recorder.trace().metrics
+    # negative control: the plain product is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(A.T @ (b - A @ xs[0])).all()
+    # the reference scales A and b down first
+    want = [np.linalg.norm(A0.T @ (b - A @ x) / 1e238) / np.linalg.norm(b0) * 1e126 for x in xs]
+    for name in ("rel_grad_quadratic", "rel_grad_misfit"):
+        assert np.isfinite(metrics[name]).all()
+        assert metrics[name] == pytest.approx(want, rel=1e-12)
+    # a complex norm past the largest double reads inf, not nan, though the
+    # modulus of its entry overflows
+    with np.errstate(over="ignore"):
+        assert experiments._norm(np.array([1.5e308 - 1.5e308j, 1.0])) == math.inf
+
+
 def test_recorder_norms_survive_underflow():
     # at b near 1e-160 the squares of b's entries are subnormal and those of
     # the residual underflow to zero: the recorder recomputes both norms

@@ -11,10 +11,7 @@ from gerk.potentials import (
     Quadratic,
     QuadraticMisfit,
     bregman_distance,
-    complex_shrinkage,
-    group_shrinkage,
     real_inner,
-    soft_shrinkage,
 )
 from gerk.rng import RngStream
 
@@ -43,13 +40,13 @@ def draw_vec(rng, n, is_complex):
 def test_soft_shrinkage_hand_example():
     x = np.array([3.0, -1.0, 0.5, 0.0])
     expected = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(soft_shrinkage(x, 2.0), expected)
-    assert np.array_equal(soft_shrinkage(x, 0.0), x)
+    assert np.array_equal(ElasticNet(2.0).conjugate_gradient(x), expected)
+    assert np.array_equal(ElasticNet(0.0).conjugate_gradient(x), x)
 
 
 def test_complex_shrinkage_preserves_phase():
     z = np.array([2.0 * np.exp(1j * 0.3), 0.1 + 0.1j, 0.0 + 0.0j])
-    out = complex_shrinkage(z, 1.0)
+    out = ComplexElasticNet(1.0).conjugate_gradient(z)
     assert abs(out[0] - 1.0 * np.exp(1j * 0.3)) <= 1e-14
     assert out[1] == 0.0
     assert out[2] == 0.0
@@ -58,13 +55,13 @@ def test_complex_shrinkage_preserves_phase():
 def test_complex_shrinkage_reduces_to_real():
     rng = RngStream(400)
     x = rng.normal_array(50)
-    out = complex_shrinkage(x.astype(np.complex128), 0.8)
-    assert np.linalg.norm(out - soft_shrinkage(x, 0.8)) <= 1e-14
+    out = ComplexElasticNet(0.8).conjugate_gradient(x.astype(np.complex128))
+    assert np.linalg.norm(out - ElasticNet(0.8).conjugate_gradient(x)) <= 1e-14
 
 
 def test_group_shrinkage_hand_example():
     x = np.array([3.0, 4.0, 2.0])
-    out = group_shrinkage(x, 2.0, [np.array([0, 1]), np.array([2])])
+    out = GroupElasticNet(2.0, [np.array([0, 1]), np.array([2])]).conjugate_gradient(x)
     # group norm 5 scales by 3/5; the second group sits exactly at the threshold
     assert np.allclose(out, [1.8, 2.4, 0.0], atol=1e-14)
 
@@ -77,8 +74,8 @@ def test_complex_shrinkage_is_paired_group_shrinkage():
     for _ in range(100):
         z = rng.complex_normal_array(n)
         lam = rng.random()
-        lhs = embed_vec(complex_shrinkage(z, lam))
-        rhs = group_shrinkage(embed_vec(z), lam, groups)
+        lhs = embed_vec(ComplexElasticNet(lam).conjugate_gradient(z))
+        rhs = GroupElasticNet(lam, groups).conjugate_gradient(embed_vec(z))
         assert np.linalg.norm(lhs - rhs) <= 1e-14
 
 
@@ -260,8 +257,6 @@ def test_kernels_match_reference_formulas():
                 assert same_bits(got, reference_soft_shrinkage(x, lam))
             for got in kernel_and_derived(ComplexElasticNet(lam), z):
                 assert same_bits(got, reference_complex_shrinkage(z, lam))
-            assert same_bits(soft_shrinkage(x, lam), reference_soft_shrinkage(x, lam))
-            assert same_bits(complex_shrinkage(z, lam), reference_complex_shrinkage(z, lam))
             for y in (planted_inputs(rng, shape, False, eps), planted_inputs(rng, shape, True, eps)):
                 for got in kernel_and_derived(huber, y):
                     assert same_bits(got, reference_huber_gradient(y, eps, 0.05))
@@ -272,8 +267,7 @@ def test_kernels_match_reference_formulas():
             x = planted_inputs(rng, (n,), is_complex, lam)
             x[groups[1]] = lam  # a group whose norm is exactly lam
             want = reference_group_shrinkage(x, lam, groups)
-            for got in kernel_and_derived(GroupElasticNet(lam, groups), x) + (
-                    group_shrinkage(x, lam, groups),):
+            for got in kernel_and_derived(GroupElasticNet(lam, groups), x):
                 assert got.dtype == want.dtype
                 assert np.linalg.norm(got - want) <= 1e-14 * (1.0 + np.linalg.norm(x))
     # vectors made only of zero and subnormal moduli, at lam = 0 and at
@@ -292,9 +286,9 @@ def test_kernels_match_reference_formulas():
 def test_derived_forms_coerce_their_input():
     # lists are accepted; elastic net computes in float64, complex elastic net
     # in complex128, the others in the field of their input
-    assert soft_shrinkage([3, -1], 2).dtype == np.float64
-    assert complex_shrinkage([3.0, -1.0], 2.0).dtype == np.complex128
-    assert np.array_equal(complex_shrinkage([3.0, -1.0], 2.0), [1.0, 0.0])
+    assert ElasticNet(2).conjugate_gradient([3, -1]).dtype == np.float64
+    assert ComplexElasticNet(2.0).conjugate_gradient([3.0, -1.0]).dtype == np.complex128
+    assert np.array_equal(ComplexElasticNet(2.0).conjugate_gradient([3.0, -1.0]), [1.0, 0.0])
     assert HuberQuadMisfit(1.0, 0.1).gradient([2]).dtype == np.float64
     assert Quadratic().conjugate_gradient([1j, 2]).dtype == np.complex128
     xstar = np.array([1.0, 2.0])
@@ -303,9 +297,9 @@ def test_derived_forms_coerce_their_input():
 
 def test_group_shrinkage_groups_must_cover_the_vector():
     with pytest.raises(DimensionMismatch):
-        group_shrinkage(np.ones(3), 1.0, [np.array([0, 1])])
+        GroupElasticNet(1.0, [np.array([0, 1])]).conjugate_gradient(np.ones(3))
     with pytest.raises(ValueError):
-        group_shrinkage(np.ones(3), 1.0, [np.array([0, 1]), np.array([1])])
+        GroupElasticNet(1.0, [np.array([0, 1]), np.array([1])]).conjugate_gradient(np.ones(3))
 
 
 def test_conjugate_gradient_nonexpansive():

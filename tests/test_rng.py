@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gerk.rng import RngStream, sample_index
+from gerk.rng import RngStream
 
 MASK = (1 << 64) - 1
 
@@ -106,34 +106,6 @@ def test_choice_bounds():
     assert sorted(rng.choice_without_replacement(4, 4).tolist()) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         rng.choice_without_replacement(3, 4)
-
-
-def test_sample_index_two_sided_frequency():
-    rng = RngStream(31)
-    draws = 100000
-    hits = sum(sample_index([0.5, 0.5], rng) for _ in range(draws))
-    # binomial three-sigma band around the mean
-    sigma = (draws * 0.25) ** 0.5
-    assert abs(hits - draws / 2) <= 3 * sigma
-
-
-def test_sample_index_biased():
-    rng = RngStream(32)
-    p = [0.1, 0.2, 0.7]
-    counts = np.zeros(3)
-    for _ in range(30000):
-        counts[sample_index(p, rng)] += 1
-    assert np.all(np.abs(counts / 30000 - p) < 0.02)
-
-
-def test_sample_index_validation():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        sample_index([0.5, 0.0, 0.5], rng)
-    with pytest.raises(ValueError):
-        sample_index([0.5, 0.6], rng)
-    with pytest.raises(ValueError):
-        sample_index([], rng)
 
 
 def test_uniform_array_interval():

@@ -7,7 +7,13 @@ import pytest
 import gerk.solver as solver
 from gerk.blocks import BlockPartition, column_partition, contiguous_blocks, row_partition
 from gerk.certificates import gamma_hat
-from gerk.errors import DimensionMismatch, FieldMismatch, MissingParameter, NonFiniteInput
+from gerk.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    MissingParameter,
+    NonFiniteInput,
+    NonFiniteIterate,
+)
 from gerk.experiments import gen_experiment_i
 from gerk.linalg import (
     make_rank_deficient,
@@ -1011,6 +1017,48 @@ def test_a_misfit_gradient_of_b_that_overflows_is_refused():
     # positive control: the unscaled system converges
     x = Session(A, b, presets("gerk_bd")[0][0]).advance(2000).x
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_an_iterate_that_goes_non_finite_raises():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    x0 = rng.standard_normal(4)
+    b = A @ x0
+    # rk with steps 2.5 times too long diverges: x was all NaN after 20,000
+    # iterations, with stop reason max_iterations
+    rows = row_partition(A)
+    long_steps = BlockPartition("row", 8, rows.blocks, rows.block_sq_norms / 2.5)
+    cfg = preset("rk", A, max_iterations=20000, seed=0, row_partition=long_steps)
+    with pytest.raises(NonFiniteIterate, match=r"^the iterate x\* is not finite at iteration 5120;"):
+        run(A, b, cfg)
+    # a_j^H z overflows in the z-step before its 1/||a_j||^2 scales it down
+    A_big, b_big = 1e126 * A, 1e238 * b
+    for name in ("rek", "gerk_ad"):
+        cfg = preset(name, A_big, lam=1.0, max_iterations=200, seed=0)
+        with pytest.raises(NonFiniteIterate, match=r"^the iterate z\* is not finite at iteration"):
+            run(A_big, b_big, cfg)
+    # positive controls: the unscaled system and rk on the scaled one, whose
+    # solution is 1e112 times the unscaled one's, converge
+    for A_s, b_s, name, scale in ((A, b, "rek", 1.0), (A, b, "gerk_ad", 1.0),
+                                  (A_big, b_big, "rk", 1e112)):
+        x = run(A_s, b_s, preset(name, A_s, lam=1.0, max_iterations=2000, seed=0)).state.x
+        assert np.linalg.norm(A @ (x / scale) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_lockstep_systems_must_match_system_0():
+    rng = RngStream(571)
+    A, A_wide = rng.normal_array(8 * 4).reshape(8, 4), rng.normal_array(8 * 5).reshape(8, 5)
+    Z = A + 1j * rng.normal_array(8 * 4).reshape(8, 4)
+    b, z = rng.normal_array(8), rng.complex_normal_array(8)
+
+    def cfg(M):
+        return preset("rk", M, max_iterations=5, seed=0)
+
+    with pytest.raises(DimensionMismatch, match=r"^system 1 has shape \(8, 5\), system 0 \(8, 4\)$"):
+        Session([A, A_wide], [b, b], [cfg(A), cfg(A_wide)])
+    with pytest.raises(FieldMismatch, match="^system 1 and system 0 must both be real"):
+        Session([A, Z], [b, z], [cfg(A), cfg(Z)])
+    Session([A, 2.0 * A], [b, b], [cfg(A), cfg(A)]).advance(5)  # positive control
 
 
 def test_config_checks_of_a_session():

@@ -13,7 +13,7 @@ import pytest
 
 import gerk.solver as solver
 from gerk.cli import main
-from gerk.errors import GerkError, WorkerDied
+from gerk.errors import GerkError, NonFiniteIterate, WorkerDied
 from gerk.fileio import write_matrix_market, write_vector_csv
 from gerk.rng import RngStream
 from gerk.solver import PRESET_NAMES, Session, preset, run
@@ -140,6 +140,19 @@ def test_killed_worker_raises_worker_died(forks):
     with pytest.raises(WorkerDied, match="died"):
         session.finish([(kill,)])
     assert issubclass(WorkerDied, GerkError)  # the CLI exits 1
+    assert_no_child()
+
+
+def test_worker_whose_z_chain_overflows_raises_non_finite_iterate(forks):
+    # A x 1e126 and b x 1e238 more: a_j^H z overflows in the worker's z-half,
+    # whose z* comes back at the chunk's end
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 4))
+    b = A @ rng.standard_normal(4)
+    cfg = preset("rek", 1e126 * A, max_iterations=2000, seed=0, checkpoint_interval=5)
+    with pytest.raises(NonFiniteIterate, match=r"^the iterate z\* is not finite"):
+        run(1e126 * A, 1e238 * b, cfg)
+    assert len(forks) == 1
     assert_no_child()
 
 
