@@ -43,7 +43,6 @@ from .errors import (
     ZeroMatrix,
 )
 from .experiments import (
-    DEFAULT_PRESETS,
     PROFILES,
     MetricRecorder,
     PresetSpec,
@@ -167,9 +166,7 @@ def cmd_solve(args):
 
 
 def cmd_experiment(args):
-    names = DEFAULT_PRESETS[args.which] if args.presets is None else args.presets
-    specs = [PresetSpec(name=name, lam=args.lam, eps=args.eps, tau=args.tau) for name in names]
-    interval = args.m if args.checkpoint_interval is None else args.checkpoint_interval
+    specs = [PresetSpec(name, args.lam, args.eps, args.tau) for name in args.presets]
     gen = gen_experiment_i if args.which == "i" else gen_experiment_ii
     result = run_trials(
         lambda rng: gen(args.m, args.n, args.rank, args.sparsity, args.noise_level, args.sv_lo,
@@ -178,7 +175,7 @@ def cmd_experiment(args):
         trials=args.trials,
         iterations=args.epochs * args.m,
         base_seed=args.seed,
-        checkpoint_interval=interval,
+        checkpoint_interval=args.checkpoint_interval,
     )
     paths = write_experiment_csvs(result, args.out, args.which)
     print(sparsity_table(result))

@@ -110,8 +110,6 @@ class ExperimentResult:
     bands: dict  # label -> metric name -> AggregateBand
     final_sparsity: dict  # label -> int array over trials
     final_rel_error: dict  # label -> float array over trials
-    trials: int
-    iterations: int
     traces: dict  # label -> MetricTrace per trial, in trial order
     final_x: dict  # label -> final iterate per trial, in trial order
 
@@ -396,8 +394,6 @@ def run_trials(
         bands=bands,
         final_sparsity=final_sparsity,
         final_rel_error=final_rel_error,
-        trials=trials,
-        iterations=iterations,
         traces=traces,
         final_x=final_x,
     )
@@ -444,32 +440,11 @@ def write_experiment_csvs(result, out_dir, experiment_name):
     return written
 
 
-# profile defaults for the command line; experiment ii swaps lam and adds the
-# huber parameters
-PROFILES = {
-    ("desk", "i"): dict(
-        m=200, n=100, rank=50, sparsity=5, noise_level=5.0,
-        sv_lo=0.1, sv_hi=10.0, lam=5.0, eps=1e-2, tau=1e-3,
-        trials=10, epochs=200,
-    ),
-    ("desk", "ii"): dict(
-        m=200, n=100, rank=50, sparsity=5, noise_level=5.0,
-        sv_lo=0.1, sv_hi=10.0, lam=10.0, eps=1e-2, tau=1e-3,
-        trials=10, epochs=200,
-    ),
-    ("paper", "i"): dict(
-        m=1000, n=500, rank=250, sparsity=25, noise_level=5.0,
-        sv_lo=0.001, sv_hi=100.0, lam=5.0, eps=1e-2, tau=1e-3,
-        trials=50, epochs=500,
-    ),
-    ("paper", "ii"): dict(
-        m=1000, n=500, rank=250, sparsity=25, noise_level=5.0,
-        sv_lo=0.001, sv_hi=10.0, lam=10.0, eps=1e-2, tau=1e-3,
-        trials=50, epochs=500,
-    ),
-}
-
-DEFAULT_PRESETS = {
-    "i": ("srk", "rek", "gerk_ad"),
-    "ii": ("srk", "rek", "gerk_ad", "gerk_bd"),
-}
+# profile defaults for the command line: one dict per size and one per experiment
+_DESK = dict(m=200, n=100, rank=50, sparsity=5, noise_level=5.0, sv_lo=0.1, sv_hi=10.0,
+             eps=1e-2, tau=1e-3, trials=10, epochs=200)
+_PAPER = dict(_DESK, m=1000, n=500, rank=250, sparsity=25, sv_lo=0.001, trials=50, epochs=500)
+_I = dict(lam=5.0, presets=("srk", "rek", "gerk_ad"))
+_II = dict(lam=10.0, presets=("srk", "rek", "gerk_ad", "gerk_bd"))
+PROFILES = {("desk", "i"): dict(_DESK, **_I), ("desk", "ii"): dict(_DESK, **_II),
+            ("paper", "i"): dict(_PAPER, **_I, sv_hi=100.0), ("paper", "ii"): dict(_PAPER, **_II)}

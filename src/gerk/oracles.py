@@ -105,14 +105,14 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     A = as_matrix(A)
     y_hat = as_vector(y_hat, A.shape[0])
     ynorm = float(np.linalg.norm(y_hat))
-    sv = singular_values(A)
-    step = 1.0 / (f.conj_lipschitz * float(sv[0]) ** 2)
-    Ah = A.conj().T
     xstar = np.zeros(A.shape[1], dtype=A.dtype)
     x = f.conjugate_gradient(xstar)
     res = float(np.linalg.norm(A @ x - y_hat))
-    if res <= tol * ynorm:
+    if res <= tol * ynorm:  # also where A = 0, which has no step
         return OracleSolution(value=x, residual=res, iterations=0, converged=True)
+    sv = singular_values(A)
+    step = 1.0 / (f.conj_lipschitz * float(sv[0]) ** 2)
+    Ah = A.conj().T
     best_x, best_res = x, res
     finishing = type(f) is ElasticNet and f.lam > 0.0 and not np.iscomplexobj(A)
     if finishing:

@@ -271,11 +271,6 @@ def _stacked(mats, conj):
     return np.conjugate(out, out=out) if conj else out
 
 
-def _join(arrays):
-    """The one array itself, else the concatenation."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _steps(lipschitz, partition):
     """1/(lipschitz * ||block||^2) per block; 0 on a zero block, never drawn.
     ValueError naming the axis and lipschitz where the product under- or overflows."""
@@ -410,10 +405,10 @@ class Session:
         self.batch = batch = (len(As),) if len(As) > 1 else ()
         # rows of conj(A): vdot(conj(A_i), x) = A_i x, and the x-step adds conj(A_i)
         self.A_rm_conj = _stacked(As, is_complex)
-        self.b = _join(bs)
+        self.b = np.concatenate(bs)
         # preset p's step size on system t at [p, t*m + i], chain c's at [c, t*n + j]
         self.t_row = _stack([
-            _join([_steps(c.f.conj_lipschitz, c.row_partition) for c in p])
+            np.concatenate([_steps(c.f.conj_lipschitz, c.row_partition) for c in p])
             for p in presets])
         # with two draw groups each preset gathers its own rows: its step sizes
         # sit at p*T*m past the flat row index
@@ -430,8 +425,8 @@ class Session:
             self.A_cm = _stacked([A.T for A in As], False)
             # the z-update reads neither x nor f: presets of one misfit and one
             # column step run one z* chain, held once
-            t_cols = [_join([_steps(c.g.grad_lipschitz, c.col_partition) for c in presets[p]])
-                      for p in zp]
+            t_cols = [np.concatenate([_steps(c.g.grad_lipschitz, c.col_partition)
+                                      for c in presets[p]]) for p in zp]
             keys = [(presets[p][0].g, t.tobytes()) for p, t in zip(zp, t_cols)]
             chains = list(dict.fromkeys(keys))
             for p, key in zip(zp, keys):

@@ -356,6 +356,27 @@ def test_certify_xhat_length_mismatch_exit_code(tmp_path, capsys):
     assert "x_hat has length 8, but the matrix has 4 columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["real", "complex", "coordinate"])
+def test_certify_rhs_on_a_zero_matrix_exit_code(tmp_path, capsys, kind):
+    # the projection of b onto range(0) is 0, so x_hat = 0; the certificate then
+    # refuses the matrix as --xhat does, with no traceback
+    if kind == "coordinate":
+        (tmp_path / "A.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 2 1\n1 1 0\n")
+        b = np.array([1.0, 2.0, 3.0])
+    else:
+        A = np.zeros((8, 4)) if kind == "real" else np.zeros((6, 3), complex)
+        write_matrix_market(tmp_path / "A.mtx", A)
+        b = np.arange(1.0, A.shape[0] + 1) * (1 if kind == "real" else 1 - 1j)
+    write_vector_csv(tmp_path / "b.csv", b)
+    rc = main(["certify", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+               "--lambda", "1.0", "--samples", "5", "--out", str(tmp_path / "cert.txt")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == "gerk: error: matrix has no nonzero column submatrix\n"
+    assert not (tmp_path / "cert.txt").exists()
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_certify_max_cols_below_one_exit_code(tmp_path, capsys, cap):
     write_matrix_market(tmp_path / "I.mtx", np.eye(2))
@@ -861,6 +882,33 @@ def test_three_calls_build_the_parser_once(tmp_path):
     assert proc.stdout.splitlines()[-1] == "1"
 
 
+# each profile's defaults, written out: a change to the table must show here
+PROFILE_DEFAULTS = {
+    ("desk", "i"): (200, 100, 50, 5, 5.0, 0.1, 10.0, 5.0, 1e-2, 1e-3, 10, 200),
+    ("desk", "ii"): (200, 100, 50, 5, 5.0, 0.1, 10.0, 10.0, 1e-2, 1e-3, 10, 200),
+    ("paper", "i"): (1000, 500, 250, 25, 5.0, 0.001, 100.0, 5.0, 1e-2, 1e-3, 50, 500),
+    ("paper", "ii"): (1000, 500, 250, 25, 5.0, 0.001, 10.0, 10.0, 1e-2, 1e-3, 50, 500),
+}
+
+
+@pytest.mark.parametrize("profile, which", PROFILE_DEFAULTS)
+def test_profile_defaults(monkeypatch, tmp_path, profile, which):
+    experiment = ["experiment", "--which", which, "--out", "out", "--profile", profile]
+    args = resolved_args(monkeypatch, experiment)
+    dests = ("m", "n", "rank", "sparsity", "noise_level", "sv_lo", "sv_hi", "lam", "eps",
+             "tau", "trials", "epochs")
+    assert tuple(getattr(args, dest) for dest in dests) == PROFILE_DEFAULTS[(profile, which)]
+    presets = ["srk", "rek", "gerk_ad"] + (["gerk_bd"] if which == "ii" else [])
+    assert list(args.presets) == presets
+    assert args.checkpoint_interval is None  # the session's default, one epoch
+    # a config list beats the profile's, and a flag beats both
+    args = resolved_args(monkeypatch, experiment, {"presets": ["srk"]}, tmp_path)
+    assert args.presets == ["srk"]
+    args = resolved_args(monkeypatch, experiment + ["--presets", "rek"], {"presets": ["srk"]},
+                         tmp_path)
+    assert args.presets == ["rek"]
+
+
 def test_no_option_carries_over_to_the_next_call(monkeypatch, tmp_path):
     # a call whose config sets the profile and lambda leaves nothing behind: the
     # next call resolves the desk profile and the built-in defaults, as a fresh
@@ -869,7 +917,7 @@ def test_no_option_carries_over_to_the_next_call(monkeypatch, tmp_path):
     args = resolved_args(monkeypatch, experiment, {"profile": "paper", "lambda": 0.5}, tmp_path)
     assert (args.profile, args.m, args.lam) == ("paper", 1000, 0.5)
     fresh = dict(command="experiment", config=None, which="ii", out="out", profile="desk",
-                 field="real", presets=None, seed=0, checkpoint_interval=None,
+                 field="real", seed=0, checkpoint_interval=None,
                  **gerk.cli.PROFILES[("desk", "ii")])
     for argv in (experiment, experiment + ["--profile", "desk"]):
         assert vars(resolved_args(monkeypatch, argv)) == fresh

@@ -148,6 +148,15 @@ def test_constrained_min_zero_target():
     assert np.array_equal(sol.value, np.zeros(4))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_constrained_min_zero_matrix(dtype):
+    # A = 0 has no step 1/(L ||A||^2), but x = 0 is feasible for y_hat = 0
+    f = ElasticNet(1.0) if dtype is float else ComplexElasticNet(1.0)
+    sol = constrained_regularizer_min(np.zeros((8, 4), dtype), np.zeros(8, dtype), f)
+    assert (sol.converged, sol.iterations, sol.residual) == (True, 0, 0.0)
+    assert np.array_equal(sol.value, np.zeros(4))
+
+
 def test_constrained_min_not_converged_carries_best():
     rng = RngStream(608)
     A = make_rank_deficient(10, 6, 4, 0.2, 2.0, "real", rng)
