@@ -51,7 +51,8 @@ class VerificationReport:
     certificate: ErrorBoundCertificate
     samples: int
     violations: int
-    max_ratio: float
+    max_ratio: float  # 0.0 when ratio_samples is 0
+    ratio_samples: int  # samples with ||A x - y_hat||^2 > 1e-300, the ones max_ratio is over
 
 
 def _checked_count(value, name, least):
@@ -90,6 +91,8 @@ def gamma_hat(A, x_hat, lam, max_cols=15):
     """Certificate with the explicit gamma for the elastic net at x_hat.
 
     Entries of x_hat with |x_hat_j| <= 1e-12 are treated as exact zeros.
+    Raises ValueError (rescale) when gamma is not a finite normal double, as
+    where a squared singular value overflows or underflows.
     """
     A = as_matrix(A)
     x_hat = as_vector(x_hat, A.shape[1])
@@ -99,12 +102,15 @@ def gamma_hat(A, x_hat, lam, max_cols=15):
     smp = min_positive_singular(A)
     mags = np.abs(x_hat)
     nonzero = mags > 1e-12
-    if not nonzero.any():
-        gamma = 2.0 * n / smp**2
-        min_abs = None
-    else:
-        min_abs = float(mags[nonzero].min())
-        gamma = ((min_abs + 2.0 * lam) / min_abs) / stm**2
+    min_abs = float(mags[nonzero].min()) if nonzero.any() else None
+    factor, sigma = (2.0 * n, smp) if min_abs is None else ((min_abs + 2.0 * lam) / min_abs, stm)
+    try:
+        gamma = factor / sigma**2
+    except (OverflowError, ZeroDivisionError):  # sigma**2 overflows, or underflows to 0
+        gamma = 0.0
+    if not np.finfo(float).tiny <= gamma < np.inf:
+        raise ValueError(f"the certificate constant gamma = {factor:g} / {sigma:g}**2 is not "
+                         "a finite normal double; rescale A or lambda")
     return ErrorBoundCertificate(
         gamma=float(gamma),
         sigma_tilde_min=stm,
@@ -122,6 +128,8 @@ def verify_error_bound(A, x_hat, y_hat, lam, n_samples, seed, max_cols=15, gamma
     xstar = A^T u in range(A^T) and x = grad f*(xstar), and checks the
     inequality, in batches of CHUNK_BYTES that round as one sample at a time.
     Requires ||A x_hat - y_hat|| <= 1e-8 * ||y_hat||, else OracleMismatch.
+    Raises ValueError (rescale) where ||y_hat||, a sample's D or its
+    ||A x - y_hat||^2 is not finite: the inequality would then hold vacuously.
     Pass gamma to override the certificate constant (negative controls).
     Real field only.
     """
@@ -133,7 +141,11 @@ def verify_error_bound(A, x_hat, y_hat, lam, n_samples, seed, max_cols=15, gamma
     y_hat = as_vector(y_hat, A.shape[0])
     if np.iscomplexobj(A):
         raise OracleMismatch("certificates are real-only; embed complex systems first")
-    if float(np.linalg.norm(A @ x_hat - y_hat)) > 1e-8 * float(np.linalg.norm(y_hat)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rnorm, ynorm = float(np.linalg.norm(A @ x_hat - y_hat)), float(np.linalg.norm(y_hat))
+    if not ynorm < np.inf:
+        raise ValueError("the norm of y_hat is not finite; rescale A or x_hat")
+    if not rnorm <= 1e-8 * ynorm:
         raise OracleMismatch("x_hat does not solve A x = y_hat to 1e-8")
     cert = gamma_hat(A, x_hat, lam, max_cols=max_cols)
     g = cert.gamma if gamma is None else gamma
@@ -141,19 +153,23 @@ def verify_error_bound(A, x_hat, y_hat, lam, n_samples, seed, max_cols=15, gamma
     rng = RngStream(seed)
     m, n = A.shape
     per = max(1, CHUNK_BYTES // (A.itemsize * (m + n)))
-    violations, max_ratio = 0, 0.0
+    violations, max_ratio, ratio_samples = 0, 0.0, 0
     for start in range(0, n_samples, per):
         k = min(per, n_samples - start)
         scale = np.take(SAMPLE_SCALES, np.arange(start, start + k), mode="wrap")
         u = scale[:, None] * rng.normal_array(k * m).reshape(k, m)
-        xstar = (u[:, None, :] @ A)[:, 0]  # stacked: one gemv per sample, as A.T @ u
-        x = f.conjugate_gradient(xstar)
-        dist = 0.5 * row_dots(x, x) - row_dots(xstar, x_hat) + f.value(x_hat)
-        resid = (A @ x[:, :, None])[:, :, 0] - y_hat  # one gemv per sample, as A @ x
-        resid_sq = row_sq_norms(resid)  # each the per-sample float(norm) ** 2
-        violations += int(np.count_nonzero(dist > g * resid_sq + BOUND_SLACK * (1.0 + dist)))
-        keep = resid_sq > 1e-300
-        max_ratio = float(np.fmax.reduce(dist[keep] / resid_sq[keep], initial=max_ratio))
-    return VerificationReport(
-        certificate=cert, samples=n_samples, violations=violations, max_ratio=max_ratio
-    )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite D or residual is refused
+            xstar = (u[:, None, :] @ A)[:, 0]  # stacked: one gemv per sample, as A.T @ u
+            x = f.conjugate_gradient(xstar)
+            dist = 0.5 * row_dots(x, x) - row_dots(xstar, x_hat) + f.value(x_hat)
+            resid = (A @ x[:, :, None])[:, :, 0] - y_hat  # one gemv per sample, as A @ x
+            resid_sq = row_sq_norms(resid)  # each the per-sample float(norm) ** 2
+            if not (np.isfinite(dist).all() and np.isfinite(resid_sq).all()):
+                raise ValueError("a sample's Bregman distance or squared residual is not "
+                                 "finite; rescale A or x_hat")
+            violations += int(np.count_nonzero(dist > g * resid_sq + BOUND_SLACK * (1.0 + dist)))
+            keep = resid_sq > 1e-300
+            ratio_samples += int(np.count_nonzero(keep))
+            max_ratio = float(np.fmax.reduce(dist[keep] / resid_sq[keep], initial=max_ratio))
+    return VerificationReport(certificate=cert, samples=n_samples, violations=violations,
+                              max_ratio=max_ratio, ratio_samples=ratio_samples)

@@ -197,7 +197,8 @@ def cmd_certify(args):
     if embedded:
         A, v = embed_complex_as_real(A.astype(complex)), embed_vec(v.astype(complex))
     if args.xhat is not None:
-        x_hat, y_hat = v, A @ v
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by verify_error_bound
+            x_hat, y_hat = v, A @ v
     else:
         y_hat = range_projection_quadratic(A, v).value
         x_hat = constrained_regularizer_min(A, y_hat, ElasticNet(args.lam)).value
@@ -210,7 +211,7 @@ def cmd_certify(args):
         ("sigma_tilde_min", cert.sigma_tilde_min), ("sigma_min_positive", cert.sigma_min_positive),
         ("xhat_min_abs", "none" if cert.xhat_min_abs is None else cert.xhat_min_abs),
         ("gamma", cert.gamma), ("samples", report.samples), ("violations", report.violations),
-        ("max_ratio", report.max_ratio),
+        ("max_ratio", report.max_ratio if report.ratio_samples else "none"),
     ])
     if args.out:
         atomic_write(args.out, text)

@@ -8,8 +8,10 @@ huber misfit, whose grad_lipschitz is 1/eps + tau, in a workable iteration
 count; the momentum variant is still a deterministic full-gradient method
 with the same stepsize and stopping rule).  constrained_regularizer_min is
 the deterministic analog of the sparse Kaczmarz iteration: a dual gradient
-step followed by the conjugate gradient map.  For the real elastic net it
-finishes exactly on the support the iteration has settled on: x_hat is then
+step followed by the conjugate gradient map.  When A has full column rank no
+iteration runs: the constraint has the one solution A^+ y_hat, returned with
+its rounding-level entries set to zero.  Otherwise, for the real elastic net,
+it finishes exactly on the support the iteration has settled on: x_hat is then
 exact on its support and exactly zero off it, not a dual iterate whose zeros
 are entries of order 1e-11.
 """
@@ -97,10 +99,14 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     Stops when ||A x - y_hat|| <= tol * ||y_hat|| and the successive change
     ||x_{k+1} - x_k|| is <= tol.  Raises NotConverged with the best iterate.
 
-    For the real ElasticNet with lam > 0, once the sign pattern of x has held
-    for FINISH_AFTER steps, the optimality conditions are solved on its
-    support (_finish_on_support, once per pattern); an accepted finish is the
-    result, otherwise the iteration goes on unchanged.
+    When A has full column rank, x = A^+ y_hat is the only feasible point,
+    whatever f is: its entries with |x_j| <= tol * max |x| are set to zero and
+    the rest solved again as A_S^+ y_hat, and that x is the result at
+    iteration 0 when it passes the residual check; only otherwise does the
+    iteration run.  For the real ElasticNet with lam > 0, once the sign pattern
+    of x has held for FINISH_AFTER steps, the optimality conditions are solved
+    on its support (_finish_on_support, once per pattern); an accepted finish
+    is the result, otherwise the iteration goes on unchanged.
     """
     A = as_matrix(A)
     y_hat = as_vector(y_hat, A.shape[0])
@@ -111,14 +117,21 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     if res <= tol * ynorm:  # also where A = 0, which has no step
         return OracleSolution(value=x, residual=res, iterations=0, converged=True)
     sv = singular_values(A)
+    n = A.shape[1]
+    if n <= sv.size and sv[n - 1] > rank_cutoff(A.shape, sv[0]):  # one feasible point
+        x_ls = svd_pseudoinverse_apply(A, y_hat)
+        on = np.abs(x_ls) > tol * np.abs(x_ls).max()
+        if on.any() and not on.all():  # an embedded real solution keeps its zero imaginary half
+            x_ls = np.zeros_like(x_ls)
+            x_ls[on] = svd_pseudoinverse_apply(A[:, on], y_hat)
+        res_ls = float(np.linalg.norm(A @ x_ls - y_hat))
+        if res_ls <= tol * ynorm:
+            return OracleSolution(value=x_ls, residual=res_ls, iterations=0, converged=True)
     step = 1.0 / (f.conj_lipschitz * float(sv[0]) ** 2)
     Ah = A.conj().T
     best_x, best_res = x, res
     finishing = type(f) is ElasticNet and f.lam > 0.0 and not np.iscomplexobj(A)
     if finishing:
-        n = A.shape[1]
-        # x is the only feasible point when A has full column rank
-        full_rank = n <= sv.size and sv[n - 1] > rank_cutoff(A.shape, sv[0])
         signs, held, tried = np.sign(x), 0, set()
     for it in range(1, max_iter + 1):
         xstar -= step * (Ah @ (A @ x - y_hat))
@@ -134,7 +147,7 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
             signs = pattern
             if held == FINISH_AFTER and (key := signs.tobytes()) not in tried:
                 tried.add(key)
-                done = _finish_on_support(A, y_hat, f.lam, signs, full_rank, tol, ynorm)
+                done = _finish_on_support(A, y_hat, f.lam, signs, tol, ynorm)
                 if done is not None:
                     return OracleSolution(value=done[0], residual=done[1], iterations=it,
                                           converged=True)
@@ -147,18 +160,15 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     )
 
 
-def _finish_on_support(A, y_hat, lam, signs, full_rank, tol, ynorm):
+def _finish_on_support(A, y_hat, lam, signs, tol, ynorm):
     """(x, ||A x - y_hat||) for the elastic-net minimizer with the sign pattern signs, or None.
 
     On the support S, x_S = u - lam*s with u the min-norm solution of
     A_S u = y_hat + lam*A_S s, so u = A_S^T w for some w: x + lam*s = A^T w on S.
     A coordinate whose sign flips, or that is at most tol * max |x_S| (its sign
     is then the solve's rounding), is dropped and S solved again.  x is accepted
-    when ||A x - y_hat|| <= tol * ynorm and either A has full column rank (x is
-    then the only feasible point) or |A_j^T w| <= lam off S (the dual certificate).
-    When A has full column rank and this x is not accepted, or the pattern leaves
-    no support (a lam so large that x stays 0), the least-squares solution
-    A^+ y_hat is that only feasible point, accepted under the same residual check.
+    when ||A x - y_hat|| <= tol * ynorm and |A_j^T w| <= lam off S (the dual
+    certificate).
     """
     on = signs != 0
     while on.any():
@@ -172,14 +182,9 @@ def _finish_on_support(A, y_hat, lam, signs, full_rank, tol, ynorm):
         x = np.zeros(A.shape[1])
         x[on] = x_S
         res = float(np.linalg.norm(A @ x - y_hat))
-        if res <= tol * ynorm and (
-            full_rank or np.all(np.abs(A[:, ~on].T @ svd_pseudoinverse_apply(A_S.T, u)) <= lam)
+        if res <= tol * ynorm and np.all(
+            np.abs(A[:, ~on].T @ svd_pseudoinverse_apply(A_S.T, u)) <= lam
         ):
             return x, res
         break
-    if full_rank:
-        x = svd_pseudoinverse_apply(A, y_hat)
-        res = float(np.linalg.norm(A @ x - y_hat))
-        if res <= tol * ynorm:
-            return x, res
     return None

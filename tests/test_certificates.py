@@ -355,6 +355,20 @@ def test_verify_matches_per_sample_loop_bit_for_bit(monkeypatch, verify_systems,
             monkeypatch.undo()
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+@pytest.mark.parametrize("x_hat", ["nonzero", "zero"])
+def test_gamma_past_the_doubles_is_refused(scale, x_hat):
+    # sigma**2 overflows (a bare OverflowError from the float power) or underflows
+    # to 0 (ZeroDivisionError), for sigma_tilde_min and, at x_hat = 0, for the
+    # smallest positive singular value; the unit-scale system is the control
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    x = rng.standard_normal(4) if x_hat == "nonzero" else np.zeros(4)
+    assert 0.0 < gamma_hat(A, x, 1.0).gamma < np.inf
+    with pytest.raises(ValueError, match="is not a finite normal double; rescale A or lambda$"):
+        gamma_hat(scale * A, x, 1.0)
+
+
 def test_verify_zero_solution_instance():
     # y_hat = 0 forces x_hat = 0 and the 2n/sigma^2 constant
     rng = RngStream(704)

@@ -317,7 +317,9 @@ def test_certify_rhs_xhat_is_exact_on_its_support(tmp_path, monkeypatch):
         return abs(min_abs - planted) <= 1e-12 * planted and gamma < 10.0
 
     assert exact(*certify())
-    # negative control: without the support finish the oracle's near-zeros set gamma
+    # negative control: without the closed form at full column rank and without the
+    # support finish, the dual iteration's near-zeros set gamma
+    monkeypatch.setattr(gerk.oracles, "rank_cutoff", lambda shape, sigma_max: np.inf)
     monkeypatch.setattr(gerk.oracles, "FINISH_AFTER", 10**7)
     assert not exact(*certify())
 
@@ -375,6 +377,44 @@ def test_certify_rhs_on_a_zero_matrix_exit_code(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err == "gerk: error: matrix has no nonzero column submatrix\n"
     assert not (tmp_path / "cert.txt").exists()
+
+
+@pytest.mark.parametrize("scale, message", [
+    # every sample's ||A x - y_hat||^2 overflows: the bound held vacuously, max_ratio 0.0
+    (1e150, "a sample's Bregman distance or squared residual is not finite; rescale A or x_hat"),
+    # ||y_hat|| overflows, and so would sigma_tilde_min**2 in gamma after it
+    (1e160, "the norm of y_hat is not finite; rescale A or x_hat"),
+    # sigma_tilde_min**2 underflows to 0: gamma would divide by it
+    (1e-160, "the certificate constant gamma = 22.2738 / 8.95371e-161**2 is not a finite "
+             "normal double; rescale A or lambda"),
+], ids=["1e150", "1e160", "1e-160"])
+def test_certify_at_a_scale_past_the_doubles_is_refused(tmp_path, capsys, scale, message):
+    rng = np.random.default_rng(0)
+    write_matrix_market(tmp_path / "A.mtx", scale * rng.standard_normal((6, 4)))
+    write_vector_csv(tmp_path / "x.csv", rng.standard_normal(4))
+    argv = ["certify", "--matrix", str(tmp_path / "A.mtx"), "--xhat", str(tmp_path / "x.csv"),
+            "--lambda", "1", "--samples", "20", "--out", str(tmp_path / "cert.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"gerk: error: {message}\n"
+    assert not (tmp_path / "cert.txt").exists()
+    # control: the unit-scale system is certified, with a ratio actually sampled
+    write_matrix_market(tmp_path / "A.mtx", np.random.default_rng(0).standard_normal((6, 4)))
+    assert main(argv) == 0
+    record = dict(line.split(" = ") for line in
+                  (tmp_path / "cert.txt").read_text().splitlines()[1:])
+    assert record["violations"] == "0" and float(record["max_ratio"]) > 0.0
+
+
+def test_certify_with_no_sampled_ratio_says_so(tmp_path):
+    # no sample, so no ratio: the record reads none, not a max_ratio of 0.0
+    write_matrix_market(tmp_path / "A.mtx", np.eye(2))
+    write_vector_csv(tmp_path / "x.csv", np.array([1.0, 0.0]))
+    argv = ["certify", "--matrix", str(tmp_path / "A.mtx"), "--xhat", str(tmp_path / "x.csv"),
+            "--lambda", "1.0", "--out", str(tmp_path / "cert.txt"), "--samples"]
+    assert main(argv + ["0"]) == 0
+    assert (tmp_path / "cert.txt").read_text().endswith("violations = 0\nmax_ratio = none\n")
+    assert main(argv + ["3"]) == 0
+    assert not (tmp_path / "cert.txt").read_text().endswith("max_ratio = none\n")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

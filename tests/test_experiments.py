@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,12 +498,12 @@ def test_csv_layout_and_determinism(tmp_path):
     assert f"/out/i/srk/rel_error.csv" in names
     # 5 metric files for srk (no z_error), 6 for rek and gerk_ad, 1 sparsity
     assert len(paths) == 5 + 6 + 6 + 1
-    first = {p: open(p, "rb").read() for p in paths}
+    first = {p: Path(p).read_bytes() for p in paths}
     result2 = run_small()
     paths2 = write_experiment_csvs(result2, tmp_path / "out", "i")
     assert paths2 == paths
     for p in paths:
-        assert open(p, "rb").read() == first[p]
+        assert Path(p).read_bytes() == first[p]
 
 
 def test_sparsity_rows_shape():

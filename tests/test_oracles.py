@@ -268,16 +268,37 @@ def test_constrained_min_embedded_real_solution_has_an_exactly_zero_imaginary_ha
 def test_constrained_min_full_column_rank_with_a_lam_that_keeps_x_zero():
     # at lam = 1e300, x = S_lam(A^T w) stays 0: the held all-zero pattern left the
     # finish no support, and the loop ran to max_iter.  With full column rank x is
-    # the only feasible point, the least-squares solution
+    # the only feasible point, the least-squares solution, returned before any step
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 4))
     y_hat = A @ rng.standard_normal(4)
     sol = constrained_regularizer_min(A, y_hat, ElasticNet(1e300), max_iter=1000)
     assert sol.converged
-    assert sol.iterations == gerk.oracles.FINISH_AFTER
+    assert sol.iterations == 0
     assert np.array_equal(sol.value, svd_pseudoinverse_apply(A, y_hat))
     assert sol.residual <= 1e-10 * np.linalg.norm(y_hat)
     # negative control: a rank-deficient A has no single feasible point to fall back on
     A = make_rank_deficient(8, 4, 3, 0.5, 2.0, "real", RngStream(0))
     with pytest.raises(NotConverged):
         constrained_regularizer_min(A, A @ np.ones(4), ElasticNet(1e300), max_iter=1000)
+
+
+def test_constrained_min_full_column_rank_is_the_pseudoinverse_at_step_0():
+    # with full column rank A^+ y_hat is the only feasible point, whatever the
+    # regularizer: it is returned before any dual step, and the plain loop run to
+    # tol 1e-13 reaches the same point
+    rng = RngStream(613)
+    real = rng.normal_array(60 * 6).reshape(60, 6)
+    cplx = rng.complex_normal_array(60 * 6).reshape(60, 6)
+    groups = [np.arange(0, 2), np.arange(2, 6)]
+    for A, f in ((real, ElasticNet(0.5)), (real, Quadratic()),
+                 (real, GroupElasticNet(0.5, groups)), (cplx, ComplexElasticNet(0.5))):
+        y_hat = A @ rng.gaussian_array(6, "complex" if np.iscomplexobj(A) else "real")
+        sol = constrained_regularizer_min(A, y_hat, f)
+        assert (sol.iterations, sol.converged) == (0, True)
+        bound = 1e-12 * np.linalg.norm(sol.value)
+        assert np.linalg.norm(sol.value - svd_pseudoinverse_apply(A, y_hat)) <= bound
+        assert np.linalg.norm(sol.value - plain_dual_loop(A, y_hat, f, tol=1e-13)[0]) <= bound
+    # control: a y_hat off range(A) fails the residual check, and the loop runs on
+    with pytest.raises(NotConverged):
+        constrained_regularizer_min(real, rng.normal_array(60), Quadratic(), max_iter=50)
