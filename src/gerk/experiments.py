@@ -29,6 +29,7 @@ every checkpoint_interval iterations and aggregated across trials into
 min/q25/median/q75/max bands.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -78,6 +79,12 @@ class ProblemInstance:
         if self.b_range is None:
             self.b_range = range_projection_quadratic(self.A, self.b).value
         return self.b - self.b_range
+
+    @functools.cached_property
+    def Ah(self):
+        """A^H, made on first use and shared by every recorder of the instance:
+        for a complex A it is a copy of A."""
+        return self.A.conj().T
 
 
 @dataclass
@@ -216,7 +223,7 @@ class MetricRecorder:
     @np.errstate(over="ignore")
     def __init__(self, instance, g, z_target=None):
         self.A = instance.A
-        self.Ah = instance.A.conj().T
+        self.Ah = instance.Ah
         self.b = instance.b
         self.b_hat = instance.b_hat
         self.x_hat = instance.x_hat

@@ -18,10 +18,13 @@ name the first offending one.  A file of SPLIT_BYTES or more, when
 forks.usable() (a fork, no other Python thread, a second CPU), is parsed in
 two parts at once: a child forked by forks.spawn, the helper behind every
 fork of gerk (also the solver's z-chain worker), parses the head while this
-process parses the tail, and the parts are joined in file order.  The array
-is the same bytes as the one pass gives, and when either part fails the
-read falls back to the one pass, so every error is the same too.  The body
-rules:
+process parses the tail, and the parts are joined in file order.  Where the
+head ends is found by _scan: from the raw bytes (_scan_bytes) when the body
+is ASCII with no comment character and no \\r, and no head line starts
+with a byte <= 0x20 (a blank or indented line); else by a line-by-line text
+scan, which finds the same head.  The array is the same bytes as the one
+pass gives, and when either part fails the read falls back to the one pass,
+so every error is the same too.  The body rules:
 
 - A number is what float() reads, written in ASCII without `_` separators.
   A coordinate index is an ASCII integer with an optional sign, and a size
@@ -37,6 +40,7 @@ rules:
 """
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -61,6 +65,7 @@ SPLIT_BYTES = 1 << 20  # smaller files parse in one pass: a fork and join cost a
 # the share of a split file's characters the child parses, set by measurement:
 # the parent skips those lines, at a small fraction of the cost of parsing one
 HEAD_SHARE = 0.55
+BYTE_CHUNK = 1 << 17  # the byte scan's read: its check arrays stay in a core's cache
 
 
 def atomic_write(path, text):
@@ -145,7 +150,14 @@ def _scan(fh, comment, head_chars):
     0 unless each of them holds data and a line follows them: np.loadtxt
     skips blank, whitespace-only and comment lines, and its max_rows counts
     data lines only.
+
+    When a head is asked for and fh is a file, _scan_bytes answers from the
+    raw bytes where it can; the text scan below gives the same answer.
     """
+    if head_chars > 0 and isinstance(fh, io.TextIOWrapper):
+        found = _scan_bytes(fh, comment.encode(), head_chars)
+        if found is not None:
+            return found
     c = re.escape(comment)
     trailing = re.compile(rf"^[^\S\n]*[^\s{c}][^\n{c}]*{c}", re.MULTILINE)
     head, left, follows = 0, head_chars, False
@@ -165,6 +177,40 @@ def _scan(fh, comment, head_chars):
             head += chunk.count("\n", 0, end)
         left -= len(chunk)
         follows = end < len(chunk)
+    return False, head if head and follows else 0
+
+
+def _scan_bytes(fh, comment, head_chars):
+    """_scan's (False, head) from the raw bytes of the lines left in the file
+    fh, read in chunks of whole lines; None, for the text scan to decide,
+    where the body holds the `comment` byte, a \\r or a byte that is not
+    ASCII, or a head line starts with a byte <= 0x20 (so it may be blank).
+    """
+    fd = fh.fileno()
+    pos, size = fh.tell(), os.fstat(fd).st_size
+    if pos > size:  # the cookie of a pending decoder state, not a byte offset
+        return None
+    buf = bytearray(min(BYTE_CHUNK, size - pos))
+    u8 = np.frombuffer(buf, np.uint8)
+    head, left, follows = 0, head_chars, False
+    while got := os.preadv(fd, [buf], pos):
+        n = got if pos + got >= size else buf.rfind(b"\n", 0, got) + 1
+        if (not n or buf.find(comment, 0, n) >= 0 or buf.find(b"\r", 0, n) >= 0
+                or u8[:n].max() >= 0x80):
+            return None
+        pos += n
+        if left <= 0:
+            follows = True
+            continue
+        # the head ends with the line that holds its last character
+        end = n if left >= n else buf.find(b"\n", left - 1, n) + 1 or n
+        v = u8[:end]
+        newline = v == 0x0A
+        if v[0] <= 0x20 or (newline[:-1] & (v[1:] <= 0x20)).any():
+            return None
+        head += int(np.count_nonzero(newline))
+        left -= n
+        follows = end < n
     return False, head if head and follows else 0
 
 

@@ -88,6 +88,16 @@ def misfit_projection(A, b, g, tol=1e-10, max_iter=10**6):
     )
 
 
+def y_hat_norm(y_hat):
+    """||y_hat||, computed without an overflow warning; ValueError (rescale)
+    where it is not finite: every residual test against it would then pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ynorm = float(np.linalg.norm(y_hat))
+    if not ynorm < np.inf:
+        raise ValueError("the norm of y_hat is not finite; rescale A or x_hat")
+    return ynorm
+
+
 def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     """x_hat = argmin f(x) subject to A x = y_hat, for y_hat in range(A).
 
@@ -97,7 +107,8 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
         x     <- grad f*(xstar)
 
     Stops when ||A x - y_hat|| <= tol * ||y_hat|| and the successive change
-    ||x_{k+1} - x_k|| is <= tol.  Raises NotConverged with the best iterate.
+    ||x_{k+1} - x_k|| is <= tol.  Raises NotConverged with the best iterate,
+    and ValueError (y_hat_norm) before any step where ||y_hat|| is not finite.
 
     When A has full column rank, x = A^+ y_hat is the only feasible point,
     whatever f is: its entries with |x_j| <= tol * max |x| are set to zero and
@@ -110,7 +121,7 @@ def constrained_regularizer_min(A, y_hat, f, tol=1e-10, max_iter=10**6):
     """
     A = as_matrix(A)
     y_hat = as_vector(y_hat, A.shape[0])
-    ynorm = float(np.linalg.norm(y_hat))
+    ynorm = y_hat_norm(y_hat)
     xstar = np.zeros(A.shape[1], dtype=A.dtype)
     x = f.conjugate_gradient(xstar)
     res = float(np.linalg.norm(A @ x - y_hat))

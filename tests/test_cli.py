@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,23 @@ def test_certify_at_a_scale_past_the_doubles_is_refused(tmp_path, capsys, scale,
     record = dict(line.split(" = ") for line in
                   (tmp_path / "cert.txt").read_text().splitlines()[1:])
     assert record["violations"] == "0" and float(record["max_ratio"]) > 0.0
+
+
+def test_certify_rhs_whose_norm_overflows_is_refused_without_a_warning(tmp_path, capsys):
+    # ||y_hat|| overflows: refused before the oracle's first step, with no
+    # RuntimeWarning from the norm first
+    rng = np.random.default_rng(0)
+    A = 1e160 * rng.standard_normal((6, 4))
+    write_matrix_market(tmp_path / "A.mtx", A)
+    write_vector_csv(tmp_path / "b.csv", A @ rng.standard_normal(4))
+    argv = ["certify", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.csv"),
+            "--lambda", "1", "--out", str(tmp_path / "cert.txt")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "gerk: error: the norm of y_hat is not finite; rescale A or x_hat\n")
+    assert not (tmp_path / "cert.txt").exists()
 
 
 def test_certify_with_no_sampled_ratio_says_so(tmp_path):

@@ -120,6 +120,15 @@ def test_recorder_skips_z_without_target():
     assert "z_error" not in recorder.trace().metrics
 
 
+def test_recorders_of_one_instance_share_its_adjoint():
+    # a complex A^H is a copy of A: the presets' recorders of a trial hold one
+    inst = small_generator(field="complex")(RngStream(809))
+    first, second = MetricRecorder(inst, QuadraticMisfit()), MetricRecorder(inst, QuadraticMisfit())
+    assert np.shares_memory(first.Ah, second.Ah)
+    assert not np.shares_memory(first.Ah, inst.A)
+    assert np.array_equal(first.Ah, inst.A.conj().T)
+
+
 def test_recorder_misfit_gradient_matches_full_formula():
     # a quadratic misfit reuses A^H r; both misfits are bit-equal to
     # ||A^H grad g(b - A x)|| / ||b|| computed in full

@@ -264,3 +264,95 @@ def test_a_fork_that_fails_sends_the_read_back_to_one_pass(tmp_path, forked, two
     assert len(spawned) == 1 and forked == []
     assert got.tobytes() == A.tobytes()
     assert same(got, one_pass(read_matrix_market, tmp_path / "A.mtx", monkeypatch))
+
+
+# ------------------------------------------------------------------ byte scan
+
+
+def scan_both(path, skip, comment):
+    """(head_chars, got, want) at every head_chars from 1 to one past the body's
+    end: _scan on the open file, after its first `skip` lines, and on an
+    io.StringIO of the text the file reads there (or the error each raises)."""
+    def result(scan):
+        try:
+            return scan()
+        except UnicodeDecodeError as exc:
+            return type(exc)
+
+    with open(path, encoding="utf-8") as fh:
+        for _ in range(skip):
+            fh.readline()
+        start = fh.tell()
+        rest = result(fh.read)
+        heads = range(1, len(rest) + 2) if isinstance(rest, str) else range(1, 4)
+        for head_chars in heads:
+            fh.seek(start)
+            got = result(lambda: fileio._scan(fh, comment, head_chars))
+            want = result(lambda: fileio._scan(io.StringIO(rest), comment, head_chars)) \
+                if isinstance(rest, str) else rest
+            yield head_chars, got, want
+
+
+def byte_cases():
+    """(data, comment, skip): the fuzz generators' files, and a small body with
+    each byte the byte scan leaves to the text scan put at every place in it."""
+    rng = RngStream(4747)
+    for _ in range(30):
+        yield random_matrix_market(rng)[0].encode(), "%", 1
+        yield random_vector_csv(rng)[0].encode(), "#", 1
+    for ending in (b"\n", b"\r\n"):
+        body = ending.join([b"1.5 -2", b"3 4e-1", b"-5 .6", b"7", b"8e1 9"])
+        for end in (ending, b""):  # the last line with its break and without
+            yield b"value" + ending + body + end, "#", 1
+            for byte in (b"%", b"\r", b"\n", b"\t", b" ", b"\x0c", b"\x1c", b"\x1f", b"\xc3\xa9",
+                         b"\x80", b"\xff"):
+                text = body + end
+                for at in range(len(text) + 1):
+                    yield text[:at] + byte + text[at:], "%", 0
+
+
+@pytest.mark.parametrize("chunk", [16, fileio.BYTE_CHUNK])
+def test_byte_scan_matches_text_scan_at_every_split_point(chunk, tmp_path, monkeypatch):
+    # at 16 bytes a head spans chunks, and a line longer than one is left to the text scan
+    monkeypatch.setattr(fileio, "BYTE_CHUNK", chunk)
+    path = tmp_path / "body.txt"
+    answered = []
+    scan_bytes = fileio._scan_bytes
+    monkeypatch.setattr(fileio, "_scan_bytes",
+                        lambda *args: answered.append(scan_bytes(*args)) or answered[-1])
+    splits = 0
+    for data, comment, skip in byte_cases():
+        path.write_bytes(data)
+        for head_chars, got, want in scan_both(path, skip, comment):
+            # repr: an equal head of another type (np.int64) fails too
+            assert repr(got) == repr(want), f"{data!r}, head_chars {head_chars}"
+            splits += isinstance(got, tuple) and got[1] > 0
+    # the byte scan answered (heads split and not), and left the rest to the text scan
+    found = [a for a in answered if a is not None]
+    assert len(found) >= 1000 and any(a[1] for a in found) and any(not a[1] for a in found)
+    assert answered.count(None) >= 1000 and splits >= 1000
+
+
+def test_a_clean_body_forks_without_the_text_scan(tmp_path, forked, two_cpus, monkeypatch):
+    # a clean ASCII body with \n line breaks is split from its bytes: the text
+    # scan's blank-line search never runs
+    class Refused:
+        def search(self, *args):
+            raise AssertionError("the text scan ran")
+
+        match = search
+
+    A = big_matrix(tmp_path / "A.mtx")
+    data = (tmp_path / "A.mtx").read_bytes()
+    monkeypatch.setattr(fileio, "_BLANK", Refused())
+    monkeypatch.setattr(fileio, "_FIRST_BLANK", Refused())
+    assert read_matrix_market(tmp_path / "A.mtx").tobytes() == A.tobytes()
+    assert len(forked) == 1
+    assert_no_child()
+    # negative controls: \r\n line breaks, and an indented line, are left to the text scan
+    lines = data.split(b"\n")
+    lines[len(lines) // 2] = b" " + lines[len(lines) // 2]
+    for copy in (data.replace(b"\n", b"\r\n"), b"\n".join(lines)):
+        (tmp_path / "A.mtx").write_bytes(copy)
+        with pytest.raises(AssertionError, match="the text scan ran"):
+            read_matrix_market(tmp_path / "A.mtx")
