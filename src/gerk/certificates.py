@@ -132,7 +132,9 @@ def verify_error_bound(A, x_hat, y_hat, lam, n_samples, seed, max_cols=15, gamma
     Raises ValueError (rescale) where ||y_hat||, a sample's D or its
     ||A x - y_hat||^2 is not finite: the inequality would then hold vacuously.
     Pass gamma to override the certificate constant (negative controls).
-    Real field only.
+    Real field only: a complex system, embedded (linalg.embed_complex_as_real),
+    is certified for the real elastic net on its 2n real and imaginary parts,
+    lam * sum(|Re x_j| + |Im x_j|), not for ComplexElasticNet's lam * sum(|x_j|).
     """
     n_samples = _checked_count(n_samples, "n_samples", 0)
     if gamma is not None:

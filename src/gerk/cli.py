@@ -184,11 +184,20 @@ def cmd_experiment(args):
 
 
 def cmd_certify(args):
+    """Certify --xhat, or the elastic-net solution of --rhs, for --matrix.
+
+    A complex system is certified in its real embedding: the real elastic
+    net on the 2n real and imaginary parts, lam * sum(|Re x_j| + |Im x_j|).
+    That is not the regularizer `solve` applies to complex input
+    (ComplexElasticNet, lam * sum(|x_j|)), so the two x_hat can differ.
+    """
     if args.lam is None:
         raise MissingParameter("certify needs --lambda")
-    A = read_matrix_market(args.matrix)
     if args.xhat is None and args.rhs is None:
         raise MissingParameter("certify needs --xhat or --rhs")
+    if args.xhat is not None and args.rhs is not None:
+        raise ValueError("certify takes --xhat or --rhs, not both")
+    A = read_matrix_market(args.matrix)
     v = read_vector_csv(args.rhs if args.xhat is None else args.xhat)
     if args.xhat is not None and v.size != A.shape[1]:
         raise DimensionMismatch(f"{args.xhat}: x_hat has length {v.size}, "

@@ -19,11 +19,11 @@ forks.usable() (a fork, no other Python thread, a second CPU), is parsed in
 two parts at once: a child forked by forks.spawn, the helper behind every
 fork of gerk (also the solver's z-chain worker), parses the head while this
 process parses the tail, and the parts are joined in file order.  Where the
-head ends is found by _scan: from the raw bytes (_scan_bytes) when the body
-is ASCII with no comment character and no \\r, and no head line starts
-with a byte <= 0x20 (a blank or indented line); else by a line-by-line text
-scan, which finds the same head.  The array is the same bytes as the one
-pass gives, and when either part fails the read falls back to the one pass,
+head ends is found from the raw bytes by _head, when the body is ASCII with
+no comment character and no head line starts with a byte <= 0x20 (a blank
+or indented line); lines end in \\n, \\r\\n or a lone \\r.  Every other
+body is read in one pass.  The array is the same bytes as the one pass
+gives, and when either part fails the read falls back to the one pass,
 so every error is the same too.  The body rules:
 
 - A number is what float() reads, written in ASCII without `_` separators.
@@ -40,7 +40,6 @@ so every error is the same too.  The body rules:
 """
 
 import functools
-import io
 import itertools
 import json
 import math
@@ -62,10 +61,10 @@ METRICS_CSV_VERSION = "# gerk-metrics-csv v1"
 CERTIFICATE_VERSION = "# gerk-certificate v1"
 
 SPLIT_BYTES = 1 << 20  # smaller files parse in one pass: a fork and join cost a few ms
-# the share of a split file's characters the child parses, set by measurement:
+# the share of a split file's bytes the child parses, set by measurement:
 # the parent skips those lines, at a small fraction of the cost of parsing one
 HEAD_SHARE = 0.55
-BYTE_CHUNK = 1 << 17  # the byte scan's read: its check arrays stay in a core's cache
+BYTE_CHUNK = 1 << 17  # the head search's read: its check arrays stay in a core's cache
 
 
 def atomic_write(path, text):
@@ -136,55 +135,14 @@ def _index(token):
     return int(token)
 
 
-_BLANK = re.compile(r"\n\s*\n")  # a blank or whitespace-only line after a line break
-_FIRST_BLANK = re.compile(r"\s*\n")  # the same at the start of a chunk
-
-
-def _scan(fh, comment, head_chars):
-    """Scan the lines left in fh in 1 MiB text-mode chunks: (trailing, head).
-
-    trailing is True if a line holds data before a `comment` character.
-    Only whole-line comments are allowed; np.loadtxt would drop a trailing
-    one.  head is the number of lines that start in the first head_chars
-    characters, counted as np.loadtxt counts lines (universal newlines), or
-    0 unless each of them holds data and a line follows them: np.loadtxt
-    skips blank, whitespace-only and comment lines, and its max_rows counts
-    data lines only.
-
-    When a head is asked for and fh is a file, _scan_bytes answers from the
-    raw bytes where it can; the text scan below gives the same answer.
-    """
-    if head_chars > 0 and isinstance(fh, io.TextIOWrapper):
-        found = _scan_bytes(fh, comment.encode(), head_chars)
-        if found is not None:
-            return found
-    c = re.escape(comment)
-    trailing = re.compile(rf"^[^\S\n]*[^\s{c}][^\n{c}]*{c}", re.MULTILINE)
-    head, left, follows = 0, head_chars, False
-    while chunk := fh.read(1 << 20):
-        chunk += fh.readline()  # end each chunk at a line break
-        if comment in chunk and trailing.search(chunk):
-            return True, 0
-        if left <= 0 or head is None:
-            follows = True
-            continue
-        # the head ends with the line that holds its last character
-        end = len(chunk) if left >= len(chunk) else chunk.find("\n", left - 1) + 1 or len(chunk)
-        if (chunk.find(comment, 0, end) >= 0 or _FIRST_BLANK.match(chunk, 0, end)
-                or _BLANK.search(chunk, 0, end)):
-            head = None
-        else:
-            head += chunk.count("\n", 0, end)
-        left -= len(chunk)
-        follows = end < len(chunk)
-    return False, head if head and follows else 0
-
-
-def _scan_bytes(fh, comment, head_chars):
-    """_scan's (False, head) from the raw bytes of the lines left in the file
-    fh, read in chunks of whole lines; None, for the text scan to decide,
-    where the body holds the `comment` byte, a \\r or a byte that is not
-    ASCII, or a head line starts with a byte <= 0x20 (so it may be blank).
+def _head(fh, comment, head_bytes):
+    """The number of lines left in the file fh that start in its next
+    head_bytes bytes, from the raw bytes read in chunks of whole lines, or 0
+    unless a line follows them.  None, for the one-pass read, where the body
+    holds the `comment` byte or a byte that is not ASCII, or one of those
+    lines starts with a byte <= 0x20 (so it may be blank): np.loadtxt's
+    max_rows counts data lines only.  A line ends in \\n, \\r\\n or a lone
+    \\r, as np.loadtxt counts lines.
     """
     fd = fh.fileno()
     pos, size = fh.tell(), os.fstat(fd).st_size
@@ -192,26 +150,47 @@ def _scan_bytes(fh, comment, head_chars):
         return None
     buf = bytearray(min(BYTE_CHUNK, size - pos))
     u8 = np.frombuffer(buf, np.uint8)
-    head, left, follows = 0, head_chars, False
+    head, left, head_end = 0, head_bytes, size
     while got := os.preadv(fd, [buf], pos):
-        n = got if pos + got >= size else buf.rfind(b"\n", 0, got) + 1
-        if (not n or buf.find(comment, 0, n) >= 0 or buf.find(b"\r", 0, n) >= 0
-                or u8[:n].max() >= 0x80):
+        cr = buf.find(b"\r", 0, got) >= 0
+        # a chunk ends with its last line break; a \r at its end may start a \r\n
+        n = got if pos + got >= size else max(
+            buf.rfind(b"\n", 0, got), buf.rfind(b"\r", 0, got - 1) if cr else -1) + 1
+        if not n or buf.find(comment, 0, n) >= 0 or u8[:n].max() >= 0x80:
             return None
         pos += n
         if left <= 0:
-            follows = True
             continue
-        # the head ends with the line that holds its last character
-        end = n if left >= n else buf.find(b"\n", left - 1, n) + 1 or n
-        v = u8[:end]
-        newline = v == 0x0A
-        if v[0] <= 0x20 or (newline[:-1] & (v[1:] <= 0x20)).any():
+        v = u8[:n]
+        breaks = v == 0x0A
+        if cr:  # a \r ends a line unless a \n follows it
+            lone = v == 0x0D
+            lone[:-1] &= ~breaks[1:]
+            breaks |= lone
+        # the head ends with the line that holds its last byte
+        after = np.flatnonzero(breaks[left - 1:]) if left < n else ()
+        end = left + int(after[0]) if len(after) else n
+        v, breaks = v[:end], breaks[:end]
+        if v[0] <= 0x20 or (breaks[:-1] & (v[1:] <= 0x20)).any():
             return None
-        head += int(np.count_nonzero(newline))
+        head += int(np.count_nonzero(breaks))
         left -= n
-        follows = end < n
-    return False, head if head and follows else 0
+        head_end = pos - n + end
+    return head if head_end < size else 0  # 0 unless a line follows the head
+
+
+def _comment_after_data(fh, comment):
+    """True if a line left in fh, read in 1 MiB text-mode chunks, holds data
+    before a `comment` character.  Only whole-line comments are allowed;
+    np.loadtxt would drop a trailing one.
+    """
+    c = re.escape(comment)
+    trailing = re.compile(rf"^[^\S\n]*[^\s{c}][^\n{c}]*{c}", re.MULTILINE)
+    while chunk := fh.read(1 << 20):
+        chunk += fh.readline()  # end each chunk at a line break
+        if comment in chunk and trailing.search(chunk):
+            return True
+    return False
 
 
 def _read_body(fh, path, skip, comment, delimiter, dtype):
@@ -224,9 +203,9 @@ def _read_body(fh, path, skip, comment, delimiter, dtype):
     body may be parsed in two parts at once (_split_load; module docstring).
     """
     size = os.fstat(fh.fileno()).st_size
-    split = size >= SPLIT_BYTES and forks.usable()
-    trailing, head = _scan(fh, comment, int(HEAD_SHARE * size) if split else 0)
-    if trailing:
+    head = (_head(fh, comment.encode(), int(HEAD_SHARE * size))
+            if size >= SPLIT_BYTES and forks.usable() else None)
+    if head is None and _comment_after_data(fh, comment):
         return None
     load = functools.partial(np.loadtxt, path, dtype=dtype, comments=comment,
                              delimiter=delimiter, ndmin=1, encoding="utf-8")
@@ -244,7 +223,7 @@ def _split_load(load, skip, head):
     while this process parses the rest; None when the fork, either part or
     the child fails.
 
-    Every line of the head holds data (_scan), so the child's max_rows ends
+    Every line of the head holds data (_head), so the child's max_rows ends
     it where the parent's skiprows starts.  The child writes its records
     into a shared mmap, and the two parts are joined in file order.  The
     child is reaped before this returns, and killed first unless the

@@ -435,6 +435,28 @@ def test_certify_with_no_sampled_ratio_says_so(tmp_path):
     assert not (tmp_path / "cert.txt").read_text().endswith("max_ratio = none\n")
 
 
+def test_certify_refuses_xhat_and_rhs_together_before_reading(tmp_path, capsys):
+    # each flag alone certifies; both are refused, whatever b.csv holds, before any
+    # file is read (a missing --matrix is not reported) and with no --out file
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    write_matrix_market(tmp_path / "A.mtx", A)
+    write_vector_csv(tmp_path / "x.csv", rng.standard_normal(4))
+    write_vector_csv(tmp_path / "b.csv", rng.standard_normal(6))
+    argv = ["certify", "--lambda", "1", "--samples", "5", "--out", str(tmp_path / "cert.txt")]
+    for flag in ("--xhat", "--rhs"):
+        source = tmp_path / ("x.csv" if flag == "--xhat" else "b.csv")
+        assert main(argv + ["--matrix", str(tmp_path / "A.mtx"), flag, str(source)]) == 0
+    (tmp_path / "cert.txt").unlink()
+    capsys.readouterr()
+    both = ["--xhat", str(tmp_path / "x.csv"), "--rhs", str(tmp_path / "b.csv")]
+    for matrix in ("A.mtx", "missing.mtx"):
+        assert main(argv + ["--matrix", str(tmp_path / matrix)] + both) == 2
+        err = capsys.readouterr().err
+        assert err == "gerk: error: certify takes --xhat or --rhs, not both\n"
+        assert not (tmp_path / "cert.txt").exists()
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_certify_max_cols_below_one_exit_code(tmp_path, capsys, cap):
     write_matrix_market(tmp_path / "I.mtx", np.eye(2))

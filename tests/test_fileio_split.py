@@ -4,8 +4,9 @@ Every read is compared with the one-pass read, forced by making
 `forks.usable` false: the same array bytes, or the same ParseError.
 """
 
-import io
+import contextlib
 import os
+import re
 import signal
 import threading
 import time
@@ -197,39 +198,48 @@ def test_universal_newlines_split_where_loadtxt_counts(tmp_path, forked, two_cpu
 # ------------------------------------------------------------ differential fuzz
 
 
-def split_points(rest, comment):
-    """Heads, in lines, worth splitting the body text `rest` at: next to
-    each blank or comment line (before it and after it), before and at the
-    last line, and one in the middle."""
-    lines = rest.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    heads = {len(lines) // 2, len(lines) - 1, len(lines)}
-    for k, line in enumerate(lines):
-        if not line.strip() or line.strip().startswith(comment):
-            heads.update((k, k + 1))
-    return sorted(h for h in heads if h > 0)
+def lines_of(body):
+    r"""The lines of the bytes `body`, each with its line break: \n, \r\n or a
+    lone \r, as np.loadtxt counts lines."""
+    return re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", body)
 
 
-def split_reads(reader, path, comment, monkeypatch):
-    """(head, outcome) of the reader at each of split_points, with the split
-    forced on: the scan is given the head that ends at that line."""
-    scan, bodies, head = fileio._scan, [], []
-
-    def at_line(fh, comment_, head_chars):
-        rest = fh.read()
-        bodies.append(rest)
-        ends = np.cumsum([len(line) for line in io.StringIO(rest)])
-        return scan(io.StringIO(rest), comment_, int(ends[head[-1] - 1]) if head else 0)
-
+def body_of(reader, path, monkeypatch):
+    """The bytes of path after the lines the reader's header takes, or None
+    when the header does not parse (or ends mid-decode)."""
+    found = []
     with monkeypatch.context() as m:
         m.setattr(fileio, "SPLIT_BYTES", 0)
         m.setattr(forks, "usable", lambda: True)
-        m.setattr(fileio, "_scan", at_line)
-        outcome(reader, path)  # no head: finds the body, if the header parses
-        for h in split_points(bodies[0], comment) if bodies else []:
-            head.append(h)
-            yield h, outcome(reader, path)
+        m.setattr(fileio, "_head", lambda fh, comment, head_bytes: found.append(fh.tell()))
+        outcome(reader, path)
+    data = path.read_bytes()
+    return data[found[0]:] if found and found[0] <= len(data) else None
+
+
+@contextlib.contextmanager
+def split_at(monkeypatch, at):
+    """Every body splits, whatever its size, with its head ending at the
+    line that holds its byte number `at`, where _head allows a split."""
+    head = fileio._head
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "SPLIT_BYTES", 0)
+        m.setattr(forks, "usable", lambda: True)
+        m.setattr(fileio, "_head", lambda fh, comment, head_bytes: head(fh, comment, at))
+        yield
+
+
+def split_points(body, comment):
+    """Heads, as byte offsets, worth splitting the body at: the end of each
+    line next to a blank, indented or comment line (before it and after it),
+    of the line before the last, of the last line, and of one in the middle."""
+    lines = lines_of(body)
+    ends = np.cumsum([len(line) for line in lines]).tolist()
+    heads = {len(lines) // 2, len(lines) - 1, len(lines)}
+    for k, line in enumerate(lines):
+        if line[:1].isspace() or line.strip().startswith(comment.encode()):
+            heads.update((k, k + 1))
+    return [ends[h - 1] for h in sorted(heads) if h > 0]
 
 
 @pytest.mark.parametrize("kind", ["mtx", "csv"])
@@ -237,14 +247,18 @@ def test_split_reads_match_one_pass_reads(kind, tmp_path, forked, monkeypatch):
     rng = RngStream(4545 if kind == "mtx" else 4646)
     path = tmp_path / ("f.mtx" if kind == "mtx" else "v.csv")
     reader = read_matrix_market if kind == "mtx" else read_vector_csv
+    comment = "%" if kind == "mtx" else "#"
     splits = 0
-    for case in range(150):
+    for case in range(400):
         text, _ = random_matrix_market(rng) if kind == "mtx" else random_vector_csv(rng)
         path.write_bytes(text.encode())
         want = one_pass(reader, path, monkeypatch)
+        body = body_of(reader, path, monkeypatch)
         before = len(forked)
-        for head, got in split_reads(reader, path, "%" if kind == "mtx" else "#", monkeypatch):
-            assert same(got, want), f"case {case}, head {head}:\n{text}\ngot {got!r}\nwant {want!r}"
+        for at in split_points(body, comment) if body is not None else []:
+            with split_at(monkeypatch, at):
+                got = outcome(reader, path)
+            assert same(got, want), f"case {case}, head {at}:\n{text}\ngot {got!r}\nwant {want!r}"
         splits += len(forked) > before
     assert_no_child()
     assert splits >= 60, splits
@@ -266,44 +280,49 @@ def test_a_fork_that_fails_sends_the_read_back_to_one_pass(tmp_path, forked, two
     assert same(got, one_pass(read_matrix_market, tmp_path / "A.mtx", monkeypatch))
 
 
-# ------------------------------------------------------------------ byte scan
+# ---------------------------------------------------------------- head search
 
 
-def scan_both(path, skip, comment):
-    """(head_chars, got, want) at every head_chars from 1 to one past the body's
-    end: _scan on the open file, after its first `skip` lines, and on an
-    io.StringIO of the text the file reads there (or the error each raises)."""
-    def result(scan):
+def heads_of(body, comment):
+    """What _head may answer for a head of 1, 2, ... bytes of body, up to one
+    past its end: the number of lines that start in them, or 0 unless a line
+    follows; None where the body holds `comment` or a byte that is not ASCII,
+    or a head line may be blank."""
+    if comment.encode() in body or not body.isascii():
+        return [None] * (len(body) + 1)
+    heads, count, blank = [], 0, False
+    for line in lines_of(body):
+        count, blank = count + 1, blank or line[0] <= 0x20
+        heads += [None if blank else count] * len(line)
+    return [0 if h == count else h for h in heads] + [None if blank else 0]
+
+
+def read_body(path, skip, comment):
+    """_read_body's records of path after its first `skip` lines, as bytes,
+    for two numbers per line (None, or the error it raises)."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            return scan()
+            for _ in range(skip):
+                fh.readline()
+            data = fileio._read_body(fh, path, skip, comment, None,
+                                     np.dtype([("v", np.float64, (2,))]))
         except UnicodeDecodeError as exc:
             return type(exc)
-
-    with open(path, encoding="utf-8") as fh:
-        for _ in range(skip):
-            fh.readline()
-        start = fh.tell()
-        rest = result(fh.read)
-        heads = range(1, len(rest) + 2) if isinstance(rest, str) else range(1, 4)
-        for head_chars in heads:
-            fh.seek(start)
-            got = result(lambda: fileio._scan(fh, comment, head_chars))
-            want = result(lambda: fileio._scan(io.StringIO(rest), comment, head_chars)) \
-                if isinstance(rest, str) else rest
-            yield head_chars, got, want
+    return data if data is None else data.tobytes()
 
 
 def byte_cases():
     """(data, comment, skip): the fuzz generators' files, and a small body with
-    each byte the byte scan leaves to the text scan put at every place in it."""
+    each byte that stops a split put at every place in it."""
     rng = RngStream(4747)
     for _ in range(30):
         yield random_matrix_market(rng)[0].encode(), "%", 1
         yield random_vector_csv(rng)[0].encode(), "#", 1
-    for ending in (b"\n", b"\r\n"):
-        body = ending.join([b"1.5 -2", b"3 4e-1", b"-5 .6", b"7", b"8e1 9"])
+    for ending in (b"\n", b"\r\n", b"\r"):
+        body = ending.join([b"1.5 -2", b"3 4e-1", b"-5 .6", b"7 0", b"8e1 9"])
         for end in (ending, b""):  # the last line with its break and without
-            yield b"value" + ending + body + end, "#", 1
+            # (after a header line that ends in a lone \r, fh.tell() is no byte offset)
+            yield b"value" + (b"\n" if ending == b"\r" else ending) + body + end, "#", 1
             for byte in (b"%", b"\r", b"\n", b"\t", b" ", b"\x0c", b"\x1c", b"\x1f", b"\xc3\xa9",
                          b"\x80", b"\xff"):
                 text = body + end
@@ -312,47 +331,92 @@ def byte_cases():
 
 
 @pytest.mark.parametrize("chunk", [16, fileio.BYTE_CHUNK])
-def test_byte_scan_matches_text_scan_at_every_split_point(chunk, tmp_path, monkeypatch):
-    # at 16 bytes a head spans chunks, and a line longer than one is left to the text scan
+def test_head_search_splits_as_the_one_pass_read_at_every_offset(chunk, tmp_path, forked,
+                                                                 monkeypatch):
+    # _head at every head offset of every case, against the lines counted here; at 16
+    # bytes a head spans chunks, and a line of 16 bytes or more reads in one pass.  The
+    # split read at one offset of every 8th case with a split, against the one-pass read
     monkeypatch.setattr(fileio, "BYTE_CHUNK", chunk)
     path = tmp_path / "body.txt"
-    answered = []
-    scan_bytes = fileio._scan_bytes
-    monkeypatch.setattr(fileio, "_scan_bytes",
-                        lambda *args: answered.append(scan_bytes(*args)) or answered[-1])
-    splits = 0
+    answers, with_split, parsed = [], 0, 0
     for data, comment, skip in byte_cases():
         path.write_bytes(data)
-        for head_chars, got, want in scan_both(path, skip, comment):
-            # repr: an equal head of another type (np.int64) fails too
-            assert repr(got) == repr(want), f"{data!r}, head_chars {head_chars}"
-            splits += isinstance(got, tuple) and got[1] > 0
-    # the byte scan answered (heads split and not), and left the rest to the text scan
-    found = [a for a in answered if a is not None]
-    assert len(found) >= 1000 and any(a[1] for a in found) and any(not a[1] for a in found)
-    assert answered.count(None) >= 1000 and splits >= 1000
+        heads = {}
+        with open(path, encoding="utf-8") as fh:
+            for _ in range(skip):
+                fh.readline()
+            body = data[fh.tell():]
+            long_line = max(map(len, lines_of(body)), default=0) >= chunk
+            for at, want in enumerate(heads_of(body, comment), 1):
+                got = fileio._head(fh, comment.encode(), at)
+                assert got == want or (got is None and long_line), f"{data!r}, head {at}"
+                answers.append(got)
+                heads.setdefault(got, at)
+        splits = sorted(at for head, at in heads.items() if head)
+        with_split += bool(splits)
+        if splits and with_split % 8 == 1:
+            want = read_body(path, skip, comment)
+            with split_at(monkeypatch, splits[with_split // 8 % len(splits)]):
+                assert read_body(path, skip, comment) == want, f"{data!r}"
+            parsed += want is not None
+    # heads split and not, and bodies left to the one-pass read
+    assert answers.count(None) >= 1000 and answers.count(0) >= 1000
+    assert sum(1 for a in answers if a) >= 1000 and parsed >= 50 and len(forked) >= 100
+    assert_no_child()
 
 
 def test_a_clean_body_forks_without_the_text_scan(tmp_path, forked, two_cpus, monkeypatch):
-    # a clean ASCII body with \n line breaks is split from its bytes: the text
-    # scan's blank-line search never runs
-    class Refused:
-        def search(self, *args):
-            raise AssertionError("the text scan ran")
-
-        match = search
+    # gerk's own MatrixMarket output, with \n or \r\n line breaks, splits from its
+    # bytes: the text-mode check for data before a comment character never runs
+    def refused(*args):
+        raise AssertionError("the comment check ran")
 
     A = big_matrix(tmp_path / "A.mtx")
     data = (tmp_path / "A.mtx").read_bytes()
-    monkeypatch.setattr(fileio, "_BLANK", Refused())
-    monkeypatch.setattr(fileio, "_FIRST_BLANK", Refused())
-    assert read_matrix_market(tmp_path / "A.mtx").tobytes() == A.tobytes()
+    monkeypatch.setattr(fileio, "_comment_after_data", refused)
+    for copy in (data, data.replace(b"\n", b"\r\n")):
+        (tmp_path / "A.mtx").write_bytes(copy)
+        before = len(forked)
+        assert read_matrix_market(tmp_path / "A.mtx").tobytes() == A.tobytes()
+        assert len(forked) == before + 1
+        assert_no_child()
+    # negative controls: a copy with an indented line, and one with a comment
+    # line, are left to the comment check and read in one pass
+    monkeypatch.undo()
+    checked = []
+    check = fileio._comment_after_data
+    monkeypatch.setattr(fileio, "_comment_after_data", lambda *args: checked.append(1) or check(*args))
+    lines = data.split(b"\n")
+    mid = len(lines) // 2
+    indented = lines[:mid] + [b" " + lines[mid]] + lines[mid + 1:]
+    commented = lines[:mid] + [b"% a note"] + lines[mid:]
+    for copy in (b"\n".join(indented), b"\n".join(commented)):
+        (tmp_path / "A.mtx").write_bytes(copy)
+        before = len(forked)
+        assert read_matrix_market(tmp_path / "A.mtx").tobytes() == A.tobytes()
+        assert len(forked) == before
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("kind", ["mtx-real", "mtx-complex", "csv-value", "csv-re-im"])
+def test_the_files_gerk_writes_split_without_the_comment_check(kind, tmp_path, forked, two_cpus,
+                                                               monkeypatch):
+    # write_matrix_market and write_vector_csv put their comments in the header, so
+    # their bodies (and perfbench's write_mtx's, of the same shape) split from the bytes
+    def refused(*args):
+        raise AssertionError("the comment check ran")
+
+    field = "complex" if kind.endswith(("complex", "re-im")) else "real"
+    want = RngStream(2620).gaussian_array(60000 if field == "real" else 30000, field)
+    path = tmp_path / ("A.mtx" if kind.startswith("mtx") else "b.csv")
+    if kind.startswith("mtx"):
+        want = want.reshape(-1, 100)
+        write_matrix_market(path, want)
+    else:
+        write_vector_csv(path, want)
+    assert os.path.getsize(path) >= fileio.SPLIT_BYTES
+    monkeypatch.setattr(fileio, "_comment_after_data", refused)
+    got = (read_matrix_market if kind.startswith("mtx") else read_vector_csv)(path)
     assert len(forked) == 1
     assert_no_child()
-    # negative controls: \r\n line breaks, and an indented line, are left to the text scan
-    lines = data.split(b"\n")
-    lines[len(lines) // 2] = b" " + lines[len(lines) // 2]
-    for copy in (data.replace(b"\n", b"\r\n"), b"\n".join(lines)):
-        (tmp_path / "A.mtx").write_bytes(copy)
-        with pytest.raises(AssertionError, match="the text scan ran"):
-            read_matrix_market(tmp_path / "A.mtx")
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
