@@ -183,6 +183,12 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
+# the certificate record's `regularizer` line: the function its x_hat minimizes
+CERTIFIED_REAL = "elastic net: lam*sum_j |x_j| + ||x||^2/2"
+CERTIFIED_COMPLEX = ("real elastic net on the real and imaginary parts: "
+                     "lam*sum_j (|Re x_j| + |Im x_j|) + ||x||^2/2")
+
+
 def cmd_certify(args):
     """Certify --xhat, or the elastic-net solution of --rhs, for --matrix.
 
@@ -217,6 +223,7 @@ def cmd_certify(args):
     cert = report.certificate
     text = format_record(CERTIFICATE_VERSION, [
         ("n", cert.n), ("lam", cert.lam), ("embedded", "true" if embedded else "false"),
+        ("regularizer", CERTIFIED_COMPLEX if embedded else CERTIFIED_REAL),
         ("sigma_tilde_min", cert.sigma_tilde_min), ("sigma_min_positive", cert.sigma_min_positive),
         ("xhat_min_abs", "none" if cert.xhat_min_abs is None else cert.xhat_min_abs),
         ("gamma", cert.gamma), ("samples", report.samples), ("violations", report.violations),

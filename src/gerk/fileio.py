@@ -135,38 +135,38 @@ def _index(token):
     return int(token)
 
 
-def _head(fh, comment, head_bytes):
-    """The number of lines left in the file fh that start in its next
-    head_bytes bytes, from the raw bytes read in chunks of whole lines, or 0
-    unless a line follows them.  None, for the one-pass read, where the body
-    holds the `comment` byte or a byte that is not ASCII, or one of those
-    lines starts with a byte <= 0x20 (so it may be blank): np.loadtxt's
-    max_rows counts data lines only.  A line ends in \\n, \\r\\n or a lone
-    \\r, as np.loadtxt counts lines.
+def _head(fd, skip, comment, head_bytes):
+    """The number of lines of the body (the file fd after its first `skip`
+    lines) that start in its first head_bytes bytes, from the raw bytes read
+    in chunks of whole lines, or 0 unless a line follows them.  None, for the
+    one-pass read, where the body holds the `comment` byte or a byte that is
+    not ASCII, or one of those lines starts with a byte <= 0x20 (so it may be
+    blank): np.loadtxt's max_rows counts data lines only.  A line ends in
+    \\n, \\r\\n or a lone \\r, as np.loadtxt and a text-mode readline count
+    lines, so the body starts after the skip-th line break.
     """
-    fd = fh.fileno()
-    pos, size = fh.tell(), os.fstat(fd).st_size
-    if pos > size:  # the cookie of a pending decoder state, not a byte offset
-        return None
-    buf = bytearray(min(BYTE_CHUNK, size - pos))
+    size = os.fstat(fd).st_size
+    buf = bytearray(min(BYTE_CHUNK, size))
     u8 = np.frombuffer(buf, np.uint8)
-    head, left, head_end = 0, head_bytes, size
+    pos, head, left, head_end = 0, 0, head_bytes, size
     while got := os.preadv(fd, [buf], pos):
         cr = buf.find(b"\r", 0, got) >= 0
-        # a chunk ends with its last line break; a \r at its end may start a \r\n
-        n = got if pos + got >= size else max(
-            buf.rfind(b"\n", 0, got), buf.rfind(b"\r", 0, got - 1) if cr else -1) + 1
+        last = got if pos + got >= size else got - 1  # a \r at its end may start a \r\n
+        if skip:  # in the header: the body starts after its skip-th line break
+            ends = np.flatnonzero(_breaks(u8[:got], cr)[:last])
+            pos += int(ends[skip - 1]) + 1 if skip <= len(ends) else last
+            skip = max(skip - len(ends), 0)
+            continue
+        # a chunk of the body ends with its last line break
+        n = got if last == got else max(
+            buf.rfind(b"\n", 0, got), buf.rfind(b"\r", 0, last) if cr else -1) + 1
         if not n or buf.find(comment, 0, n) >= 0 or u8[:n].max() >= 0x80:
             return None
         pos += n
         if left <= 0:
             continue
         v = u8[:n]
-        breaks = v == 0x0A
-        if cr:  # a \r ends a line unless a \n follows it
-            lone = v == 0x0D
-            lone[:-1] &= ~breaks[1:]
-            breaks |= lone
+        breaks = _breaks(v, cr)
         # the head ends with the line that holds its last byte
         after = np.flatnonzero(breaks[left - 1:]) if left < n else ()
         end = left + int(after[0]) if len(after) else n
@@ -177,6 +177,17 @@ def _head(fh, comment, head_bytes):
         left -= n
         head_end = pos - n + end
     return head if head_end < size else 0  # 0 unless a line follows the head
+
+
+def _breaks(v, cr):
+    """Where the bytes v end a line: each \\n, and, when v holds a \\r (cr),
+    each \\r that no \\n follows."""
+    breaks = v == 0x0A
+    if cr:
+        lone = v == 0x0D
+        lone[:-1] &= ~breaks[1:]
+        breaks |= lone
+    return breaks
 
 
 def _comment_after_data(fh, comment):
@@ -203,7 +214,7 @@ def _read_body(fh, path, skip, comment, delimiter, dtype):
     body may be parsed in two parts at once (_split_load; module docstring).
     """
     size = os.fstat(fh.fileno()).st_size
-    head = (_head(fh, comment.encode(), int(HEAD_SHARE * size))
+    head = (_head(fh.fileno(), skip, comment.encode(), int(HEAD_SHARE * size))
             if size >= SPLIT_BYTES and forks.usable() else None)
     if head is None and _comment_after_data(fh, comment):
         return None

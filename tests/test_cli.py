@@ -276,7 +276,7 @@ def test_certify_identity_record(tmp_path, capsys):
     assert text.startswith(CERTIFICATE_VERSION + "\n")
     assert "gamma = 3.0" in text
     assert "violations = 0" in text
-    assert "embedded = false" in text
+    assert "embedded = false\nregularizer = elastic net: lam*sum_j |x_j| + ||x||^2/2\n" in text
     assert text == capsys.readouterr().out
 
 
@@ -336,7 +336,8 @@ def test_certify_complex_embeds(tmp_path):
                "--samples", "20", "--out", str(tmp_path / "cert.txt")])
     assert rc == 0
     text = (tmp_path / "cert.txt").read_text()
-    assert "embedded = true" in text
+    assert ("embedded = true\nregularizer = real elastic net on the real and imaginary parts: "
+            "lam*sum_j (|Re x_j| + |Im x_j|) + ||x||^2/2\n") in text
     assert "n = 4" in text  # 2 complex unknowns -> 4 real ones
 
 

@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gerk.rng import RngStream
+from gerk.rng import BLOCK, RngStream
 
 MASK = (1 << 64) - 1
 
@@ -117,3 +120,69 @@ def test_gaussian_array_needs_a_known_field():
     with pytest.raises(ValueError, match="unknown field 'quaternion'"):
         RngStream(0).gaussian_array(3, "quaternion")
     assert RngStream(0).gaussian_array(3, "complex").dtype == np.complex128  # positive control
+
+
+# ------------------------------------------------------------ blocked draws
+
+
+def reference_random(rng, size):
+    # the unblocked formulas: one whole-array pass over every counter of the draw
+    start = rng._counter + 1
+    rng._counter += size
+    counters = np.arange(start, start + size, dtype=np.uint64)
+    z = np.uint64(rng._key) + np.uint64(0x9E3779B97F4A7C15) * counters
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    words = z ^ (z >> np.uint64(31))
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def reference_normal(rng, size):
+    u = reference_random(rng, 2 * size)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    return r * np.cos(2.0 * np.pi * u[1::2])
+
+
+def reference_complex_normal(rng, size):
+    g = reference_normal(rng, 2 * size)
+    return (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
+
+
+REFERENCES = {
+    "random_array": reference_random,
+    "normal_array": reference_normal,
+    "complex_normal_array": reference_complex_normal,
+    "gaussian_array real": reference_normal,
+    "gaussian_array complex": reference_complex_normal,
+}
+
+
+@pytest.mark.parametrize("draw", sorted(REFERENCES))
+def test_blocked_draws_equal_the_unblocked_formulas(draw):
+    half = BLOCK // 2  # normals per block; complex normals take a quarter
+    sizes = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5,
+             half - 1, half, half + 1, 3 * half + 1, BLOCK // 4 + 1]
+    for seed, size in itertools.product([0, 77, 2**63 + 5], sizes):
+        got_rng, want_rng = RngStream(seed, 4), RngStream(seed, 4)
+        got_rng.skip(seed % 11)
+        want_rng.skip(seed % 11)
+        name, *field = draw.split()
+        got = getattr(got_rng, name)(size, *field)
+        want = REFERENCES[draw](want_rng, size)
+        assert got.dtype == want.dtype and got.shape == (size,)
+        assert got.tobytes() == want.tobytes(), (draw, seed, size)  # signed zeros count
+        assert got_rng._counter == want_rng._counter
+
+
+def test_array_draws_hold_no_temporary_past_a_few_blocks():
+    # the result plus a few blocks of uniforms; an unblocked draw's temporaries
+    # are several times its output
+    for name, size in [("normal_array", 250_000), ("random_array", 500_000)]:
+        rng = RngStream(6)
+        tracemalloc.start()
+        try:
+            out = getattr(rng, name)(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * BLOCK * 8, (name, peak)
