@@ -19,20 +19,34 @@ class BlockPartition:
     """Partition of one axis of a matrix into sampling blocks.
 
     kind is "row" or "column".  blocks is a list of int index arrays that are
-    disjoint, nonempty, and together cover range(axis length).  A block whose
+    disjoint, nonempty, and together cover range(axis length), or one 2-d int
+    array holding a block per row, as the default single-index partition of
+    row_partition and column_partition holds its (k, 1) blocks.  A block whose
     squared norm is 0 has probability 0 and is never drawn; probabilities are
     positive on the other blocks and sum to 1 (uniform over them when
     omitted).  ZeroMatrix when every block is zero.
     """
 
     def __init__(self, kind, axis_len, blocks, block_sq_norms, probabilities=None):
+        self._index(kind, axis_len, blocks)
+        self._weigh(block_sq_norms, probabilities)
+
+    def _index(self, kind, axis_len, blocks):
+        """Set kind, axis_len, blocks and trivial; the one check of the blocks (owners)."""
         if kind not in ("row", "column"):
             raise ValueError(f"kind must be 'row' or 'column', got {kind!r}")
         self.kind = kind
         self.axis_len = int(axis_len)
-        self.blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 2:  # one block per row
+            self.blocks = blocks.astype(np.intp, copy=False)
+        else:
+            self.blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
         owner = owners(self.blocks, self.axis_len)
+        # True when block i is exactly [i]; lets the solver skip indexed gathers
+        self.trivial = bool(np.array_equal(owner, np.arange(len(self.blocks))))
 
+    def _weigh(self, block_sq_norms, probabilities):
+        """Set block_sq_norms, probabilities and their cumulative sums."""
         self.block_sq_norms = np.asarray(block_sq_norms, dtype=np.float64)
         if self.block_sq_norms.size != len(self.blocks):
             raise DimensionMismatch("need one squared norm per block")
@@ -40,7 +54,7 @@ class BlockPartition:
             raise ValueError("squared block norms must be >= 0")
         nonzero = self.block_sq_norms != 0.0
         if not nonzero.any():
-            raise ZeroMatrix(f"every {kind} block is zero")
+            raise ZeroMatrix(f"every {self.kind} block is zero")
 
         k = len(self.blocks)
         if probabilities is None:
@@ -56,8 +70,6 @@ class BlockPartition:
                 raise ValueError("probabilities must sum to 1 within 1e-12")
         self.probabilities = p
         self._cum = np.cumsum(p)
-        # True when block i is exactly [i]; lets the solver skip indexed gathers
-        self.trivial = bool(np.array_equal(owner, np.arange(k)))
 
     def __len__(self):
         return len(self.blocks)
@@ -78,19 +90,23 @@ class BlockPartition:
 
 
 def owners(blocks, n, noun="block"):
-    """Index of the block holding each of 0..n-1; blocks are int index arrays.
+    """Index of the block holding each of 0..n-1; blocks are int index arrays,
+    or one 2-d int array holding a block per row.
 
     This is the one check of a partition: raises ValueError unless there is
     at least one block and the blocks are nonempty, disjoint and cover
     range(n), and DimensionMismatch for an index outside it.  noun names
     the blocks in the messages.
     """
-    if not blocks:
+    if len(blocks) == 0:
         raise ValueError(f"need at least one {noun}")
-    sizes = np.array([blk.size for blk in blocks])
-    if not sizes.all():
+    if isinstance(blocks, np.ndarray):
+        sizes, flat = blocks.shape[1], blocks.reshape(-1)
+    else:
+        sizes = np.array([blk.size for blk in blocks])
+        flat = np.concatenate([blk.ravel() for blk in blocks])
+    if not np.all(sizes):
         raise ValueError(f"empty {noun}")
-    flat = np.concatenate([blk.ravel() for blk in blocks])
     if flat.min() < 0 or flat.max() >= n:
         raise DimensionMismatch(f"{noun} index out of range 0..{n - 1}")
     owner = np.full(n, -1, dtype=np.intp)
@@ -105,23 +121,24 @@ def owners(blocks, n, noun="block"):
 
 def _partition(kind, A, blocks, probabilities):
     A = as_matrix(A)
-    axis_len = A.shape[0] if kind == "row" else A.shape[1]
-    if blocks is None:
-        blocks = np.arange(axis_len, dtype=np.intp)[:, None]  # one block per index
-    else:
-        blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
-        owners(blocks, axis_len)  # before indexing A with the blocks
     lines = A if kind == "row" else A.T
+    part = BlockPartition.__new__(BlockPartition)
+    # checked before A is indexed with the blocks; one block per line by default
+    part._index(kind, len(lines), np.arange(len(lines))[:, None] if blocks is None else blocks)
+    blocks = part.blocks
     message = f"the squared {kind} norms of A overflow or underflow; rescale A"
     try:
         with np.errstate(over="ignore"):
             # spectral norm of a single row/column is its euclidean norm
-            line_sq_norms = row_sq_norms(lines) if any(blk.size == 1 for blk in blocks) else None
-            sq_norms = np.array([
-                line_sq_norms[blk[0]] if blk.size == 1
-                else _spectral_sq_norm(A[blk, :] if kind == "row" else A[:, blk])
-                for blk in blocks
-            ])
+            if isinstance(blocks, np.ndarray) and blocks.shape[1] == 1:
+                sq_norms = row_sq_norms(lines)[blocks[:, 0]]
+            else:
+                line_sq_norms = row_sq_norms(lines) if any(blk.size == 1 for blk in blocks) else None
+                sq_norms = np.array([
+                    line_sq_norms[blk[0]] if blk.size == 1
+                    else _spectral_sq_norm(A[blk, :] if kind == "row" else A[:, blk])
+                    for blk in blocks
+                ])
     except OverflowError:  # a finite block's norm squared past the largest double
         raise ValueError(message) from None
     for k in np.flatnonzero(~((sq_norms >= np.finfo(float).tiny) & (sq_norms < math.inf))):
@@ -130,7 +147,8 @@ def _partition(kind, A, blocks, probabilities):
         # NonFiniteInput in the solver
         if block.any() and np.isfinite(block).all():
             raise ValueError(message)
-    return BlockPartition(kind, axis_len, blocks, sq_norms, probabilities)
+    part._weigh(sq_norms, probabilities)
+    return part
 
 
 def _spectral_sq_norm(block):

@@ -228,7 +228,12 @@ class MetricRecorder:
         self.b_hat = instance.b_hat
         self.x_hat = instance.x_hat
         self.g = g
-        self.g_identity = g.updater(self.b.shape, np.iscomplexobj(self.b)) is None
+        # g's gradient kernel, run into the recorder's own buffer at each checkpoint
+        self._g_kernel = g.updater(self.b.shape, np.iscomplexobj(self.b))
+        self.g_identity = self._g_kernel is None
+        if not self.g_identity:
+            self._g_grad = np.empty(self.b.shape, g.dtype or (
+                np.complex128 if np.iscomplexobj(self.b) else np.float64))
         self.z_target = z_target
         self.b_hat_norm = _norm(instance.b_hat)
         self.b_norm = _norm(instance.b)
@@ -246,7 +251,8 @@ class MetricRecorder:
         rel = self._rel_grad(anti_residual)
         self.rows["rel_grad_quadratic"].append(rel)
         if not self.g_identity:
-            rel = self._rel_grad(self.g.gradient(anti_residual))
+            self._g_kernel(anti_residual, self._g_grad)
+            rel = self._rel_grad(self._g_grad)
         self.rows["rel_grad_misfit"].append(rel)
         if self.x_hat is not None:
             self.rows["rel_error"].append(_norm(x - self.x_hat) / self.x_hat_norm)
@@ -374,36 +380,34 @@ def run_trials(
                    traces, final_x)
         start += len(group_seeds)
 
-    bands = {}
-    final_sparsity = {}
-    final_rel_error = {}
-    for label in labels:
-        checkpoints = traces[label][0].checkpoints
-        bands[label] = {}
-        for name in METRIC_NAMES:
-            if name not in traces[label][0].metrics:
-                continue
-            qs = _quantiles(np.vstack([tr.metrics[name] for tr in traces[label]]))
-            bands[label][name] = AggregateBand(
-                checkpoints=checkpoints,
-                min=qs[0],
-                q25=qs[1],
-                median=qs[2],
-                q75=qs[3],
-                max=qs[4],
-            )
-        final_sparsity[label] = np.asarray([sparsity_count(x) for x in final_x[label]])
-        final_rel_error[label] = np.asarray(
-            [tr.metrics["rel_error"][-1] for tr in traces[label]]
-        )
     return ExperimentResult(
         preset_labels=labels,
-        bands=bands,
-        final_sparsity=final_sparsity,
-        final_rel_error=final_rel_error,
+        bands=_bands(traces),
+        final_sparsity={label: np.asarray([sparsity_count(x) for x in final_x[label]])
+                        for label in labels},
+        final_rel_error={label: np.asarray([tr.metrics["rel_error"][-1] for tr in traces[label]])
+                         for label in labels},
         traces=traces,
         final_x=final_x,
     )
+
+
+def _bands(traces):
+    """label -> metric name -> AggregateBand of traces (label -> MetricTrace per trial).
+
+    Every band's columns go through one _quantiles call, side by side: it
+    sorts and interpolates each column on its own, so a band's values are
+    those it gets alone."""
+    keys = [(label, name) for label, trs in traces.items()
+            for name in METRIC_NAMES if name in trs[0].metrics]
+    columns = [np.vstack([tr.metrics[name] for tr in traces[label]]) for label, name in keys]
+    qs = _quantiles(np.hstack(columns))
+    bands = {label: {} for label in traces}
+    stop = 0
+    for (label, name), band in zip(keys, columns):
+        start, stop = stop, stop + band.shape[1]
+        bands[label][name] = AggregateBand(traces[label][0].checkpoints, *qs[:, start:stop])
+    return bands
 
 
 def sparsity_rows(result):

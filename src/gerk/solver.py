@@ -406,9 +406,12 @@ class Session:
         # rows of conj(A): vdot(conj(A_i), x) = A_i x, and the x-step adds conj(A_i)
         self.A_rm_conj = _stacked(As, is_complex)
         self.b = np.concatenate(bs)
-        # preset p's step size on system t at [p, t*m + i], chain c's at [c, t*n + j]
+        # preset p's step size on system t at [p, t*m + i], chain c's at [c, t*n + j];
+        # presets share a system's partitions, so each vector is built once per
+        # partition and Lipschitz constant
+        steps = functools.cache(_steps)
         self.t_row = _stack([
-            np.concatenate([_steps(c.f.conj_lipschitz, c.row_partition) for c in p])
+            np.concatenate([steps(c.f.conj_lipschitz, c.row_partition) for c in p])
             for p in presets])
         # with two draw groups each preset gathers its own rows: its step sizes
         # sit at p*T*m past the flat row index
@@ -425,7 +428,7 @@ class Session:
             self.A_cm = _stacked([A.T for A in As], False)
             # the z-update reads neither x nor f: presets of one misfit and one
             # column step run one z* chain, held once
-            t_cols = [np.concatenate([_steps(c.g.grad_lipschitz, c.col_partition)
+            t_cols = [np.concatenate([steps(c.g.grad_lipschitz, c.col_partition)
                                       for c in presets[p]]) for p in zp]
             keys = [(presets[p][0].g, t.tobytes()) for p, t in zip(zp, t_cols)]
             chains = list(dict.fromkeys(keys))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gerk import blocks
 from gerk.blocks import (
     BlockPartition,
     column_partition,
@@ -59,6 +60,51 @@ def test_single_index_norms_bit_equal_to_linalg_norm():
     assert part.block_sq_norms[1] == np.linalg.svd(A[[0, 2]], compute_uv=False)[0] ** 2
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_default_partition_holds_one_index_array(field):
+    # the default single-index partition over 20,000 rows (and as many columns
+    # of A^T), one of them zero: its blocks one (k, 1) index array, its squared
+    # norms those of np.linalg.norm squared as a Python float, uniform
+    # probabilities over the nonzero lines, and the cumulative sums and draws
+    # of a list of blocks
+    A = RngStream(207).gaussian_array(20_000 * 5, field).reshape(20_000, 5)
+    A[5] = 0.0
+    want = np.array([float(np.linalg.norm(line)) ** 2 for line in A])
+    # negative control: numpy's square of the same norms misses in the last
+    # bit on about 1 line in 1,000, so the byte checks below can fail
+    control = np.square([float(np.linalg.norm(line)) for line in A])
+    assert control.tobytes() != want.tobytes()
+    nonzero = want != 0.0
+    assert np.flatnonzero(~nonzero).tolist() == [5]
+    p = np.where(nonzero, 1.0 / np.count_nonzero(nonzero), 0.0)
+    cum = np.cumsum(p)
+    u = RngStream(208).random_array(10_000)
+    drawn = np.minimum(cum.searchsorted(u, side="right"), cum.searchsorted(cum[-1]))
+    for part in (row_partition(A), column_partition(A.T)):
+        assert part.blocks.shape == (20_000, 1)
+        assert part.blocks[:, 0].tolist() == list(range(20_000))
+        assert part.block_sq_norms.tobytes() == want.tobytes()
+        assert part.probabilities.tobytes() == p.tobytes()
+        assert part._cum.tobytes() == cum.tobytes()
+        assert part.trivial
+        assert part.draw(u).tobytes() == drawn.tobytes()
+        # its blocks build the same partition again, and so do they as a list
+        for blocks in (part.blocks, list(part.blocks)):
+            again = BlockPartition(part.kind, 20_000, blocks, part.block_sq_norms)
+            assert again.trivial and again._cum.tobytes() == cum.tobytes()
+    # a line whose squared norm over- or underflows, and an all-zero axis
+    for scale in (1e160, 1e-170):
+        B = A[:40].copy()
+        B[2] *= scale
+        for kind, partition, lines in (("row", row_partition, B), ("column", column_partition, B.T)):
+            with pytest.raises(ValueError, match=f"^the squared {kind} norms of A overflow or "
+                                                 "underflow; rescale A$"):
+                partition(lines)
+    for partition, kind in ((row_partition, "row"), (column_partition, "column")):
+        with pytest.raises(ZeroMatrix, match=f"^every {kind} block is zero$"):
+            partition(np.zeros((4, 3), dtype=A.dtype))
+
+
 def test_multi_index_block_norm_is_spectral():
     rng = RngStream(202)
     A = rng.normal_array(42).reshape(7, 6)
@@ -82,6 +128,15 @@ def test_partition_validation():
         row_partition(A, blocks=[np.array([0, 1, 2]), np.array([3, 4])])
     with pytest.raises(ValueError):
         BlockPartition("diag", 4, [np.arange(4)], [1.0])
+
+
+def test_blocks_checked_once(monkeypatch):
+    # owners checks a partition's blocks once, explicit or default
+    calls = []
+    monkeypatch.setattr(blocks, "owners", lambda *args: calls.append(1) or owners(*args))
+    row_partition(np.eye(4), blocks=[np.array([0, 1]), np.array([2, 3])])
+    column_partition(np.eye(4))
+    assert calls == [1, 1]
 
 
 def test_zero_block_rejected():

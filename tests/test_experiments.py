@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gerk import blocks, experiments
 from gerk.experiments import (
     MetricRecorder,
+    MetricTrace,
     PresetSpec,
     ProblemInstance,
     gen_experiment_i,
@@ -144,6 +146,31 @@ def test_recorder_misfit_gradient_matches_full_formula():
                     / float(np.linalg.norm(inst.b)) for x in xs]
             assert recorder.g_identity == (name == "rek")
             assert np.array_equal(recorder.trace().metrics["rel_grad_misfit"], full)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_recorder_builds_its_misfit_kernel_once(field, monkeypatch):
+    # a Huber misfit's kernel is built with the recorder and runs into its own
+    # buffer: rel_grad_misfit is byte-equal to the allocating form's, which
+    # builds a kernel a call
+    inst = small_generator(field=field)(RngStream(811))
+    g = HuberQuadMisfit(0.1, 0.01)
+    cfg = preset("gerk_bd", inst.A, lam=1.0, eps=0.1, tau=0.01, max_iterations=90, seed=3,
+                 checkpoint_interval=15)
+    states = []
+    run(inst.A, inst.b, cfg, hooks=(lambda s: states.append(
+        SimpleNamespace(k=s.k, x=s.x.copy(), zstar=None)),))
+    recorder = MetricRecorder(inst, g)
+    built = []
+    updater = HuberQuadMisfit.updater
+    monkeypatch.setattr(HuberQuadMisfit, "updater",
+                        lambda self, *args: built.append(1) or updater(self, *args))
+    for state in states:
+        recorder(state)
+    assert built == []
+    want = [recorder._rel_grad(g.gradient(inst.b - inst.A @ s.x)) for s in states]
+    assert len(built) == len(states) == 7
+    assert recorder.trace().metrics["rel_grad_misfit"].tobytes() == np.array(want).tobytes()
 
 
 def test_recorder_norms_survive_overflow():
@@ -308,6 +335,44 @@ def test_band_beside_an_inf_trial(trials):
             assert last[-1] == np.inf
             want = last if trials == 5 else [*numpy[:3, -1], np.inf, np.inf]
             assert np.array_equal(got[:, -1], want)
+
+
+def assert_bands_per_band(bands, traces):
+    """Each band is byte-equal to a _quantiles call over that band alone."""
+    for label, trs in traces.items():
+        names = [name for name in experiments.METRIC_NAMES if name in trs[0].metrics]
+        assert list(bands[label]) == names
+        for name in names:
+            band = bands[label][name]
+            alone = experiments._quantiles(np.vstack([tr.metrics[name] for tr in trs]))
+            got = np.array([band.min, band.q25, band.median, band.q75, band.max])
+            assert got.tobytes() == alone.tobytes(), (label, name)
+            assert band.checkpoints.tobytes() == trs[0].checkpoints.tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 10])
+def test_bands_equal_per_band_quantiles(trials):
+    # one _quantiles call over every band's columns side by side gives each
+    # band what it gets alone: a run with an inf column and tied sparsity
+    # counts, and traces of distinct columns per band, one reaching inf and one
+    # of tied order statistics, where mixing columns would show
+    result = run_with_one_overflowing_trial(trials)
+    assert result.bands["srk"]["rel_residual"].max[-1] == np.inf
+    assert_bands_per_band(result.bands, result.traces)
+    rng = np.random.default_rng(trials)
+    checkpoints = np.arange(0, 60, 10)
+
+    def trace(names):
+        metrics = {name: rng.standard_normal(6) * 10.0 ** k for k, name in enumerate(names)}
+        if "sparsity" in metrics:
+            metrics["sparsity"] = np.floor(rng.uniform(0.0, 3.0, 6))  # ties
+        if "rel_residual" in metrics:
+            metrics["rel_residual"][rng.integers(3, 6):] = np.inf
+        return MetricTrace(checkpoints, metrics)
+
+    traces = {"a": [trace(experiments.METRIC_NAMES) for _ in range(trials)],
+              "b": [trace(("rel_residual", "rel_error", "sparsity")) for _ in range(trials)]}
+    assert_bands_per_band(experiments._bands(traces), traces)
 
 
 def test_batched_equals_one_at_a_time():

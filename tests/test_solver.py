@@ -373,6 +373,26 @@ def test_zero_row_is_never_drawn(name):
     assert np.linalg.norm(x - x_without) <= 1e-12 * np.linalg.norm(x_without)
 
 
+@pytest.mark.parametrize("name", ["rek", "gerk_ad", "gerk_bd"])
+def test_zero_column_is_never_drawn(name):
+    # the column twin of test_zero_row_is_never_drawn: a zero column has
+    # probability and step 0, the z-update never draws it, and x_j stays
+    # exactly 0 at every checkpoint
+    rng = RngStream(527)
+    A = rng.normal_array(12 * 6).reshape(12, 6)
+    A[:, 4] = 0.0
+    b = rng.normal_array(12)
+    cfg = preset(name, A, lam=0.5, eps=0.1, tau=0.01, max_iterations=3000, seed=9,
+                 checkpoint_interval=300)
+    assert cfg.col_partition.probabilities[4] == 0.0
+    assert solver.Session(A, b, cfg).t_col[4] == 0.0
+    cols, _ = draw_indices(cfg, RngStream(9), cfg.max_iterations)
+    assert 4 not in cols.tolist() and set(cols.tolist()) == {0, 1, 2, 3, 5}
+    seen = []
+    x = run(A, b, cfg, hooks=(lambda s: seen.append(float(s.x[4])),)).state.x
+    assert seen == [0.0] * 11 and x[4] == 0.0 and np.all(x[[0, 1, 2, 3, 5]] != 0.0)
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_out_of_range_scale_rejected(scale):
     # at 1e160 every step was 0 (rk returned x = 0, rek NaN); at 1e-170 the
