@@ -38,9 +38,9 @@ class BlockPartition:
         self.kind = kind
         self.axis_len = int(axis_len)
         if isinstance(blocks, np.ndarray) and blocks.ndim == 2:  # one block per row
-            self.blocks = blocks.astype(np.intp, copy=False)
+            self.blocks = _indices(blocks)
         else:
-            self.blocks = [np.asarray(blk, dtype=np.intp) for blk in blocks]
+            self.blocks = [_indices(np.asarray(blk)) for blk in blocks]
         owner = owners(self.blocks, self.axis_len)
         # True when block i is exactly [i]; lets the solver skip indexed gathers
         self.trivial = bool(np.array_equal(owner, np.arange(len(self.blocks))))
@@ -66,7 +66,9 @@ class BlockPartition:
             if not (np.all(p[nonzero] > 0.0) and np.all(p[~nonzero] == 0.0)):
                 raise ValueError("probabilities must be positive on the nonzero blocks "
                                  "and 0 on the zero ones")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
+            with np.errstate(over="ignore"):  # a sum past the largest double fails the check
+                total = float(p.sum())
+            if not abs(total - 1.0) <= 1e-12:
                 raise ValueError("probabilities must sum to 1 within 1e-12")
         self.probabilities = p
         self._cum = np.cumsum(p)
@@ -87,6 +89,14 @@ class BlockPartition:
     def sample(self, rng):
         """Draw one block index using one uniform."""
         return int(self.draw(rng.random()))
+
+
+def _indices(block):
+    """block as intp; ValueError for a nonempty block of non-integer indices
+    (floats or bools), which a cast would truncate."""
+    if block.size and not np.issubdtype(block.dtype, np.integer):
+        raise ValueError(f"block indices must be integers, got {block.dtype}")
+    return block.astype(np.intp, copy=False)
 
 
 def owners(blocks, n, noun="block"):

@@ -91,15 +91,15 @@ def _config_value(path, action, value):
         value = ",".join(value)
     key = action.option_strings[0][2:]
     if not isinstance(value, str):
-        raise ParseError(path, 0, f"{key}: expected a string or a number")
+        raise ParseError(path, None, f"{key}: expected a string or a number")
     try:
         parsed = value if action.type is None else action.type(value)
     except ValueError:
         message = f"{key}: invalid {action.type.__name__} value {value!r}"
-        raise ParseError(path, 0, message) from None
+        raise ParseError(path, None, message) from None
     if action.choices is not None and parsed not in action.choices:
-        raise ParseError(path, 0, f"{key}: invalid choice {value!r} "
-                                  f"(choose from {', '.join(action.choices)})")
+        raise ParseError(path, None, f"{key}: invalid choice {value!r} "
+                                     f"(choose from {', '.join(action.choices)})")
     return parsed
 
 

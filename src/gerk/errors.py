@@ -67,9 +67,11 @@ class OracleMismatch(GerkError):
 
 
 class ParseError(GerkError):
-    """A file could not be parsed. Message names the file and 1-based line."""
+    """A file could not be parsed. Message names the file and 1-based line, or
+    the file alone when line is None, as for a config file's value, whose
+    message names its key."""
 
     def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
+        super().__init__(f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line

@@ -81,10 +81,12 @@ class ProblemInstance:
         return self.b - self.b_range
 
     @functools.cached_property
-    def Ah(self):
-        """A^H, made on first use and shared by every recorder of the instance:
-        for a complex A it is a copy of A."""
-        return self.A.conj().T
+    @np.errstate(over="ignore")
+    def norms(self):
+        """(||b_hat||, ||b||, ||x_hat||) by _norm, taken on first use and shared
+        by every recorder of the instance; ||x_hat|| is None without x_hat."""
+        return (_norm(self.b_hat), _norm(self.b),
+                None if self.x_hat is None else _norm(self.x_hat))
 
 
 @dataclass
@@ -215,15 +217,14 @@ class MetricRecorder:
     target b - A pinv(A) b is cheap and exact.  rel_error is recorded when
     the instance has a ground truth x_hat.  Where g's gradient is the
     identity (quadratic misfit), rel_grad_misfit reuses A^H r of
-    rel_grad_quadratic.  A norm that overflows on finite input, as that of
+    rel_grad_quadratic.  A^H r is formed without a conjugate copy of A
+    (_adjoint).  A norm that overflows on finite input, as that of
     A^H r does for entries of A near 1e150, or whose squares underflow, as
     that of b does near 1e-160, is recomputed scaled (_norm).
     """
 
-    @np.errstate(over="ignore")
     def __init__(self, instance, g, z_target=None):
         self.A = instance.A
-        self.Ah = instance.Ah
         self.b = instance.b
         self.b_hat = instance.b_hat
         self.x_hat = instance.x_hat
@@ -235,9 +236,7 @@ class MetricRecorder:
             self._g_grad = np.empty(self.b.shape, g.dtype or (
                 np.complex128 if np.iscomplexobj(self.b) else np.float64))
         self.z_target = z_target
-        self.b_hat_norm = _norm(instance.b_hat)
-        self.b_norm = _norm(instance.b)
-        self.x_hat_norm = None if self.x_hat is None else _norm(self.x_hat)
+        self.b_hat_norm, self.b_norm, self.x_hat_norm = instance.norms
         self.checkpoints = []
         self.rows = {name: [] for name in METRIC_NAMES}
 
@@ -265,11 +264,20 @@ class MetricRecorder:
     def _rel_grad(self, r):
         """||A^H r|| / ||b||; where A^H r holds a nan (inf - inf) for finite r,
         from A^H (r / max|r|) with max|r| / ||b|| folded back in."""
-        grad = self.Ah @ r
+        grad = self._adjoint(r)
         if not np.isnan(grad).any() or not np.isfinite(r).all():
             return _norm(grad) / self.b_norm
         scale = _max_abs(r)
-        return _norm(self.Ah @ (r / scale)) * (scale / self.b_norm)
+        return _norm(self._adjoint(r / scale)) * (scale / self.b_norm)
+
+    def _adjoint(self, r):
+        """A^H r, bit-equal to A.conj().T @ r: the conjugate of A^T conj(r), the
+        same BLAS product on negated imaginary parts.  The conjugate takes the
+        imaginary part as 0 - im, so that a zero stays +0 as the product gives it."""
+        grad = self.A.T @ r.conj()
+        if np.iscomplexobj(grad):
+            np.subtract(0.0, grad.imag, out=grad.imag)
+        return grad
 
     def trace(self):
         metrics = {

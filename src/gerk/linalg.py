@@ -131,10 +131,9 @@ def rank_deficient_with_range(m, n, rank, sv_lo, sv_hi, field, rng):
         raise InvalidRank(f"rank must satisfy 1 <= rank < min(m, n)={min(m, n)}, got {rank}")
     if not 0 < sv_lo <= sv_hi < np.inf:
         raise ValueError(f"need 0 < sv_lo <= sv_hi < inf, got [{sv_lo}, {sv_hi}]")
-    gu = rng.gaussian_array(m * rank, field).reshape(m, rank)
-    gv = rng.gaussian_array(n * rank, field).reshape(n, rank)
-    u, _ = np.linalg.qr(gu)
-    v, _ = np.linalg.qr(gv)
+    # each Gaussian draw and its R factor are freed once factored: only U and V meet A
+    u = np.linalg.qr(rng.gaussian_array(m * rank, field).reshape(m, rank))[0]
+    v = np.linalg.qr(rng.gaussian_array(n * rank, field).reshape(n, rank))[0]
     sv = np.sort(rng.uniform_array(sv_lo, sv_hi, rank))[::-1]
     return (u * sv) @ v.conj().T, u
 

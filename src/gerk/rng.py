@@ -49,10 +49,19 @@ def _mix64_array(z):
     return z ^ (z >> np.uint64(31))
 
 
+def check_seed(seed, stream):
+    """ValueError naming the parameter unless seed and stream are ints or numpy
+    integers: a float or a bool would silently become another stream's key."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class RngStream:
     """Counter-based random stream; see module docstring for the algorithm."""
 
     def __init__(self, seed, stream=0):
+        check_seed(seed, stream)
         self._key = _mix64((_mix64(int(seed) & _MASK) + _GAMMA * (int(stream) & _MASK)) & _MASK)
         self._counter = 0
 

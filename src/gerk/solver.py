@@ -127,7 +127,7 @@ from .potentials import (
     Quadratic,
     QuadraticMisfit,
 )
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 PRESET_NAMES = ("rk", "srk", "rek", "gerk_ad", "gerk_bd")
 
@@ -151,6 +151,9 @@ class SolverConfig:
     seed: int
     stream: int = 0
     checkpoint_interval: Optional[int] = None
+
+    def __post_init__(self):
+        check_seed(self.seed, self.stream)
 
     @property
     def z_update_enabled(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,28 @@ def test_owners_needs_at_least_one_block():
     with pytest.raises(ValueError, match="need at least one block"):
         owners([], 3)
     assert owners([np.arange(3)], 3).tolist() == [0, 0, 0]  # positive control
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.9], [0], [2], [3], [4], [5]],  # a cast would truncate 1.9 to block [1]
+    [[0.5, 1], [2, 3, 4, 5]],  # a cast would hold the block [0, 1]
+    [[True], [False], [2], [3], [4], [5]],
+    np.array([[1.0], [0.0], [2.0], [3.0], [4.0], [5.0]]),
+])
+def test_non_integer_block_indices_rejected(bad):
+    A = np.arange(12.0).reshape(6, 2) + 1.0
+    with pytest.raises(ValueError, match="block indices must be integers"):
+        row_partition(A, blocks=bad)
+    # positive controls: integer lists and numpy integer arrays of any width
+    for good in ([[1], [0], [2], [3], [4], [5]], np.arange(6, dtype=np.int32)[::-1, None]):
+        assert len(row_partition(A, blocks=good)) == 6
+
+
+def test_probabilities_past_the_largest_double_raise_no_warning():
+    A = np.eye(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sum to 1"):
+            row_partition(A, probabilities=np.full(6, 1e308))
+        with pytest.raises(ValueError, match="sum to 1"):
+            row_partition(A, probabilities=np.full(6, np.inf))

@@ -734,12 +734,14 @@ def test_option_precedence(monkeypatch, tmp_path):
     ("experiment", {"field": 1}, "field: invalid choice '1'"),
     ("certify", {"max_cols": 2.5}, "max-cols: invalid int value '2.5'"),
     ("certify", {"samples": "1e3"}, "samples: invalid int value '1e3'"),
+    ("experiment", {"trials": 1.5}, "trials: invalid int value '1.5'"),
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, command, config, message):
+    # a value has no line of its own: the message names the file and the key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(BASE_ARGV[command] + ["--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"gerk: error: {cfg}:0: {message}")
+    assert capsys.readouterr().err.startswith(f"gerk: error: {cfg}: {message}")
 
 
 def test_config_strings_run_like_flags(tmp_path):

@@ -21,7 +21,7 @@ from gerk.experiments import (
 from gerk.linalg import make_rank_deficient, range_projector_apply
 from gerk.oracles import range_projection_quadratic
 from gerk.potentials import HuberQuadMisfit, QuadraticMisfit
-from gerk.rng import RngStream
+from gerk.rng import BLOCK, RngStream
 from gerk.solver import preset, run
 
 
@@ -122,13 +122,56 @@ def test_recorder_skips_z_without_target():
     assert "z_error" not in recorder.trace().metrics
 
 
-def test_recorders_of_one_instance_share_its_adjoint():
-    # a complex A^H is a copy of A: the presets' recorders of a trial hold one
+def test_recorders_of_one_instance_share_its_norms(monkeypatch):
+    # the presets' recorders of a trial take ||b_hat||, ||b|| and ||x_hat|| once, and
+    # hold no array of A's size but A itself (no conjugate copy)
+    calls = []
+    norm = experiments._norm
+    monkeypatch.setattr(experiments, "_norm", lambda v: calls.append(v) or norm(v))
     inst = small_generator(field="complex")(RngStream(809))
-    first, second = MetricRecorder(inst, QuadraticMisfit()), MetricRecorder(inst, QuadraticMisfit())
-    assert np.shares_memory(first.Ah, second.Ah)
-    assert not np.shares_memory(first.Ah, inst.A)
-    assert np.array_equal(first.Ah, inst.A.conj().T)
+    calls.clear()
+    recorders = [MetricRecorder(inst, g) for g in (QuadraticMisfit(), HuberQuadMisfit(0.1, 0.01))]
+    assert len(calls) == 3
+    for rec in recorders:
+        assert (rec.b_hat_norm, rec.b_norm, rec.x_hat_norm) == (
+            norm(inst.b_hat), norm(inst.b), norm(inst.x_hat))
+        big = [v for v in vars(rec).values() if isinstance(v, np.ndarray) and v.size >= inst.A.size]
+        assert len(big) == 1 and big[0] is inst.A
+
+
+def _signed_zero_systems(rng):
+    """Complex (A, r) pairs whose products A^H r hold exact zeros: real-valued
+    entries, and imaginary parts of -0.0 beside +0.0."""
+    for t in range(24):
+        m, n = (int(k) for k in rng.integers(1, 300, 2))
+        A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        if t % 3 == 1:
+            A, r = A.real + 0j, r.real + 0j
+        elif t % 3 == 2:
+            A.imag[:, ::2] = -0.0
+            r.imag[::3] = -0.0
+            r.real[::5] = -0.0
+        yield A, r
+
+
+def test_recorder_adjoint_is_bit_equal_to_the_conjugate_product():
+    # A^H r without a conjugate copy of A, bit for bit, signed zeros included; a
+    # plain conjugate of A^T conj(r) turns the +0.0 of an exact zero into -0.0
+    rng = np.random.default_rng(31)
+    zeros = 0
+    for A, r in _signed_zero_systems(rng):
+        inst = ProblemInstance(A, r, r, None, "complex", "none", 0.0)
+        got = MetricRecorder(inst, QuadraticMisfit())._adjoint(r)
+        want = A.conj().T @ r
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        plain = (A.T @ r.conj()).conj()
+        zeros += plain.tobytes() != want.tobytes()
+    assert zeros  # negative control: the cases hold zeros whose sign a plain conj flips
+    A = np.random.default_rng(32).standard_normal((30, 20))
+    r = np.random.default_rng(33).standard_normal(30)
+    inst = ProblemInstance(A, r, r, None, "real", "none", 0.0)
+    assert MetricRecorder(inst, QuadraticMisfit())._adjoint(r).tobytes() == (A.T @ r).tobytes()
 
 
 def test_recorder_misfit_gradient_matches_full_formula():
@@ -467,6 +510,37 @@ def test_generators_plant_make_rank_deficient_bit_for_bit():
             for want, got in zip(planted_by_hand(60, 40, 20, 4, field, 840, skip=1),
                                  (inst.A, inst.x_hat, inst.b_hat)):
                 assert not np.array_equal(want, got)
+
+
+def rank_deficient_both_draws_alive(m, n, rank, sv_lo, sv_hi, field, rng):
+    """linalg.rank_deficient_with_range as it was written with both Gaussian
+    draws held to the end: the reference its draw-freeing form must match."""
+    gu = rng.gaussian_array(m * rank, field).reshape(m, rank)
+    gv = rng.gaussian_array(n * rank, field).reshape(n, rank)
+    u, _ = np.linalg.qr(gu)
+    v, _ = np.linalg.qr(gv)
+    sv = np.sort(rng.uniform_array(sv_lo, sv_hi, rank))[::-1]
+    return (u * sv) @ v.conj().T, u
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_instances_equal_the_both_draws_formula_byte_for_byte(monkeypatch, field):
+    # a batch of trials of each family, both Gaussian draws of each longer than one
+    # rng.BLOCK of uniforms (two per real normal, four per complex one)
+    m, n, rank = 240, 200, 100
+    assert n * rank > BLOCK // 2
+    fields = ("A", "b", "b_hat", "x_hat", "b_range")
+    for gen in (gen_experiment_i, gen_experiment_ii):
+        got = [gen(m, n, rank, 5, 2.0, 0.1, 10.0, field, RngStream(seed)) for seed in range(3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "rank_deficient_with_range", rank_deficient_both_draws_alive)
+            want = [gen(m, n, rank, 5, 2.0, 0.1, 10.0, field, RngStream(seed)) for seed in range(3)]
+        for w, g in zip(want, got):
+            for name in fields:
+                a, b = getattr(w, name), getattr(g, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (gen.__name__, name)
+        # negative control: the trials of the batch differ
+        assert got[0].A.tobytes() != got[1].A.tobytes()
 
 
 def adjoint_share(A, noise):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gerk.linalg import (
     min_positive_singular,
     nullspace_basis_adjoint,
     range_projector_apply,
+    rank_deficient_with_range,
     spectral_norm,
     svd_pseudoinverse_apply,
 )
@@ -157,6 +160,23 @@ def test_make_rank_deficient_validation():
         make_rank_deficient(5, 5, 0, 1.0, 2.0, "real", rng)
     with pytest.raises(ValueError):
         make_rank_deficient(5, 5, 2, 2.0, 1.0, "real", rng)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rank_deficient_with_range_frees_its_draws(field):
+    # the traced peak is the final product's: U, V, U diag(sv) and A live (with the
+    # conjugate copy of V for a complex A), each Gaussian draw freed at its QR;
+    # holding both draws to the end adds (m + n) * rank values
+    m, n, rank = 400, 300, 150
+    item = 16 if field == "complex" else 8
+    live = (m * n + 2 * m * rank + n * rank * (2 if field == "complex" else 1)) * item
+    tracemalloc.start()
+    try:
+        A, U = rank_deficient_with_range(m, n, rank, 0.1, 10.0, field, RngStream(111))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.nbytes + U.nbytes < peak <= live + 64 * 1024
 
 
 def test_nullspace_noise_norm_and_orthogonality():

@@ -16,6 +16,8 @@ from gerk.errors import (
 )
 from gerk.experiments import gen_experiment_i
 from gerk.linalg import (
+    draw_off_span,
+    left_singular_bases,
     make_rank_deficient,
     range_projector_apply,
     svd_pseudoinverse_apply,
@@ -273,6 +275,37 @@ def test_fixed_residual_reduces_to_sparse_kaczmarz():
     assert np.linalg.norm(state.zstar - noise) <= 1e-8
 
 
+def _checkpoint_iterates(A, b, cfg):
+    iterates = []
+    run(A, b, cfg, hooks=(lambda state: iterates.append(state.x.copy()),))
+    return np.array(iterates)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gerk_ad_ignores_the_part_of_b_off_the_range(field):
+    # the paper's claim for the extended method: on a full-column-rank system, b and
+    # b + r with r in null(A^H) give the same x-iterates, to rounding, at every
+    # checkpoint (z*_0 = b + r, and no column step moves r, since A_j^H r = 0)
+    rng = RngStream(530)
+    m, n = 40, 10
+    A = rng.gaussian_array(m * n, field).reshape(m, n)
+    basis, null = left_singular_bases(A, True)
+    assert basis.shape[1] == n and null.shape[1] == m - n  # full column rank
+    x_hat = np.zeros(n, dtype=A.dtype)
+    x_hat[[1, 6]] = rng.gaussian_array(2, field)
+    b = A @ x_hat + 0.1 * rng.gaussian_array(m, field)
+    r = draw_off_span(basis, 10.0 * np.linalg.norm(b), field, rng)
+    cfg = preset("gerk_ad", A, lam=0.5, max_iterations=6000, seed=31, checkpoint_interval=200)
+    want = _checkpoint_iterates(A, b, cfg)
+    got = _checkpoint_iterates(A, b + r, cfg)
+    assert len(want) == 31 and np.linalg.norm(want[-1]) > 0.1
+    scale = 1e-10 * (1.0 + np.abs(want).max())
+    assert np.abs(got - want).max() <= scale
+    # negative control: a component in range(A) moves the iterates
+    moved = _checkpoint_iterates(A, b + r + 1e-3 * (A @ rng.gaussian_array(n, field)), cfg)
+    assert np.abs(moved[-1] - want[-1]).max() > 1e3 * scale
+
+
 def test_preset_parameter_errors():
     A = np.eye(3)
     with pytest.raises(MissingParameter):
@@ -283,6 +316,23 @@ def test_preset_parameter_errors():
         preset("gerk_bd", A, lam=1.0, max_iterations=1, seed=0)
     with pytest.raises(ValueError):
         preset("banana", A, max_iterations=1, seed=0)
+
+
+@pytest.mark.parametrize("key, bad", [("seed", 1.5), ("seed", True), ("stream", 2.0),
+                                      ("stream", np.True_), ("seed", np.float64(3.0))])
+def test_seed_and_stream_must_be_integers(key, bad):
+    # a float or bool would be truncated to another stream's key
+    A = np.eye(3)
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        preset("rk", A, max_iterations=1, **{"seed": 0, key: bad})
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        RngStream(**{"seed": 0, key: bad})
+    # positive controls: Python and numpy integers
+    for good in (3, np.int64(3), np.uint32(3)):
+        cfg = preset("rk", A, max_iterations=1, **{"seed": 0, key: good})
+        assert getattr(cfg, key) == 3
+        assert RngStream(**{"seed": 0, key: good}).random() == RngStream(
+            **{"seed": 0, key: 3}).random()
 
 
 def test_preset_field_dispatch():
