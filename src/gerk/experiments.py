@@ -15,12 +15,10 @@ stream 1 drives the solver, so repeated invocations are bit-identical and
 trials never share draws.  The trials of a group and all their presets run in
 one solver session, in lockstep.  The presets without the z-update (rk, srk)
 share each trial's index draws, and so do those with it (rek, gerk_ad,
-gerk_bd); rek and gerk_ad, both of the quadratic misfit, run one z* chain;
-the presets of one regularizer are ordered side by side, so its gradient
-kernel runs once for all of them, and where that allows it the presets of
-each draw group too, so that the z-chain worker can take the x-chains of
-those without the z-update.  This changes no value: each preset on each
-trial is bit-identical to a run on its own.  The quadratic presets' z_error
+gerk_bd); rek and gerk_ad, both of the quadratic misfit, run one z* chain.
+The session lays the presets out by its own rule (solver module docstring)
+and hands their states back in the order given.  This changes no value: each
+preset on each trial is bit-identical to a run on its own.  The quadratic presets' z_error
 target b - P_range(A) b comes from the instance (ProblemInstance.z_target).
 Both families take null(A^H) and P_range(A) from the orthonormal factor U
 that builds A (U diag(sv) V^H), so generating an instance and its target
@@ -299,6 +297,7 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
     # shared, since their block norms depend on A alone
     rows, cols = [None] * len(instances), [None] * len(instances)
     configs = {}
+    recorders = []  # (label, recorder), preset by preset in the order of preset_specs
     for spec in preset_specs:
         configs[spec.name] = cfgs = [
             preset(spec.name, inst.A, lam=spec.lam, eps=spec.eps, tau=spec.tau,
@@ -310,26 +309,12 @@ def _run_group(instances, seeds, preset_specs, iterations, checkpoint_interval, 
         rows = [cfg.row_partition for cfg in cfgs]
         cols = [col if cfg.col_partition is None else cfg.col_partition
                 for cfg, col in zip(cfgs, cols)]
-    # equal regularizers adjacent, so that the session runs one f-kernel over
-    # their slabs; the presets without the z-update first within a run, and
-    # the runs holding some first, so that each draw group is one slab where
-    # the runs allow it (its z-chain worker may then take their x-chains)
-    regularizers = [cfgs[0].f for cfgs in configs.values()]
-    z_offs = [cfgs[0].f for cfgs in configs.values() if cfgs[0].g is None]
-
-    def order(label):
-        f, g = configs[label][0].f, configs[label][0].g
-        return f not in z_offs, regularizers.index(f), g is not None
-
-    labels = sorted(configs, key=order)
-    recorders = []  # (label, recorder), preset by preset as the session orders its systems
-    for label in labels:
-        for inst, cfg in zip(instances, configs[label]):
+        for inst, cfg in zip(instances, cfgs):
             z_target = inst.z_target() if isinstance(cfg.g, QuadraticMisfit) else None
             recorders.append(
-                (label, MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target)))
+                (spec.name, MetricRecorder(inst, cfg.g or QuadraticMisfit(), z_target=z_target)))
     session = Session([inst.A for inst in instances], [inst.b for inst in instances],
-                      [configs[label] for label in labels])
+                      list(configs.values()))
     session.finish([(rec,) for _, rec in recorders])
     for (label, rec), state in zip(recorders, session.states()):
         traces[label].append(rec.trace())

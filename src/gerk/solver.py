@@ -40,27 +40,31 @@ np.vdot reduces a single vector.  A system's iterates are therefore bit-identica
 batch, while numpy's per-call overhead, the dominant cost of an iteration,
 is shared among the T systems.
 
-A session can also advance P presets over the same systems, as the
-experiment harness does with all the presets of a trial.  The presets form at
-most two draw groups, those without the z-update and those with it, and each
-group draws from its own RngStream per system, as its first preset's configs
-would alone: one draw per iteration without the z-update, two with it.  A
-system's configs agree within a group on the z-update, partitions, seed and
-stream, and across the session on max_iterations and checkpoint_interval.
-One call of every numpy operation of the update is broadcast over a leading
-preset axis of x and x*, (P,) + batch.  The x-step gathers each preset's row
-in one indexing call, through a flat row index of shape lead + batch (the
-right-hand sides and step sizes are gathered ahead, with the draws); with
-one draw group the index is the group's own, batch-shaped and shared by
-every preset.  The z-update reads neither x nor f, so presets with equal
-misfits g and equal column steps run one z* chain: z and z* hold one slab
-per distinct chain, with a leading chain axis only when there are several,
-and each preset's z*_i comes from its chain's through a map from preset to
-chain, one indexing call per chunk.  A preset without the z-update maps to
-a slab of zeros past the chains; adding its +0.0 can only turn a w of -0.0
-into +0.0, which leaves x* bit-equal because x* never holds -0.0 (it starts
-at +0.0, and exact differences round to +0.0).  Potentials are values, and each
-gradient kernel runs once per run of adjacent equal ones, on their
+A session can also advance P presets over the same systems, as the experiment
+harness does with all the presets of a trial, laid out by one rule for every
+caller: equal regularizers side by side, those without the z-update first
+within each such run, the runs that hold some of those first, else the
+caller's order.  The state holds this layout; states() and finish() keep the
+caller's order.  The presets form at most two draw groups, those without the
+z-update and those with it, and each group draws from its own RngStream per
+system, as its first preset's configs would alone: one draw per iteration
+without the z-update, two with it.  A system's configs agree within a group on
+the z-update, partitions, seed and stream, and across the session on
+max_iterations and checkpoint_interval.  One call of every numpy operation of
+the update is broadcast over a leading preset axis of x and x*, (P,) + batch.
+The x-step gathers each preset's row in one indexing call, through a flat row
+index of shape lead + batch (the right-hand sides and step sizes are gathered
+ahead, with the draws); with one draw group the index is the group's own,
+batch-shaped and shared by every preset.  The z-update reads neither x nor f,
+so presets with equal misfits g run one z* chain (their column steps are equal
+too: their partitions hold the norms of the same columns): z and z* hold one
+slab per distinct chain, with a leading chain axis only when there are
+several, and each preset's z*_i comes from its chain's through a map from
+preset to chain, one indexing call per chunk.  A preset without the z-update
+maps to a slab of zeros past the chains; adding its +0.0 can only turn a w of
+-0.0 into +0.0, which leaves x* bit-equal because x* never holds -0.0 (it
+starts at +0.0, and exact differences round to +0.0).  Potentials are values,
+and each gradient kernel runs once per run of adjacent equal ones, on their
 contiguous slab (a copy where the gradient is the identity): f over the
 presets, g over the chains.  The kernels are elementwise, or sum each row on
 its own, and every step size is the preset's own, so each preset's iterates
@@ -87,7 +91,7 @@ process waiting longer than it computes, as when another process holds its
 CPU, is stopped at a checkpoint, and the chunks already drawn run on
 in-process.  The x-chains of the presets without the z-update read neither
 z nor the other presets.  So when the presets span both draw groups, each
-one contiguous slab of presets (the experiment harness orders them so), and
+one contiguous slab of presets (the layout makes them so where it can), and
 _x_chains_pay says it pays for the session, the worker also takes those
 x-chains, from the x and x* it inherits at the fork: it runs their x-half,
 as a draw group of its own, after the z-half of each chunk, and their x and
@@ -119,7 +123,7 @@ from .errors import (
     NonFiniteIterate,
     WorkerDied,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, row_sq_norms
 from .potentials import (
     ComplexElasticNet,
     ElasticNet,
@@ -203,6 +207,12 @@ class SolverReport:
 
 
 def validate_config(A, b, cfg):
+    A, b = _system(A, b)
+    _check_config(cfg, *A.shape, np.iscomplexobj(A))
+    return A, b
+
+
+def _system(A, b):
     A = as_matrix(A)
     b = as_vector(b)
     m, n = A.shape
@@ -212,7 +222,6 @@ def validate_config(A, b, cfg):
         raise FieldMismatch("A and b must both be real or both be complex")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteInput("A and b must hold finite values only")
-    _check_config(cfg, m, n, np.iscomplexobj(A))
     return A, b
 
 
@@ -286,6 +295,30 @@ def _steps(lipschitz, partition):
     return steps
 
 
+def _check_norms(partitions, lines):
+    """ValueError unless every single-index partition holds the squared norms
+    of its own system's lines: partitions[t] lists system t's, and `lines`
+    stacks the systems' rows of A (or of A^T) as the session holds them.  One
+    row_sq_norms pass, the function that builds the partitions, then one
+    comparison per distinct partition.  Blocks of several indices are not
+    checked: they must be built on the same A."""
+    axis_len, norms = len(lines) // len(partitions), None
+    for t, parts in enumerate(partitions):
+        for part in {id(p): p for p in parts}.values():
+            blocks = part.blocks
+            if isinstance(blocks, np.ndarray):
+                single = blocks[:, 0] if blocks.shape[1] == 1 else None
+            else:
+                single = np.concatenate(blocks) if all(blk.size == 1 for blk in blocks) else None
+            if single is None:
+                continue
+            if norms is None:
+                norms = row_sq_norms(lines)
+            if not np.array_equal(part.block_sq_norms, norms[t * axis_len + single]):
+                raise ValueError(f"the {part.kind} partition of system {t} was built on "
+                                 "another matrix: its squared norms are not this A's")
+
+
 def _stack(arrays):
     """The one array itself, else the arrays stacked along a new leading axis."""
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
@@ -357,15 +390,19 @@ class Session:
 
     Session(As, bs, presets), given a sequence of such config sequences
     (presets[p][t] runs preset p on system t), advances the presets over the
-    same systems in one loop, as the module docstring describes.  A system's
+    same systems in one loop, laid out as the module docstring describes.  A system's
     configs must agree on the fields of _shared_fields, all of them within a
     draw group and the checkpoint fields across groups, or ValueError names
     the one that differs; f, g and the step sizes are each preset's own, and
     a preset's configs must share f and g across systems.
 
-    Validation, matrix copies, step sizes and updaters are built once.  The
-    session owns `state`: the initial state (x*_0 = 0, so x_0 = 0, and
-    z*_0 = b), or the given `state` of one preset to continue.
+    A single-index partition must hold the squared norms of its own system's
+    rows or columns (linalg.row_sq_norms), or ValueError names it as built on
+    another matrix; blocks of several indices must be built on the same A,
+    unchecked.  Validation (each config once), matrix copies, step sizes and
+    updaters are built once.  The session owns `state`: the initial state
+    (x*_0 = 0, so x_0 = 0, and z*_0 = b), or the given `state` of one preset
+    to continue.
     """
 
     def __init__(self, A, b, cfg, state=None):
@@ -374,9 +411,7 @@ class Session:
         presets = [tuple(cfg)] if isinstance(cfg[0], SolverConfig) else [tuple(c) for c in cfg]
         if state is not None and len(presets) > 1:
             raise ValueError(f"state continues a session of one preset, not {len(presets)}")
-        self.cfgs = cfgs = presets[0]
-        As, bs = zip(*map(validate_config, A, b, cfgs))
-        self.cfg = cfg = cfgs[0]
+        As, bs = zip(*map(_system, A, b))
         m, n = self.shape = As[0].shape
         is_complex = np.iscomplexobj(As[0])
         for t, A_t in enumerate(As):
@@ -384,15 +419,13 @@ class Session:
                 raise DimensionMismatch(f"system {t} has shape {A_t.shape}, system 0 {self.shape}")
             if np.iscomplexobj(A_t) != is_complex:
                 raise FieldMismatch(f"system {t} and system 0 must both be real or both be complex")
-        # draw groups, in order of first use: the presets without the z-update
-        # and those with it, each drawing as its first preset's configs do
+        # draw groups: the presets without the z-update and those with it, each
+        # drawing as its first preset's configs do
         z_ons = [p[0].z_update_enabled for p in presets]
-        self._groups = groups = list(dict.fromkeys(z_ons))
-        self._group = [groups.index(z_on) for z_on in z_ons]
         for other, z_on in zip(presets, z_ons):
-            if len(other) != len(cfgs):
+            if len(other) != len(As):
                 raise ValueError("every preset of a session needs one config per system")
-            for c, c0, first in zip(other, presets[z_ons.index(z_on)], cfgs):
+            for c, c0, first in zip(other, presets[z_ons.index(z_on)], presets[0]):
                 _check_config(c, m, n, is_complex)
                 for ref, draws in ((c0, True), (first, False)):
                     shared = _shared_fields(ref, draws)
@@ -403,6 +436,15 @@ class Session:
                 for name in ("f", "g"):
                     if getattr(c, name) != getattr(other[0], name):
                         raise ValueError(f"the configs of a preset must share {name}")
+        # the session's layout (module docstring): the caller's preset _order[p] at p
+        fs = [p[0].f for p in presets]
+        z_off = [f for f, z_on in zip(fs, z_ons) if not z_on]
+        self._order = sorted(range(len(presets)),
+                             key=lambda p: (fs[p] not in z_off, fs.index(fs[p]), z_ons[p]))
+        presets, z_ons, fs = ([v[p] for p in self._order] for v in (presets, z_ons, fs))
+        self.cfgs, self.cfg = presets[0], presets[0][0]
+        self._groups = groups = list(dict.fromkeys(z_ons))
+        self._group = [groups.index(z_on) for z_on in z_ons]
         self._draw_cfgs = [c for z_on in groups for c in presets[z_ons.index(z_on)]]
         self.lead = lead = (len(presets),) if len(presets) > 1 else ()
         self.batch = batch = (len(As),) if len(As) > 1 else ()
@@ -419,25 +461,27 @@ class Session:
         # with two draw groups each preset gathers its own rows: its step sizes
         # sit at p*T*m past the flat row index
         self._t_off = np.arange(len(presets)).reshape(lead + (1,) * len(batch)) * len(self.b)
-        f_kernels = _kernels([p[0].f for p in presets], lead + batch + (n,), is_complex)
-        trivial = cfg.row_partition.trivial
+        f_kernels = _kernels(fs, lead + batch + (n,), is_complex)
+        rows = [[p[t].row_partition for p in presets] for t in range(len(As))]
+        _check_norms(rows, self.A_rm_conj)
         # preset p runs z* chain _chains[p] (None without the z-update); chain
         # c's z* on system t is at [c, t*m + i], with no chain axis for one chain
         self._chains, self._zmap, self._zcfg, zlead = [None] * len(presets), None, None, ()
+        cols = []  # each system's column partitions of the presets with the z-update
         if True in groups:
             zp = [p for p, z_on in enumerate(z_ons) if z_on]
             self._zcfg = presets[zp[0]][0]
             # row j of A_cm is column j of A, contiguous
             self.A_cm = _stacked([A.T for A in As], False)
-            # the z-update reads neither x nor f: presets of one misfit and one
-            # column step run one z* chain, held once
-            t_cols = [np.concatenate([steps(c.g.grad_lipschitz, c.col_partition)
-                                      for c in presets[p]]) for p in zp]
-            keys = [(presets[p][0].g, t.tobytes()) for p, t in zip(zp, t_cols)]
-            chains = list(dict.fromkeys(keys))
-            for p, key in zip(zp, keys):
-                self._chains[p] = chains.index(key)
-            firsts = [keys.index(key) for key in chains]
+            cols = [[presets[p][t].col_partition for p in zp] for t in range(len(As))]
+            _check_norms(cols, self.A_cm)
+            # the z-update reads neither x nor f: presets of one misfit run one
+            # z* chain, held once (their single-index partitions hold the norms
+            # of A's columns, so their column steps are equal)
+            misfits = [presets[p][0].g for p in zp]
+            chains = list(dict.fromkeys(misfits))
+            for p, g in zip(zp, misfits):
+                self._chains[p] = chains.index(g)
             zlead = (len(chains),) if len(chains) > 1 else ()
             # the z-half records z*_i of every slab, at the row index of the
             # z-update's draw group (that of preset _zrow with two groups), and
@@ -448,14 +492,18 @@ class Session:
             if slabs > 1:
                 self._zmap = np.array([len(chains) if c is None else c for c in self._chains])
             self._zrow = zp[0] if len(groups) > 1 else None
-            self.t_col = _stack([t_cols[k] for k in firsts])
+            self.t_col = _stack([
+                np.concatenate([steps(c.g.grad_lipschitz, c.col_partition)
+                                for c in presets[zp[misfits.index(g)]]]) for g in chains])
             # the shape of the z-half's record of one iteration
             self._zshape = batch if self._zmap is None else (slabs,) + batch
-            g_kernels = _kernels([keys[k][0] for k in firsts], zlead + batch + (m,), is_complex)
-            trivial = trivial and self._zcfg.col_partition.trivial
-        if (lead or batch) and not trivial:
-            raise ValueError("systems run in lockstep need single-index partitions")
-        self._trivial = trivial
+            g_kernels = _kernels(chains, zlead + batch + (m,), is_complex)
+        # the x-half and z-half index rows and columns directly unless the one
+        # preset on one system has blocks
+        self._trivial = all(part.trivial for parts in rows + cols for part in parts)
+        if (lead or batch) and not self._trivial:
+            raise ValueError("systems or presets run in lockstep need single-index "
+                             "partitions in index order")
 
         fresh = state is None
         if fresh:
@@ -478,11 +526,10 @@ class Session:
         # may take the x-chains of the presets without the z-update (_Worker):
         # (without, with), each slab's x-half a draw group of its own
         self._slabs = None
-        if len(groups) == 2 and sum(a != b for a, b in zip(z_ons, z_ons[1:])) == 1:
-            cut = z_ons.index(groups[1])
-            spans = [(0, cut), (cut, len(presets))]
-            self._slabs = tuple(_slab(state, [p[0].f for p in presets[a:z]], a, z, is_complex)
-                                for a, z in (spans[::-1] if groups[0] else spans))
+        if len(groups) == 2 and z_ons == sorted(z_ons):
+            cut = z_ons.index(True)
+            self._slabs = (_slab(state, fs[:cut], 0, cut, is_complex),
+                           _slab(state, fs[cut:], cut, len(presets), is_complex))
         self._g_update = None
         if self._zcfg is not None:
             self._g_update = _gradient_update(g_kernels, state.zstar, state.z)
@@ -492,9 +539,9 @@ class Session:
             if fresh and self._g_update is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # z_0 is checked below
                     self._g_update()
-                for k, z0 in zip(firsts, state.z if zlead else [state.z]):
+                for g, z0 in zip(chains, state.z if zlead else [state.z]):
                     if not np.isfinite(z0).all():
-                        raise ValueError(f"z_0 = grad g*(b) of the {keys[k][0].name} misfit "
+                        raise ValueError(f"z_0 = grad g*(b) of the {g.name} misfit "
                                          "overflows; rescale b or the misfit's parameters")
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
@@ -734,8 +781,8 @@ class Session:
                 f_update()
 
     def states(self):
-        """Per-system states: the state itself for one system, else views of
-        its rows, preset by preset (system t of preset p is entry p*T + t)."""
+        """Per-system states in the caller's preset order: the state itself for
+        one system, else views of its rows (preset p's system t is entry p*T + t)."""
         state = self.state
         if not (self.lead or self.batch):
             return [state]
@@ -745,14 +792,15 @@ class Session:
 
         x, xstar, z, zstar = map(rows, (state.x, state.xstar, state.z, state.zstar))
         systems = len(self.cfgs)
-        # system t of preset p reads z* of the preset's chain c at c*T + t, and
+        # system t of the preset at p reads z* of its chain c at c*T + t, and
         # its draw group's stream
-        zs = [None if c is None else c * systems + t for c in self._chains for t in range(systems)]
         return [
-            SolverState(state.k, x[s], xstar[s], None if zs[s] is None else z[zs[s]],
-                        None if zs[s] is None else zstar[zs[s]],
-                        self._rngs[self._group[s // systems] * systems + s % systems])
-            for s in range(len(x))
+            SolverState(state.k, x[p * systems + t], xstar[p * systems + t],
+                        None if c is None else z[c * systems + t],
+                        None if c is None else zstar[c * systems + t],
+                        self._rngs[self._group[p] * systems + t])
+            for p, c in ((p, self._chains[p]) for p in np.argsort(self._order))
+            for t in range(systems)
         ]
 
     def checkpoints(self):

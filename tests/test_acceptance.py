@@ -28,11 +28,16 @@ from gerk.linalg import (
     spectral_norm,
     svd_pseudoinverse_apply,
 )
-from gerk.oracles import constrained_regularizer_min, range_projection_quadratic
+from gerk.oracles import (
+    constrained_regularizer_min,
+    misfit_projection,
+    range_projection_quadratic,
+)
 from gerk.potentials import (
     ComplexElasticNet,
     ElasticNet,
     GroupElasticNet,
+    HuberQuadMisfit,
     Quadratic,
     QuadraticMisfit,
     bregman_distance,
@@ -102,6 +107,30 @@ def test_impulsive_noise_experiment_favors_robust_misfit():
     assert med_err["gerk_bd"] <= 1e-2
     assert med_err["gerk_ad"] >= 1e-1       # quadratic z chases the impulses
     assert med_sp["gerk_bd"] < med_sp["srk"] < med_sp["gerk_ad"] <= med_sp["rek"]
+
+
+def test_gerk_bd_reaches_its_two_oracles():
+    # gerk_bd converges to x_hat = argmin f_lam(x) subject to A x = y_hat, where
+    # y_hat = A u_hat and u_hat minimizes the huber misfit g*(b - A u): the
+    # misfit oracle gives y_hat, the constrained oracle x_hat.  A 40x12 system
+    # of full rank with 4 impulses of size 20 on b
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((40, 12))
+    x0 = np.zeros(12)
+    x0[rng.choice(12, 4, replace=False)] = rng.standard_normal(4)
+    b = A @ x0
+    b[rng.choice(40, 4, replace=False)] += 20.0 * rng.choice([-1.0, 1.0], 4)
+    lam, eps, tau = 0.5, 0.1, 0.01
+    x_hat = constrained_regularizer_min(
+        A, misfit_projection(A, b, HuberQuadMisfit(eps, tau)).value, ElasticNet(lam)).value
+    x = run(A, b, preset("gerk_bd", A, lam=lam, eps=eps, tau=tau, max_iterations=16000,
+                         seed=3)).state.x
+    assert np.linalg.norm(x - x_hat) <= 1e-10 * np.linalg.norm(x_hat)
+    # negative control: the quadratic misfit's x_hat, which the impulses move,
+    # lies far outside that tolerance
+    x_quad = constrained_regularizer_min(
+        A, misfit_projection(A, b, QuadraticMisfit()).value, ElasticNet(lam)).value
+    assert np.linalg.norm(x_quad - x_hat) > 0.1 * np.linalg.norm(x_hat)
 
 
 def test_dual_iterate_error_decays_log_linearly():

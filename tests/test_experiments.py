@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gerk import blocks, experiments
+from gerk import blocks, experiments, solver
 from gerk.experiments import (
     MetricRecorder,
     MetricTrace,
@@ -586,14 +586,15 @@ def test_partitions_built_once_per_trial(monkeypatch):
 
 
 def test_one_session_per_group_with_equal_regularizers_adjacent(monkeypatch):
-    # all presets of a trial group run in one session, ordered so that equal
-    # regularizers sit side by side and share one kernel call
+    # all presets of a trial group run in one session, which lays them out so
+    # that equal regularizers sit side by side and share one kernel call
     sessions = []
     original = experiments.Session
 
     def recording(As, bs, presets):
-        sessions.append([cfgs[0].f for cfgs in presets])
-        return original(As, bs, presets)
+        session = original(As, bs, presets)
+        sessions.append([presets[p][0].f for p in session._order])
+        return session
 
     monkeypatch.setattr(experiments, "Session", recording)
     specs = tuple(PresetSpec(name, lam=1.0, eps=0.1, tau=0.01)
@@ -604,6 +605,71 @@ def test_one_session_per_group_with_equal_regularizers_adjacent(monkeypatch):
     for fs in sessions:
         assert [type(f).__name__ for f in fs] == ["Quadratic"] * 2 + ["ElasticNet"] * 3
     assert result.preset_labels == [spec.name for spec in specs]
+
+
+def reference_layout(configs):
+    """The order in which the harness passed its presets (label -> configs) to
+    the session before the session laid them out itself: _run_group's
+    order(), kept as the reference of the session's layout."""
+    regularizers = [cfgs[0].f for cfgs in configs.values()]
+    z_offs = [cfgs[0].f for cfgs in configs.values() if cfgs[0].g is None]
+
+    def order(label):
+        f, g = configs[label][0].f, configs[label][0].g
+        return f not in z_offs, regularizers.index(f), g is not None
+
+    return sorted(configs, key=order)
+
+
+def runs_of(values):
+    """The number of runs of adjacent equal values."""
+    return sum(k == 0 or v != values[k - 1] for k, v in enumerate(values))
+
+
+@pytest.mark.parametrize("size", ["desk", "paper"])
+@pytest.mark.parametrize("which", ["i", "ii"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_harness_layout_is_the_reference_order(size, which, field, monkeypatch):
+    # each session of a profile's run, at 1 and 3 trials (a complex paper
+    # group holds two): its presets' layout, the f-kernel calls of its x-half
+    # (one per run of equal regularizers) and whether its worker takes the
+    # x-chains (each draw group one slab, on one system) are the reference's
+    prof = experiments.PROFILES[size, which]
+    gen = gen_experiment_i if which == "i" else gen_experiment_ii
+    specs = [PresetSpec(name, prof["lam"], prof["eps"], prof["tau"]) for name in prof["presets"]]
+    sessions, log = [], []
+    kernels, original = solver._kernels, experiments.Session
+
+    def spy(potentials, shape, is_complex):
+        log.append(kernels(potentials, shape, is_complex))
+        return log[-1]
+
+    def recording(As, bs, presets):
+        log.clear()
+        session = original(As, bs, presets)  # whose first _kernels call is x*'s
+        calls = 0 if session.state.x is session.state.xstar else len(log[0])
+        sessions.append((dict(zip(prof["presets"], presets)), session, calls))
+        return session
+
+    def generator(rng):
+        return gen(prof["m"], prof["n"], prof["rank"], prof["sparsity"], prof["noise_level"],
+                   prof["sv_lo"], prof["sv_hi"], field, rng)
+
+    monkeypatch.setattr(solver, "_kernels", spy)
+    monkeypatch.setattr(experiments, "Session", recording)
+    for trials in (1, 3):
+        sessions.clear()
+        run_trials(generator, specs, trials, iterations=0, base_seed=7)
+        assert sessions
+        for configs, session, calls in sessions:
+            layout = reference_layout(configs)
+            z_ons = [configs[label][0].g is not None for label in layout]
+            assert [prof["presets"][p] for p in session._order] == layout
+            assert calls == runs_of([configs[label][0].f for label in layout])
+            x_chains = session._slabs is not None and solver._x_chains_pay(session.batch)
+            assert x_chains == (runs_of(z_ons) == 2 and not session.batch)
+    assert [prof["presets"][p] for p in session._order] == {
+        "i": ["srk", "gerk_ad", "rek"], "ii": ["srk", "gerk_ad", "gerk_bd", "rek"]}[which]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

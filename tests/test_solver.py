@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -665,16 +666,18 @@ def test_presets_of_one_misfit_share_a_z_chain(trials):
             assert np.shares_memory(states["rek", t].zstar, states["gerk_ad", t].zstar)
             if "gerk_bd" in names:
                 assert not np.shares_memory(states["rek", t].zstar, states["gerk_bd", t].zstar)
-    # negative controls: another misfit of the same column step (1/eps + tau =
-    # 10.05), or the same misfit with other column steps, runs its own chain
+    # negative control: another misfit of the same column step (1/eps + tau =
+    # 10.05) runs its own chain.  The same misfit on other column steps cannot
+    # be built: a column partition of other norms is refused
     other_g = [dataclasses.replace(c, g=HuberQuadMisfit(0.2, 5.05)) for c in cfgs["gerk_bd"]]
+    session = Session(As, bs, [cfgs["gerk_bd"], other_g])
+    assert session.state.zstar.shape == (2,) + batch + (12,)
+    assert np.array_equal(session.t_col[0], session.t_col[1])
     other_t = [dataclasses.replace(c, col_partition=BlockPartition(
         "column", 6, c.col_partition.blocks, 2.0 * c.col_partition.block_sq_norms))
         for c in cfgs["gerk_bd"]]
-    for other in (other_g, other_t):
-        session = Session(As, bs, [cfgs["gerk_bd"], other])
-        assert session.state.zstar.shape == (2,) + batch + (12,)
-        assert np.array_equal(session.t_col[0], session.t_col[1]) == (other is other_g)
+    with pytest.raises(ValueError, match="^the column partition of system 0 was built on another"):
+        Session(As, bs, [cfgs["gerk_bd"], other_t])
 
 
 def test_shared_presets_must_share_the_draws():
@@ -763,17 +766,25 @@ def test_dual_iterate_holds_no_negative_zero(field):
     assert zeros > 0
 
 
+def scaled_steps(potential, scale):
+    """A copy of a regularizer or misfit whose step sizes 1/(L ||block||^2) are
+    `scale` times its own: L / scale.  A partition holds the norms of the A
+    it runs on, so the Lipschitz constant is the lever on the steps."""
+    scaled = copy.copy(potential)
+    name = "conj_lipschitz" if hasattr(potential, "conj_lipschitz") else "grad_lipschitz"
+    setattr(scaled, name, getattr(potential, name) / scale)
+    return scaled
+
+
 def worst_descent_excess(A, b, x_hat, rows, scale, steps=400):
     """Largest D_{k+1} - D_k + 1/2 ||x*_{k+1} - x*_k||^2 - 1e-12 D_0 over the
     steps of rk and srk, each advanced one step at a time, with every row
     step scaled by `scale`: in a session of all five presets over single-index
     rows, and each alone over multi-index blocks, which a session of several
     presets does not take."""
-    rows = BlockPartition("row", A.shape[0], rows.blocks, rows.block_sq_norms / scale,
-                          rows.probabilities)
-
     def cfg(name):
-        return preset(name, A, **SHARED_KW, max_iterations=steps, seed=8, row_partition=rows)
+        c = preset(name, A, **SHARED_KW, max_iterations=steps, seed=8, row_partition=rows)
+        return dataclasses.replace(c, f=scaled_steps(c.f, scale))
 
     names = ("rk", "srk")
     if rows.trivial:
@@ -820,14 +831,14 @@ def test_rk_and_srk_bregman_distance_descends_at_every_step():
         assert worst_descent_excess(A, b, x_hat, rows, 2.5) > 0.0
 
 
-def z_chain_errors(A, b, rank, cols, steps):
-    """(||P_null e_k||, ||e_k||) at every step of rek over the column
-    partition cols, e_k = z*_k - (b - P_range(A) b), and whether a z-chain
+def z_chain_errors(A, b, rank, scale, steps):
+    """(||P_null e_k||, ||e_k||) at every step of rek with its column steps
+    scaled by `scale`, e_k = z*_k - (b - P_range(A) b), and whether a z-chain
     worker ran."""
     target = b - range_projection_quadratic(A, b).value
     basis = np.linalg.svd(A)[0][:, :rank]  # of range(A)
-    session = Session(A, b, preset("rek", A, max_iterations=steps, seed=12,
-                                   checkpoint_interval=1, col_partition=cols))
+    cfg = preset("rek", A, max_iterations=steps, seed=12, checkpoint_interval=1)
+    session = Session(A, b, dataclasses.replace(cfg, g=scaled_steps(cfg.g, scale)))
     errors, forked = [], False
     for (state,) in session.checkpoints():
         e = state.zstar - target
@@ -845,16 +856,14 @@ def test_rek_z_chain_error_stays_in_range_and_never_grows(worker, monkeypatch):
     # through the z-chain worker, on an experiment-i system (nullspace noise)
     monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: worker)
     inst = gen_experiment_i(40, 20, 10, 3, 5.0, 0.1, 10.0, "real", RngStream(1500))
-    cols = column_partition(inst.A)
-    errors, forked = z_chain_errors(inst.A, inst.b, 10, cols, 1500)
+    errors, forked = z_chain_errors(inst.A, inst.b, 10, 1.0, 1500)
     assert forked == worker
     e0 = errors[0, 1]
     assert np.all(errors[:, 0] <= 1e-12 * e0)
     assert np.all(np.diff(errors[:, 1]) <= 1e-12 * e0)
     assert errors[-1, 1] < 0.1 * e0
     # negative control: the step 2.5/||a_j||^2 overshoots the hyperplane
-    over = BlockPartition("column", 20, cols.blocks, cols.block_sq_norms / 2.5)
-    errors, _ = z_chain_errors(inst.A, inst.b, 10, over, 200)
+    errors, _ = z_chain_errors(inst.A, inst.b, 10, 2.5, 200)
     assert np.diff(errors[:, 1]).max() > 1e-12 * e0
 
 
@@ -1096,9 +1105,8 @@ def test_an_iterate_that_goes_non_finite_raises():
     b = A @ x0
     # rk with steps 2.5 times too long diverges: x was all NaN after 20,000
     # iterations, with stop reason max_iterations
-    rows = row_partition(A)
-    long_steps = BlockPartition("row", 8, rows.blocks, rows.block_sq_norms / 2.5)
-    cfg = preset("rk", A, max_iterations=20000, seed=0, row_partition=long_steps)
+    cfg = preset("rk", A, max_iterations=20000, seed=0)
+    cfg = dataclasses.replace(cfg, f=scaled_steps(cfg.f, 2.5))
     with pytest.raises(NonFiniteIterate, match=r"^the iterate x\* is not finite at iteration 5120;"):
         run(A, b, cfg)
     # a_j^H z overflows in the z-step before its 1/||a_j||^2 scales it down
@@ -1128,7 +1136,7 @@ def test_lockstep_systems_must_match_system_0():
         Session([A, A_wide], [b, b], [cfg(A), cfg(A_wide)])
     with pytest.raises(FieldMismatch, match="^system 1 and system 0 must both be real"):
         Session([A, Z], [b, z], [cfg(A), cfg(Z)])
-    Session([A, 2.0 * A], [b, b], [cfg(A), cfg(A)]).advance(5)  # positive control
+    Session([A, 2.0 * A], [b, b], [cfg(A), cfg(2.0 * A)]).advance(5)  # positive control
 
 
 def test_config_checks_of_a_session():
@@ -1148,3 +1156,45 @@ def test_config_checks_of_a_session():
         run(A, b, wrong)
     with pytest.raises(ValueError, match="max_iterations must be >= 0"):
         run(A, b, preset("rk", A, max_iterations=-1, seed=0))
+
+
+def test_a_partition_built_on_another_matrix_is_refused():
+    # rk over the rows of a matrix of ones ran silently on another 6x4 system
+    rng = np.random.default_rng(0)
+    A, b = rng.standard_normal((6, 4)), rng.standard_normal(6)
+    ones = np.ones((6, 4))
+    message = "^the {} partition of system {} was built on another matrix"
+    with pytest.raises(ValueError, match=message.format("row", 0)):
+        run(A, b, preset("rk", ones, max_iterations=5000, seed=0))
+    with pytest.raises(ValueError, match=message.format("column", 0)):
+        run(A, b, preset("rek", A, max_iterations=5, seed=0, col_partition=column_partition(ones)))
+    # single-index blocks in another order are checked at their own indices
+    order = [[1], [0], [5], [2], [3], [4]]
+    with pytest.raises(ValueError, match=message.format("row", 0)):
+        run(A, b, preset("rk", A, max_iterations=5, seed=0,
+                         row_partition=row_partition(ones + np.eye(6, 4), blocks=order)))
+    run(A, b, preset("rk", A, max_iterations=5, seed=0, row_partition=row_partition(A, blocks=order)))
+    # a lockstep system checks its own partitions, and a complex A its conjugate rows
+    Z = A + 1j * rng.standard_normal((6, 4))
+    for M, v in ((A, b), (Z, b + 1j * rng.standard_normal(6))):
+        cfgs = [preset("rek", N, max_iterations=5, seed=0) for N in (M, M)]
+        with pytest.raises(ValueError, match=message.format("row", 1)):
+            Session([M, 2.0 * M], [v, v], cfgs)
+        Session([M, 2.0 * M], [v, v], [cfgs[0], preset("rek", 2.0 * M, max_iterations=5, seed=0)])
+    # blocks of several indices are the caller's to build on the same A
+    blocked = row_partition(ones, blocks=contiguous_blocks(6, 2))
+    run(A, b, preset("rk", A, max_iterations=5, seed=0, row_partition=blocked))
+
+
+def test_presets_in_lockstep_need_partitions_in_index_order():
+    # a second preset on single-index rows in another order ran each row with
+    # another row's step, and x overflowed; alone it converges
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    b = A @ rng.standard_normal(4)
+    rows = row_partition(A, blocks=[[1], [0], [2], [3], [4], [5]])
+    cfgs = [preset("rk", A, max_iterations=5000, seed=0, row_partition=p) for p in (None, rows)]
+    with pytest.raises(ValueError, match="lockstep need single-index partitions in index order"):
+        Session([A], [b], [[c] for c in cfgs])
+    x = run(A, b, cfgs[1]).state.x
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)

@@ -11,7 +11,9 @@ import signal
 import numpy as np
 import pytest
 
+import gerk.rng as rng
 import gerk.solver as solver
+from gerk import experiments
 from gerk.cli import main
 from gerk.errors import GerkError, NonFiniteIterate, WorkerDied
 from gerk.fileio import write_matrix_market, write_vector_csv
@@ -263,8 +265,11 @@ def test_wait_rule_reaps_the_worker_past_the_horizon(forks, monkeypatch):
 # The worker's x-chains: from the fork on, the worker also runs the x-steps
 # of the presets without the z-update.  Each test forces the hand-over on
 # (or off) by replacing `_x_chains_pay`, which takes them on one system only.
+# The session's layout makes each draw group one slab for these preset sets,
+# not for all five presets.
 
-HANDOVER_CASES = [PRESET_NAMES, ("srk", "rek", "gerk_ad"), ("rk", "rek")]
+HANDOVER_CASES = [("srk", "rek", "gerk_ad", "gerk_bd"), ("rk", "srk", "gerk_bd"),
+                  ("srk", "rek", "gerk_ad"), ("rk", "rek")]
 
 
 @pytest.fixture
@@ -295,8 +300,8 @@ def in_process(presets, As, bs, steps):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_worker_x_chains_are_bit_equal_to_in_process_runs(field, trials, forks, monkeypatch):
-    # all five presets, srk+rek+gerk_ad and rk+rek; chunks of 3 split the
-    # checkpoint intervals of 5
+    # experiment ii's presets, rk+srk+gerk_bd, srk+rek+gerk_ad and rk+rek;
+    # chunks of 3 split the checkpoint intervals of 5
     As, bs, cfgs = systems(field, trials)
     cases = [[cfgs[name] for name in names] for names in HANDOVER_CASES]
     monkeypatch.setattr(solver, "PIPE_CHUNK", 3)
@@ -317,6 +322,30 @@ def test_worker_x_chains_are_bit_equal_to_in_process_runs(field, trials, forks, 
     assert len(forks) == 2 * len(cases)
 
 
+def test_a_callers_order_takes_the_harness_layout(forks, monkeypatch):
+    # all five presets in their natural order on one system: the session lays
+    # them out as the harness does (rk, rek, srk, gerk_ad, gerk_bd), so its
+    # x-half runs two f-kernels, not the four of the caller's order, and the
+    # worker takes no x-chains, as the draw groups are not slabs
+    As, bs, cfgs = systems("real", 1, iters=400)
+    log, kernels = [], solver._kernels
+    monkeypatch.setattr(solver, "_kernels", lambda *args: log.append(kernels(*args)) or log[-1])
+    session = Session(As, bs, [cfgs[name] for name in PRESET_NAMES])
+    assert len(log[0]) == 2  # the first call is the f-kernels' over x*
+    snaps = [snapshot(states) for states in session.checkpoints()]
+    assert (session.worker_record.forked_at, session.worker_record.x_chains_at) == (0, None)
+    assert [PRESET_NAMES[p] for p in session._order] == ["rk", "rek", "srk", "gerk_ad", "gerk_bd"]
+    assert_no_child()
+    # states() keeps the caller's order, and each preset is bit-identical to a
+    # run of it alone
+    monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: False)
+    for p, name in enumerate(PRESET_NAMES):
+        alone = Session(As, bs, [cfgs[name]])
+        assert [snap[p] for snap in snaps] == [snapshot(states)[0] for states in alone.checkpoints()]
+        assert session.states()[p].rng._counter == alone.states()[0].rng._counter
+    assert len(forks) == 1
+
+
 def test_worker_takes_no_x_chains_without_a_slab_of_each_draw_group(forks, hand_over):
     # one draw group has no x-chains to give; rk, rek, srk splits the
     # presets without the z-update in two
@@ -330,7 +359,7 @@ def test_worker_takes_no_x_chains_without_a_slab_of_each_draw_group(forks, hand_
 
 def test_close_after_the_hand_over_goes_on_in_process(forks, hand_over, monkeypatch):
     As, bs, cfgs = systems("complex", 2)
-    presets = [cfgs[name] for name in PRESET_NAMES]
+    presets = [cfgs[name] for name in HANDOVER_CASES[0]]
     session = Session(As, bs, presets)
     for states in session.checkpoints():
         if states[0].k == 25:
@@ -387,7 +416,7 @@ def test_hooks_that_stop_or_raise_after_the_hand_over_leave_no_child(at, error, 
 
 def test_advance_after_the_hand_over_counts_on_from_the_state(forks, hand_over, monkeypatch):
     As, bs, cfgs = systems("complex", 1, iters=4000, interval=100)
-    presets = [cfgs[name] for name in ("rk", "srk", "rek", "gerk_ad")]
+    presets = [cfgs[name] for name in ("rk", "srk", "gerk_ad")]
 
     def run_with_advance():
         session = Session(As, bs, presets)
@@ -478,3 +507,45 @@ def test_cli_experiment_with_the_x_chains_in_the_worker(tmp_path, forks, hand_ov
     for f in files:
         assert (tmp_path / "worker" / f).read_bytes() == (tmp_path / "alone" / f).read_bytes()
 
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_every_byte_neutral_setting_replays_the_default_run(field, tmp_path, monkeypatch):
+    # a small desk experiment ii of all five presets over three trials, under
+    # each setting the README says moves no byte: the worker on and off, one
+    # trial per group (GROUP_BYTES), rng.BLOCK small, and the presets in
+    # reverse order.  Every per-preset file is the default run's
+    argv = ["experiment", "--which", "ii", "--field", field, "--m", "40", "--n", "20",
+            "--rank", "10", "--sparsity", "2", "--trials", "3", "--epochs", "6",
+            "--checkpoint-interval", "20"]
+
+    def files(tag, settings=(), names=PRESET_NAMES):
+        with monkeypatch.context() as patch:
+            for module, name, value in settings:
+                patch.setattr(module, name, value)
+            assert main(argv + ["--presets", ",".join(names), "--out", str(tmp_path / tag)]) == 0
+        base = tmp_path / tag / "ii"
+        return {p.relative_to(base): p.read_bytes()
+                for name in PRESET_NAMES for p in (base / name).iterdir()}
+
+    default = files("default")
+    assert len(default) == 6 * 5 - 3  # z_error of rek and gerk_ad only
+    forked = []
+
+    class Counted(solver._Worker):
+        def __init__(self, session):
+            super().__init__(session)
+            forked.append(self.pid)
+
+    variants = {
+        "worker on": [(solver, "_worker_pays", lambda iterations, interval: True),
+                      (solver, "WAIT_SHARE", math.inf), (solver, "_Worker", Counted)],
+        "worker off": [(solver, "_worker_pays", lambda iterations, interval: False)],
+        "one trial a group": [(experiments, "GROUP_BYTES", 1)],
+        "small rng block": [(rng, "BLOCK", 12)],
+    }
+    for tag, settings in variants.items():
+        assert files(tag, settings) == default, tag
+    assert len(forked) == 1
+    assert files("reversed", names=PRESET_NAMES[::-1]) == default
+    assert_no_child()
