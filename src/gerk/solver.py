@@ -90,13 +90,16 @@ are copied into state before any hook runs.  A worker that keeps this
 process waiting longer than it computes, as when another process holds its
 CPU, is stopped at a checkpoint, and the chunks already drawn run on
 in-process.  The x-chains of the presets without the z-update read neither
-z nor the other presets.  So when the presets span both draw groups, each
+z nor the other presets.  So the worker also takes those x-chains exactly
+when the session holds one system, the presets span both draw groups, each
 one contiguous slab of presets (the layout makes them so where it can), and
-_x_chains_pay says it pays for the session, the worker also takes those
-x-chains, from the x and x* it inherits at the fork: it runs their x-half,
-as a draw group of its own, after the z-half of each chunk, and their x and
-x* come back with z* and z, while this process runs the x-half of the
-presets with the z-update alone.  Whatever reaps the worker, the run goes
+no z* chain has a gradient kernel (every misfit is quadratic): its z-half is
+then short, while on a batch each x-half costs per system.  The session
+decides this once, at its construction.  The worker takes the x-chains from
+the x and x* it inherits at the fork, runs their x-half, as a draw group of
+its own, after the z-half of each chunk, and their x and x* come back with
+z* and z, while this process runs the x-half of the presets with the
+z-update alone.  Whatever reaps the worker, the run goes
 on in-process from state.  Both halves make the same IEEE operations
 in either process, so every iterate is bit-identical with the worker and
 without it.
@@ -411,6 +414,8 @@ class Session:
         presets = [tuple(cfg)] if isinstance(cfg[0], SolverConfig) else [tuple(c) for c in cfg]
         if state is not None and len(presets) > 1:
             raise ValueError(f"state continues a session of one preset, not {len(presets)}")
+        if len(A) != len(b):
+            raise DimensionMismatch(f"{len(A)} systems but {len(b)} right-hand sides")
         As, bs = zip(*map(_system, A, b))
         m, n = self.shape = As[0].shape
         is_complex = np.iscomplexobj(As[0])
@@ -500,8 +505,8 @@ class Session:
             g_kernels = _kernels(chains, zlead + batch + (m,), is_complex)
         # the x-half and z-half index rows and columns directly unless the one
         # preset on one system has blocks
-        self._trivial = all(part.trivial for parts in rows + cols for part in parts)
-        if (lead or batch) and not self._trivial:
+        trivial = all(part.trivial for parts in rows + cols for part in parts)
+        if (lead or batch) and not trivial:
             raise ValueError("systems or presets run in lockstep need single-index "
                              "partitions in index order")
 
@@ -522,14 +527,6 @@ class Session:
                             _gradient_update(f_kernels, state.xstar, state.x))
         if fresh and self._whole.f_update is not None:
             self._whole.f_update()
-        # with two draw groups, each one contiguous slab of presets, the worker
-        # may take the x-chains of the presets without the z-update (_Worker):
-        # (without, with), each slab's x-half a draw group of its own
-        self._slabs = None
-        if len(groups) == 2 and z_ons == sorted(z_ons):
-            cut = z_ons.index(True)
-            self._slabs = (_slab(state, fs[:cut], 0, cut, is_complex),
-                           _slab(state, fs[cut:], cut, len(presets), is_complex))
         self._g_update = None
         if self._zcfg is not None:
             self._g_update = _gradient_update(g_kernels, state.zstar, state.z)
@@ -543,6 +540,19 @@ class Session:
                     if not np.isfinite(z0).all():
                         raise ValueError(f"z_0 = grad g*(b) of the {g.name} misfit "
                                          "overflows; rescale b or the misfit's parameters")
+        # what a forked worker runs (_Worker), decided once: the z-half, with the
+        # z-update and single-index partitions; and on one system the x-chains of
+        # the presets without the z-update, their slab's x-half a draw group of
+        # its own, when the draw groups form two slabs, (without, with), and no z*
+        # chain has a gradient kernel, so that the worker's z-half is short (on a
+        # batch each x-half costs per system, and the worker's would be the longer)
+        self._forkable = self._zcfg is not None and trivial
+        self._slabs = None
+        if (self._forkable and not batch and self._g_update is None and len(groups) == 2
+                and z_ons == sorted(z_ons)):
+            cut = z_ons.index(True)
+            self._slabs = (_slab(state, fs[:cut], 0, cut, is_complex),
+                           _slab(state, fs[cut:], cut, len(presets), is_complex))
         self._rngs = state.rng if isinstance(state.rng, tuple) else (state.rng,)
         self._draws = [2 if c.z_update_enabled else 1 for c in self._draw_cfgs]  # per iteration
         self._window = (0, 0, None)  # (start, stop, _draw's arrays of iterations start to stop)
@@ -627,12 +637,11 @@ class Session:
         state = self.state
         horizon = max(end, self.cfg.max_iterations)  # draws go no further unless asked for
         k, stop = state.k, min(state.k + interval, end)  # the next chunk's start and checkpoint
-        if (fork and self._zcfg is not None and self._trivial and state.k < end
-                and _worker_pays(end - state.k, interval)):
+        if fork and self._forkable and state.k < end and _worker_pays(end - state.k, interval):
             try:
                 self._worker = _Worker(self)
                 self.worker_record = WorkerRecord(
-                    forked_at=state.k, x_chains_at=state.k if self._worker.x_chains else None)
+                    forked_at=state.k, x_chains_at=None if self._slabs is None else state.k)
             except OSError:  # no fork to be had: the run goes on in-process
                 self.worker_record = WorkerRecord(stop="fork failed")
         record = self.worker_record
@@ -679,7 +688,7 @@ class Session:
                     for a, snap in zip(worker.live, snaps):
                         np.copyto(a, snap)
                 t0 = time.thread_time()
-                slab = self._slabs[1] if worker is not None and worker.x_chains else self._whole
+                slab = self._whole if worker is None or self._slabs is None else self._slabs[1]
                 self._x_half(fi, tr, bi, zvals, slab)
                 if worker is not None:
                     record.parent_x_cpu_s += time.thread_time() - t0
@@ -852,29 +861,16 @@ def _worker_pays(iterations, interval):
     return iterations >= FORK_ITERATIONS and interval >= MIN_CHUNK and forks.usable()
 
 
-def _x_chains_pay(batch):
-    """Whether the worker of a session with _slabs should also run the
-    x-chains of the presets without the z-update, given the session's trial
-    batch shape: on one system only.  There the x-half costs mostly per
-    call, not per preset: on the paper's experiment i (srk, rek, gerk_ad)
-    the worker's z-halves take about a third of this process's x-halves,
-    and with srk's x-half moved there each side is shorter than the three
-    presets' x-half here.  On a batch of trials the x-half costs per system,
-    and srk's over ten trials costs the worker about what the three cost
-    here in lockstep: the worker would become the longer side."""
-    return not batch
-
-
 class _Worker:
     """A forked child that runs a session's z-half, one chunk ahead, and
-    with x_chains the x-half of its presets without the z-update (_slabs and
-    _x_chains_pay), from the x and x* it inherits at the fork.
+    where the session holds _slabs the x-half of the first, its presets
+    without the z-update, from the x and x* it inherits at the fork.
 
     SLOTS slots of shared mmaps take turns, each holding one chunk: its draws
-    (_draw's arrays; the row draws only with x_chains), its count, the CPU
+    (_draw's arrays; the row draws only with _slabs), its count, the CPU
     seconds of the child's z-half and x-half, the z-values of its z-half,
     and at the chunk's end its arrays of `live`: z* and z, then with
-    x_chains x* and x of those presets.  Each chunk costs one pipe byte each
+    _slabs x* and x of the first slab.  Each chunk costs one pipe byte each
     way: a request, then the reply when its slot is full.  The child
     (forks.spawn) touches no file, and leaves at the EOF of its request
     pipe, or at any error, which the parent sees as the EOF of its reply
@@ -883,12 +879,11 @@ class _Worker:
 
     def __init__(self, session):
         state, slabs = session.state, session._slabs
-        self.x_chains = slabs is not None and _x_chains_pay(session.batch)
         self.live = _arrays(state.zstar, state.z)
-        if self.x_chains:
+        if slabs is not None:
             self.live += _arrays(slabs[0].xstar, slabs[0].x)
         # zero iterations' draws give the slots their shapes and dtypes
-        drawn = session._draw(0)[:5 if self.x_chains else 3]
+        drawn = session._draw(0)[:3 if slabs is None else 5]
         self.slots = [([forks.shared((PIPE_CHUNK,) + a.shape[1:], a.dtype) for a in drawn],
                        forks.shared((1,), np.int64), forks.shared((2,), np.float64),
                        forks.shared((PIPE_CHUNK,) + session._zshape, session.b.dtype),

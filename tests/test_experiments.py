@@ -633,7 +633,8 @@ def test_harness_layout_is_the_reference_order(size, which, field, monkeypatch):
     # each session of a profile's run, at 1 and 3 trials (a complex paper
     # group holds two): its presets' layout, the f-kernel calls of its x-half
     # (one per run of equal regularizers) and whether its worker takes the
-    # x-chains (each draw group one slab, on one system) are the reference's
+    # x-chains (each draw group one slab, every misfit quadratic, on one
+    # system) are the reference's
     prof = experiments.PROFILES[size, which]
     gen = gen_experiment_i if which == "i" else gen_experiment_ii
     specs = [PresetSpec(name, prof["lam"], prof["eps"], prof["tau"]) for name in prof["presets"]]
@@ -666,8 +667,9 @@ def test_harness_layout_is_the_reference_order(size, which, field, monkeypatch):
             z_ons = [configs[label][0].g is not None for label in layout]
             assert [prof["presets"][p] for p in session._order] == layout
             assert calls == runs_of([configs[label][0].f for label in layout])
-            x_chains = session._slabs is not None and solver._x_chains_pay(session.batch)
-            assert x_chains == (runs_of(z_ons) == 2 and not session.batch)
+            quadratic = all(configs[label][0].g in (None, QuadraticMisfit()) for label in layout)
+            assert (session._slabs is not None) == (
+                runs_of(z_ons) == 2 and quadratic and not session.batch)
     assert [prof["presets"][p] for p in session._order] == {
         "i": ["srk", "gerk_ad", "rek"], "ii": ["srk", "gerk_ad", "gerk_bd", "rek"]}[which]
 

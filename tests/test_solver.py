@@ -938,6 +938,71 @@ def test_rk_and_srk_bregman_distance_meets_the_expected_rate():
                 assert exceeds(gamma / divisor), (name, probs is None, divisor)
 
 
+def test_gerk_ad_bregman_distance_meets_the_coupled_rate():
+    """gerk_ad on b = y_hat + r, y_hat = A x_hat and r in null(A^T), under
+    uniform rows and columns: the mean over seeds of D_k = D(x*_k, x_hat)
+    stays under B_k, built from the two tested one-step inequalities.
+
+    The z-chain is rek's: e_k = z*_k - r stays in range(A), and E||e_{k+1}||^2
+    <= q_z E||e_k||^2 with q_z = 1 - s^2 / (n max_j ||a_j||^2), s the least
+    singular value of A (test_rek_z_chain_meets_the_expected_rate).  As e_0 =
+    b - r = y_hat, E||e_k||^2 <= q_z^k ||y_hat||^2.
+
+    The x-step of iteration k + 1 is srk's on A x = y_hat with its residual
+    shifted by e = e_{k+1}: w = rho + e_i, rho = <a_i, x_k> - y_hat_i.  grad f*
+    is 1-Lipschitz, so with d = x*_{k+1} - x*_k = -w a_i / ||a_i||^2,
+    D_{k+1} - D_k <= <x_k - x_hat, d> + ||d||^2 / 2
+                   = (-rho w + w^2 / 2) / ||a_i||^2 = (e_i^2 - rho^2) / (2 ||a_i||^2),
+    which at e = 0 is the descent by ||d||^2 / 2 of the per-step test.  Row i
+    is drawn apart from e, so E_i rho^2 / ||a_i||^2 >= ||A x_k - y_hat||^2 /
+    (m max_i ||a_i||^2) >= D_k / (gamma m max_i ||a_i||^2), by the error bound
+    D <= gamma ||A x - y_hat||^2 of the srk rate test (x*_k lies in range(A^T)),
+    and E_i e_i^2 / ||a_i||^2 <= ||e||^2 / (m min_i ||a_i||^2).  Hence
+    E D_{k+1} <= q_x E D_k + c q_z^{k+1} ||y_hat||^2,
+    q_x = 1 - 1 / (2 gamma m max_i ||a_i||^2),  c = 1 / (2 m min_i ||a_i||^2),
+    and B_0 = D_0, B_{k+1} = q_x B_k + c q_z^{k+1} ||y_hat||^2.
+
+    Negative control: gamma / 1000 with the largest singular value in place of
+    the least.  Each change alone leaves the other chain's rate in B_k, and
+    both rates are loose here: the mean D_k falls about 1.5% a step, against
+    1 - q_x = 2e-4 and 1 - q_z = 3e-3, so neither fires alone.
+    """
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 12)) * rng.uniform(0.2, 3.0, (30, 1))
+    x_hat = np.zeros(12)
+    x_hat[rng.choice(12, 3, replace=False)] = rng.standard_normal(3)
+    y_hat = A @ x_hat
+    r = np.linalg.svd(A)[0][:, 12:] @ rng.standard_normal(18)  # in null(A^T)
+    lam, trials, steps = 0.5, 200, 600
+    rows, cols = row_partition(A), column_partition(A)
+    cfgs = [preset("gerk_ad", A, lam=lam, max_iterations=steps, seed=s, row_partition=rows,
+                   col_partition=cols) for s in range(trials)]
+    session = Session([A] * trials, [y_hat + r] * trials, cfgs)
+    f_hat = cfgs[0].f.value(x_hat)
+    mean_d = []
+    for _ in range(steps + 1):
+        x, xstar = session.state.x, session.state.xstar
+        mean_d.append(np.mean(0.5 * np.sum(x * x, axis=1) - xstar @ x_hat) + f_hat)
+        session.advance(1)
+    mean_d = np.array(mean_d)
+    m, n = A.shape
+    row_sq, col_sq = np.sum(A * A, axis=1), np.sum(A * A, axis=0)
+    sv = np.linalg.svd(A, compute_uv=False)
+    gamma = gamma_hat(A, x_hat, lam).gamma
+
+    def exceeds(g, s):
+        q_x = 1.0 - 1.0 / (2.0 * g * m * row_sq.max())
+        q_z = 1.0 - s ** 2 / (n * col_sq.max())
+        z_terms = q_z ** np.arange(1, steps + 1) * (y_hat @ y_hat) / (2.0 * m * row_sq.min())
+        bound = [mean_d[0]]
+        for z_term in z_terms:
+            bound.append(q_x * bound[-1] + z_term)
+        return np.any(mean_d > np.array(bound))
+
+    assert not exceeds(gamma, sv[-1])
+    assert exceeds(gamma / 1000, sv[0])
+
+
 def test_a_preset_shares_f_and_g_across_systems():
     # one preset over two systems runs as its first config's f and g, so
     # configs that differ there are refused, naming the field.  srk on system
@@ -1137,6 +1202,21 @@ def test_lockstep_systems_must_match_system_0():
     with pytest.raises(FieldMismatch, match="^system 1 and system 0 must both be real"):
         Session([A, Z], [b, z], [cfg(A), cfg(Z)])
     Session([A, 2.0 * A], [b, b], [cfg(A), cfg(2.0 * A)]).advance(5)  # positive control
+
+
+def test_systems_and_right_hand_sides_of_different_counts_are_refused():
+    # two systems and one right-hand side once ran one system, dropping A2
+    rng = np.random.default_rng(0)
+    A1, A2 = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    b1, b2 = rng.standard_normal(6), rng.standard_normal(6)
+    with pytest.raises(DimensionMismatch, match=r"^2 systems but 1 right-hand sides$"):
+        Session([A1, A2], [b1], [[preset("rk", A1, max_iterations=5, seed=0)]])
+    with pytest.raises(DimensionMismatch, match=r"^1 systems but 2 right-hand sides$"):
+        Session([A1], [b1, b2], [[preset("rk", A1, max_iterations=5, seed=0)]])
+    # positive control: two of each run two systems
+    cfgs = [preset("rk", A, max_iterations=5, seed=0) for A in (A1, A2)]
+    session = Session([A1, A2], [b1, b2], [cfgs])
+    assert session.batch == (2,) and len(session.states()) == 2
 
 
 def test_config_checks_of_a_session():

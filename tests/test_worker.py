@@ -263,19 +263,25 @@ def test_wait_rule_reaps_the_worker_past_the_horizon(forks, monkeypatch):
 
 
 # The worker's x-chains: from the fork on, the worker also runs the x-steps
-# of the presets without the z-update.  Each test forces the hand-over on
-# (or off) by replacing `_x_chains_pay`, which takes them on one system only.
-# The session's layout makes each draw group one slab for these preset sets,
-# not for all five presets.
+# of the presets without the z-update, exactly when the session holds one
+# system, its layout makes each draw group one slab (as for these preset sets,
+# not for all five presets) and no z* chain has a gradient kernel (no gerk_bd,
+# whose Huber misfit has one).
 
 HANDOVER_CASES = [("srk", "rek", "gerk_ad", "gerk_bd"), ("rk", "srk", "gerk_bd"),
                   ("srk", "rek", "gerk_ad"), ("rk", "rek")]
 
 
 @pytest.fixture
-def hand_over(monkeypatch):
-    """Force the hand-over on, also on batches of trials."""
-    monkeypatch.setattr(solver, "_x_chains_pay", lambda batch: True)
+def hand_over(forks, monkeypatch):
+    """Check that every worker forked takes the x-chains: each test runs
+    presets that the session's rule hands over."""
+    class HandedOver(solver._Worker):
+        def __init__(self, session):
+            assert session._slabs is not None
+            super().__init__(session)
+
+    monkeypatch.setattr(solver, "_Worker", HandedOver)
 
 
 def snapshot(states):
@@ -300,26 +306,23 @@ def in_process(presets, As, bs, steps):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_worker_x_chains_are_bit_equal_to_in_process_runs(field, trials, forks, monkeypatch):
-    # experiment ii's presets, rk+srk+gerk_bd, srk+rek+gerk_ad and rk+rek;
-    # chunks of 3 split the checkpoint intervals of 5
+    # experiment ii's presets, rk+srk+gerk_bd, srk+rek+gerk_ad and rk+rek: the
+    # two with gerk_bd keep the x-chains, the others hand them over on one
+    # system; chunks of 3 split the checkpoint intervals of 5
     As, bs, cfgs = systems(field, trials)
     cases = [[cfgs[name] for name in names] for names in HANDOVER_CASES]
     monkeypatch.setattr(solver, "PIPE_CHUNK", 3)
-    runs = {}
-    for pays in (True, False):
-        monkeypatch.setattr(solver, "_x_chains_pay", lambda batch, pays=pays: pays)
-        runs[pays] = [recorded(presets, As, bs) for presets in cases]
-    assert [r.x_chains_at for _, _, r in runs[True]] == [0] * len(cases)
-    assert [r.x_chains_at for _, _, r in runs[False]] == [None] * len(cases)
-    assert all(r.stop == "last checkpoint" for pays in runs for _, _, r in runs[pays])
-    assert len(forks) == 2 * len(cases)
+    runs = [recorded(presets, As, bs) for presets in cases]
+    assert [r.x_chains_at for _, _, r in runs] == [None, None] + [0 if trials == 1 else None] * 2
+    assert all(r.stop == "last checkpoint" for _, _, r in runs)
+    assert len(forks) == len(cases)
     assert_no_child()
     monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: False)
-    for presets, on, off in zip(cases, runs[True], runs[False]):
+    for presets, forked in zip(cases, runs):
         alone = recorded(presets, As, bs)
-        assert on[:2] == off[:2] == alone[:2]
+        assert forked[:2] == alone[:2]
         assert alone[2] == solver.WorkerRecord()
-    assert len(forks) == 2 * len(cases)
+    assert len(forks) == len(cases)
 
 
 def test_a_callers_order_takes_the_harness_layout(forks, monkeypatch):
@@ -346,7 +349,7 @@ def test_a_callers_order_takes_the_harness_layout(forks, monkeypatch):
     assert len(forks) == 1
 
 
-def test_worker_takes_no_x_chains_without_a_slab_of_each_draw_group(forks, hand_over):
+def test_worker_takes_no_x_chains_without_a_slab_of_each_draw_group(forks):
     # one draw group has no x-chains to give; rk, rek, srk splits the
     # presets without the z-update in two
     As, bs, cfgs = systems("real", 2)
@@ -358,8 +361,8 @@ def test_worker_takes_no_x_chains_without_a_slab_of_each_draw_group(forks, hand_
 
 
 def test_close_after_the_hand_over_goes_on_in_process(forks, hand_over, monkeypatch):
-    As, bs, cfgs = systems("complex", 2)
-    presets = [cfgs[name] for name in HANDOVER_CASES[0]]
+    As, bs, cfgs = systems("complex", 1)
+    presets = [cfgs[name] for name in HANDOVER_CASES[2]]
     session = Session(As, bs, presets)
     for states in session.checkpoints():
         if states[0].k == 25:
@@ -393,7 +396,7 @@ def test_killed_worker_with_the_x_chains_raises_worker_died(forks, hand_over):
 def test_hooks_that_stop_or_raise_after_the_hand_over_leave_no_child(at, error, forks,
                                                                       hand_over):
     # at the first checkpoint and at a later one
-    As, bs, cfgs = systems("real", 3, iters=400)
+    As, bs, cfgs = systems("real", 1, iters=400)
     session = Session(As, bs, [cfgs[name] for name in ("srk", "rek", "gerk_ad")])
 
     def hook(state):
@@ -403,10 +406,10 @@ def test_hooks_that_stop_or_raise_after_the_hand_over_leave_no_child(at, error, 
             raise error("from a hook")
 
     if error is None:
-        assert session.finish([(hook,)] * 9) == "tolerance_met"
+        assert session.finish([(hook,)] * 3) == "tolerance_met"
     else:
         with pytest.raises(error):
-            session.finish([(hook,)] * 9)
+            session.finish([(hook,)] * 3)
     assert session.state.k == at
     assert session.worker_record.x_chains_at == 0
     assert session.worker_record.stop == "close"
@@ -443,8 +446,8 @@ def test_wait_rule_reaps_the_worker_with_the_x_chains(forks, hand_over, monkeypa
     monkeypatch.setattr(solver, "WAIT_SHARE", 0.0)
     monkeypatch.setattr(solver, "FORK_ITERATIONS", 10)
     monkeypatch.setattr(solver, "PIPE_CHUNK", 3)
-    As, bs, cfgs = systems("complex", 2)
-    presets = [cfgs[name] for name in ("srk", "rek", "gerk_bd")]
+    As, bs, cfgs = systems("complex", 1)
+    presets = [cfgs[name] for name in ("srk", "rek", "gerk_ad")]
     session = Session(As, bs, presets)
     live = []
     for states in session.checkpoints():
@@ -459,17 +462,31 @@ def test_wait_rule_reaps_the_worker_with_the_x_chains(forks, hand_over, monkeypa
     assert recorded(presets, As, bs)[:2] == forked[:2]
 
 
-def test_x_chains_pay_on_one_system_only(forks):
-    assert solver._x_chains_pay(())
-    assert not solver._x_chains_pay((3,))
-    # srk, rek, gerk_ad, as experiment i runs them: one system's worker takes
-    # srk's x-chain at the fork, a batch's does not
-    for trials, taken in ((1, 0), (3, None)):
+def test_x_chains_go_to_the_worker_on_one_system_without_a_gradient_kernel(forks, monkeypatch):
+    # experiment ii's presets on one system: gerk_bd's Huber misfit has a
+    # gradient kernel, so the worker keeps to the z-half; experiment i's (srk,
+    # rek, gerk_ad, every misfit quadratic) on one system: the worker takes
+    # srk's x-chain at the fork; on a batch of 3 it does not.  Each preset is
+    # bit-equal to a run of it alone in-process
+    cases = [(("srk", "rek", "gerk_ad", "gerk_bd"), 1, None), (("srk", "rek", "gerk_ad"), 1, 0),
+             (("srk", "rek", "gerk_ad"), 3, None)]
+    runs = []
+    for names, trials, taken in cases:
         As, bs, cfgs = systems("real", trials)
-        _, _, worker = recorded([cfgs[name] for name in ("srk", "rek", "gerk_ad")], As, bs)
+        snaps, draws, worker = recorded([cfgs[name] for name in names], As, bs)
         assert (worker.forked_at, worker.x_chains_at) == (0, taken)
-    assert len(forks) == 2
+        runs.append((snaps, draws))
+    assert len(forks) == 3
     assert_no_child()
+    monkeypatch.setattr(solver, "_worker_pays", lambda iterations, interval: False)
+    for (names, trials, _), (snaps, draws) in zip(cases, runs):
+        As, bs, cfgs = systems("real", trials)
+        for p, name in enumerate(names):
+            alone = recorded([cfgs[name]], As, bs)
+            own = slice(p * trials, (p + 1) * trials)
+            assert [snap[own] for snap in snaps] == alone[0]
+            assert draws[own] == alone[1]
+    assert len(forks) == 3
 
 
 def test_worker_record_of_each_stop(forks, monkeypatch):
@@ -495,7 +512,7 @@ def test_worker_record_of_each_stop(forks, monkeypatch):
 
 def test_cli_experiment_with_the_x_chains_in_the_worker(tmp_path, forks, hand_over, monkeypatch):
     argv = ["experiment", "--which", "i", "--m", "40", "--n", "20", "--rank", "10",
-            "--sparsity", "2", "--trials", "2", "--epochs", "6", "--checkpoint-interval", "20"]
+            "--sparsity", "2", "--trials", "1", "--epochs", "6", "--checkpoint-interval", "20"]
     assert main(argv + ["--out", str(tmp_path / "worker")]) == 0
     assert len(forks) == 1
     assert_no_child()
