@@ -93,14 +93,16 @@ in-process.  The x-chains of the presets without the z-update read neither
 z nor the other presets.  So the worker also takes those x-chains exactly
 when the session holds one system, the presets span both draw groups, each
 one contiguous slab of presets (the layout makes them so where it can), and
-no z* chain has a gradient kernel (every misfit is quadratic): its z-half is
-then short, while on a batch each x-half costs per system.  The session
-decides this once, at its construction.  The worker takes the x-chains from
-the x and x* it inherits at the fork, runs their x-half, as a draw group of
-its own, after the z-half of each chunk, and their x and x* come back with
-z* and z, while this process runs the x-half of the presets with the
-z-update alone.  Whatever reaps the worker, the run goes
-on in-process from state.  Both halves make the same IEEE operations
+no z* chain has a gradient kernel (every misfit is quadratic).  The rule
+follows timings, not a cost model: on one trial, handing over ran slower
+beside gerk_bd's Huber kernel at 200x100 and 1000x500, and for experiment
+i's presets faster at 1000x500 but level at 200x100; on batches it gained
+nothing.  The session decides this once, at its construction.  The worker
+takes the x-chains from the x and x* it inherits at the fork, runs their
+x-half, as a draw group of its own, after the z-half of each chunk, and
+their x and x* come back with z* and z, while this process runs the x-half
+of the presets with the z-update alone.  Whatever reaps the worker, the run
+goes on in-process from state.  Both halves make the same IEEE operations
 in either process, so every iterate is bit-identical with the worker and
 without it.
 """
@@ -544,8 +546,8 @@ class Session:
         # z-update and single-index partitions; and on one system the x-chains of
         # the presets without the z-update, their slab's x-half a draw group of
         # its own, when the draw groups form two slabs, (without, with), and no z*
-        # chain has a gradient kernel, so that the worker's z-half is short (on a
-        # batch each x-half costs per system, and the worker's would be the longer)
+        # chain has a gradient kernel: the cases where it timed faster (module
+        # docstring)
         self._forkable = self._zcfg is not None and trivial
         self._slabs = None
         if (self._forkable and not batch and self._g_update is None and len(groups) == 2

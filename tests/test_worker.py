@@ -350,10 +350,12 @@ def test_a_callers_order_takes_the_harness_layout(forks, monkeypatch):
 
 
 def test_worker_takes_no_x_chains_without_a_slab_of_each_draw_group(forks):
-    # one draw group has no x-chains to give; rk, rek, srk splits the
-    # presets without the z-update in two
-    As, bs, cfgs = systems("real", 2)
-    for names in [("rek", "gerk_bd"), ("rk", "rek", "srk")]:
+    # one system, so that the draw groups alone decide: one draw group has no
+    # x-chains to give (rek and gerk_ad run one quadratic misfit); rk, rek,
+    # srk, whose misfit is rek's quadratic one, splits the presets without
+    # the z-update in two
+    As, bs, cfgs = systems("real", 1)
+    for names in [("rek", "gerk_bd"), ("rek", "gerk_ad"), ("rk", "rek", "srk")]:
         _, _, worker = recorded([cfgs[name] for name in names], As, bs)
         assert worker.forked_at == 0
         assert worker.x_chains_at is None
